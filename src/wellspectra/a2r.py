@@ -10,6 +10,12 @@ and the splitting of the counting function
 
 which holds as an exact integer identity by inertia additivity of Schur
 complements.
+
+At each shift (K - lam*M)_II is factored once: the factor that shows lam is
+off the pinned spectrum is the one that solves for the Poisson matrix, and
+the lam = 0 Poisson matrix P0 can be handed to every consumer of the level.
+The boundary count n_minus(S(lam)) still comes from an explicitly formed
+S(lam), so the splitting identity is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -17,20 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import OnEigenvalue, ResolventViolation
-from .eigcount import inertia, pencil_eigs
+from .eigcount import Factorization, inertia, pencil_eigs
 from .model import AssembledPencil, SpectralSummary
 
 #: relative residual contract for harmonic extensions and form identities
 RESIDUAL_TOL = 1e-10
-
-#: orders up to this use a dense interior solve
-_DENSE_SOLVE_SWITCH = 600
 
 
 @dataclass
@@ -70,30 +71,40 @@ class BoundaryMeasures:
         return self.nu / self.mu
 
 
-def _interior_solve(p: AssembledPencil, lam: float, rhs: np.ndarray) -> np.ndarray:
+def _pinned_factor(p: AssembledPencil, lam: float) -> Factorization:
+    """The one factorization of (K - lam*M)_II; its inertia shows whether
+    lam is on the pinned spectrum, and it solves for that shift."""
+    return Factorization(p.K_II - lam * sp.diags(p.M_interior))
+
+
+def _interior_solve(
+    p: AssembledPencil, lam: float, rhs: np.ndarray, factor: Factorization | None = None
+) -> np.ndarray:
     """Solve (K - lam*M)_II X = rhs after verifying lam is off the pinned
-    spectrum (by inertia, so the check is exact up to pivot tolerance)."""
-    A = (p.K_II - lam * sp.diags(p.M_interior)).tocsc()
-    inert = inertia(A)
-    if inert.n_zero:
+    spectrum (by inertia, so the check is exact up to pivot tolerance).
+    ``factor`` is _pinned_factor(p, lam) if the caller already has it."""
+    if factor is None:
+        factor = _pinned_factor(p, lam)
+    n_zero = factor.inertia.n_zero
+    if n_zero:
         raise ResolventViolation(
-            f"shift {lam!r} lies on the pinned spectrum (n_zero={inert.n_zero})"
+            f"shift {lam!r} lies on the pinned spectrum (n_zero={n_zero})"
         )
-    if A.shape[0] <= _DENSE_SOLVE_SWITCH:
-        return sla.solve(A.toarray(), rhs, assume_a="sym")
-    return splu(A).solve(rhs)
+    return factor.solve(rhs)
 
 
-def poisson_matrix(p: AssembledPencil, lam: float) -> np.ndarray:
+def poisson_matrix(
+    p: AssembledPencil, lam: float, factor: Factorization | None = None
+) -> np.ndarray:
     """Interior-to-boundary solution operator of the shifted pencil:
     P_lam = -(K - lam*M)_II^{-1} (K - lam*M)_IB, shape (|I|, |B|).
 
     At lam = 0 each row is the exit distribution of the lattice walk started
     at that interior node (nonnegative, sums to 1): the discrete harmonic
-    measure.
+    measure.  ``factor`` is _pinned_factor(p, lam) if the caller has it.
     """
     rhs = -p.K_IB.toarray()
-    return _interior_solve(p, lam, rhs)
+    return _interior_solve(p, lam, rhs, factor)
 
 
 def harmonic_extension(p: AssembledPencil, lam: float, phi: np.ndarray) -> np.ndarray:
@@ -120,24 +131,32 @@ def harmonic_extension(p: AssembledPencil, lam: float, phi: np.ndarray) -> np.nd
     return np.concatenate([u_int, phi])
 
 
-def schur_form(p: AssembledPencil, lam: float) -> np.ndarray:
+def schur_form(
+    p: AssembledPencil, lam: float, P: np.ndarray | None = None
+) -> np.ndarray:
     """Boundary energy form at shift lam: the Schur complement
     S(lam) = (K - lam*M)_BB - (K - lam*M)_BI (K - lam*M)_II^{-1} (K - lam*M)_IB,
-    returned dense and symmetrized.
+    returned dense and symmetrized.  ``P`` is poisson_matrix(p, lam) if the
+    caller already has it.
 
     phi' S(lam) phi equals the shifted energy of the harmonic extension of
     phi, so S(0) is positive semidefinite with the constants in its kernel
     (per connected component).
     """
-    P = poisson_matrix(p, lam)
+    if P is None:
+        P = poisson_matrix(p, lam)
     S = p.K_BB.toarray() + p.K_IB.T @ P
     return (S + S.T) / 2.0
 
 
-def boundary_measures(p: AssembledPencil) -> BoundaryMeasures:
+def boundary_measures(
+    p: AssembledPencil, P0: np.ndarray | None = None
+) -> BoundaryMeasures:
     """Sweep interior pencil mass and interior volume to the boundary along
-    harmonic measure (the lam=0 Poisson matrix)."""
-    P0 = poisson_matrix(p, 0.0)
+    harmonic measure (the lam=0 Poisson matrix ``P0``, computed if not
+    given)."""
+    if P0 is None:
+        P0 = poisson_matrix(p, 0.0)
     hn = p.grid.spacing ** p.grid.dimension
     mu = P0.T @ p.M_interior
     nu = hn * P0.sum(axis=0)
@@ -148,9 +167,12 @@ def a_lambda_norm(dirichlet_spectrum: SpectralSummary, lam: float) -> float:
     """Operator norm of the interior comparison map at shift lam:
     max over pinned eigenvalues mu of |lam * mu / (mu - lam)|.
 
-    mu -> lam*mu/(mu-lam) is monotone on each side of its pole at lam, so
-    the max is attained at the spectrum's ends or at the two eigenvalues
-    bracketing lam; only those candidates are evaluated.
+    g(mu) = lam*mu/(mu-lam) decreases on each side of its pole at lam.  For
+    lam > 0, |g| rises towards the pole from below and falls away from it
+    above, so the max is at one of the two eigenvalues bracketing lam.  For
+    lam < 0 every mu lies above the pole, where g < 0 and |g| rises with mu,
+    so the max is at the top of the spectrum.  Only these candidates are
+    evaluated.
     """
     mus = dirichlet_spectrum.eigenvalues
     if mus.size == 0:
@@ -161,13 +183,11 @@ def a_lambda_norm(dirichlet_spectrum: SpectralSummary, lam: float) -> float:
         return 0.0
     if np.min(np.abs(mus - lam)) <= 1e-14 * max(abs(lam), mus[-1]):
         raise OnEigenvalue(f"shift {lam!r} coincides with a pinned eigenvalue")
-    pos = int(np.searchsorted(mus, lam))
-    candidates = {0, mus.size - 1}
-    if 0 < pos:
-        candidates.add(pos - 1)
-    if pos < mus.size:
-        candidates.add(pos)
-    cand = mus[sorted(candidates)]
+    if lam < 0:
+        cand = mus[-1:]
+    else:
+        pos = int(np.searchsorted(mus, lam))
+        cand = mus[max(pos - 1, 0) : pos + 1]
     return float(np.max(np.abs(lam * cand / (cand - lam))))
 
 
@@ -202,10 +222,11 @@ def splitting_counts(p: AssembledPencil, lam: float):
     full = inertia(p.shifted(lam))
     if full.n_zero:
         raise OnEigenvalue(f"shift {lam!r} lies on the full pencil spectrum")
-    pinned = inertia(p.K_II - lam * sp.diags(p.M_interior))
+    factor = _pinned_factor(p, lam)
+    pinned = factor.inertia
     if pinned.n_zero:
         raise OnEigenvalue(f"shift {lam!r} lies on the pinned spectrum")
-    S = schur_form(p, lam)
+    S = schur_form(p, lam, poisson_matrix(p, lam, factor))
     boundary = inertia(S)
     if boundary.n_zero:
         raise OnEigenvalue(f"shift {lam!r} makes the boundary form singular")
@@ -242,7 +263,7 @@ def radon_nikodym_report(bm: BoundaryMeasures, sigma: np.ndarray, p: float):
 
 
 def estimate_poisson_constant(
-    p: AssembledPencil, samples: int, seed: int = 0
+    p: AssembledPencil, samples: int, seed: int = 0, P0: np.ndarray | None = None
 ) -> float:
     """EMPIRICAL: smallest c >= 1 with
     c^{-1} * d(x)/|x-y|^n  <=  P0[x,y]/sigma_y  <=  c * d(x)/|x-y|^n
@@ -251,11 +272,13 @@ def estimate_poisson_constant(
 
     This probes a two-sided kernel comparison that has no rigorous discrete
     counterpart; the value is a sampled estimate, monotone nondecreasing in
-    the sample count, and nothing more.
+    the sample count, and nothing more.  ``P0`` is the lam = 0 Poisson
+    matrix, computed if not given.
     """
     if p.grid.dimension < 2:
         raise ValueError("kernel comparison needs dimension >= 2")
-    P0 = poisson_matrix(p, 0.0)
+    if P0 is None:
+        P0 = poisson_matrix(p, 0.0)
     xi = p.grid.node_coords(p.dec.interior)
     yb = p.grid.node_coords(p.dec.boundary)
     dist_to_boundary = cKDTree(yb).query(xi)[0]

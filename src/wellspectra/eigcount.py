@@ -6,6 +6,10 @@ factorization of K - lambda*diag(M) yields the exact integer count through
 Sylvester's law of inertia.  Zero pivots are classified against the scaled
 tolerance tau0 = 1e-12 * max|A_ij| and reported as OnEigenvalue, never
 silently absorbed.
+
+``Factorization`` is the one factorization object: the pivots that give a
+matrix its inertia come from the same factor that then solves with it, so a
+shifted matrix is factored once whether it is counted, solved, or both.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -40,79 +45,119 @@ def _classify(values: np.ndarray, tau0: float) -> Inertia:
     return Inertia(n_minus=neg, n_zero=values.size - neg - pos, n_plus=pos)
 
 
-def _inertia_dense(A: np.ndarray, tau0: float) -> Inertia:
-    # Bunch-Kaufman: D is block diagonal with 1x1 and symmetric 2x2 blocks
-    _, D, _ = sla.ldl(A)
-    vals = []
-    i = 0
-    order = A.shape[0]
-    while i < order:
-        if i + 1 < order and D[i + 1, i] != 0.0:
-            a, b, c = D[i, i], D[i + 1, i], D[i + 1, i + 1]
-            root = np.hypot(a - c, 2.0 * b)
-            vals.append(((a + c) + root) / 2.0)
-            vals.append(((a + c) - root) / 2.0)
-            i += 2
-        else:
-            vals.append(D[i, i])
-            i += 1
-    return _classify(np.array(vals), tau0)
+def _bunch_kaufman_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the block-diagonal D of a lower dsytrf factor.
 
-
-def _inertia_sparse(A: sp.spmatrix, tau0: float) -> Inertia:
-    """Signed diagonal of a symmetric-mode LU with diagonal pivoting.
-
-    With diag_pivot_thresh=0 SuperLU keeps pivots on the diagonal whenever
-    structurally possible; if it was still forced off the diagonal the row
-    and column permutations differ and we refuse the factorization rather
-    than trust it.
+    A 2x2 block occupies rows k, k+1 with ipiv[k] = ipiv[k+1] < 0; runs of
+    negative entries are consecutive 2x2 blocks, so a block starts at every
+    odd offset from the last positive entry.
     """
-    lu = splu(
-        A.tocsc(),
-        diag_pivot_thresh=0.0,
-        permc_spec="MMD_AT_PLUS_A",
-        options=dict(SymmetricMode=True, Equil=False),
-    )
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise FactorizationBreakdown("pivoting left the diagonal")
-    return _classify(lu.U.diagonal(), tau0)
+    d = np.diag(ldu).copy()
+    idx = np.arange(d.size)
+    neg = ipiv < 0
+    last_pos = np.maximum.accumulate(np.where(neg, -1, idx))
+    k = np.flatnonzero(neg & ((idx - last_pos) % 2 == 1))
+    a, b, c = d[k], ldu[k + 1, k], d[k + 1]
+    root = np.hypot(a - c, 2.0 * b)
+    d[k] = ((a + c) + root) / 2.0
+    d[k + 1] = ((a + c) - root) / 2.0
+    return d
+
+
+class Factorization:
+    """One symmetric factorization of A, serving its inertia and its solves.
+
+    Dense inputs, and sparse inputs of order up to 800, are factored by
+    LAPACK Bunch-Kaufman (dsytrf, solved by dsytrs).  Larger sparse inputs
+    take a symmetric-mode SuperLU LU with diagonal pivoting: with
+    diag_pivot_thresh=0 pivots stay on the diagonal whenever structurally
+    possible, and if they were still forced off it the row and column
+    permutations differ and the factor is refused.  A refused or failed
+    sparse factor falls back to the dense path up to order DENSE_CAP.
+
+    ``inertia`` is (n_minus, n_zero, n_plus) with pivots classified against
+    tau0 = PIVOT_RTOL * max|A_ij|; ``path`` names the factorization used
+    ("dense", "sparse", "dense-fallback", or "zero" for the zero matrix).
+    """
+
+    def __init__(self, A):
+        if sp.issparse(A) and A.shape[0] > _DENSE_SWITCH:
+            A = A.tocsc().astype(float, copy=False)
+            entries = A.data
+        else:
+            A = entries = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("matrix entries must be finite")
+        self.order = order = A.shape[0]
+        amax = float(np.abs(entries).max()) if entries.size else 0.0
+        self._lu = self._ldu = self._ipiv = None
+        if amax == 0.0:
+            self.path = "zero"
+            self.inertia = Inertia(0, order, 0)
+            return
+        if sp.issparse(A):
+            try:
+                pivots = self._factor_sparse(A)
+                self.path = "sparse"
+            except (FactorizationBreakdown, RuntimeError) as exc:
+                if order > DENSE_CAP:
+                    raise FactorizationBreakdown(
+                        f"sparse factorization failed at order {order}: {exc}"
+                    ) from exc
+                pivots = self._factor_dense(A.toarray())
+                self.path = "dense-fallback"
+        else:
+            pivots = self._factor_dense(A)
+            self.path = "dense"
+        self.inertia = _classify(pivots, PIVOT_RTOL * amax)
+
+    def _factor_dense(self, A: np.ndarray) -> np.ndarray:
+        lwork = max(1, int(dsytrf_lwork(A.shape[0], lower=1)[0]))
+        self._ldu, self._ipiv, info = dsytrf(A, lower=1, lwork=lwork)
+        if info < 0:
+            raise FactorizationBreakdown(f"dsytrf rejected argument {-info}")
+        return _bunch_kaufman_pivots(self._ldu, self._ipiv)
+
+    def _factor_sparse(self, A: sp.csc_matrix) -> np.ndarray:
+        lu = splu(
+            A,
+            diag_pivot_thresh=0.0,
+            permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True, Equil=False),
+        )
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise FactorizationBreakdown("pivoting left the diagonal")
+        self._lu = lu
+        return lu.U.diagonal()
+
+    def solve(self, rhs) -> np.ndarray:
+        """A^{-1} rhs for a vector or a block of columns, with the factor
+        that gave the inertia.  A numerically singular A (n_zero > 0) has
+        no solve: np.linalg.LinAlgError."""
+        if self.inertia.n_zero:
+            raise np.linalg.LinAlgError(
+                f"matrix is numerically singular (n_zero={self.inertia.n_zero})"
+            )
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != self.order:
+            raise ValueError("right-hand side has the wrong length")
+        if self._lu is not None:
+            return self._lu.solve(rhs)
+        x, info = dsytrs(self._ldu, self._ipiv, rhs.reshape(self.order, -1), lower=1)
+        if info != 0:
+            raise FactorizationBreakdown(f"dsytrs rejected argument {-info}")
+        return x.reshape(rhs.shape)
 
 
 def inertia(A) -> Inertia:
     """Signature (n_minus, n_zero, n_plus) of a symmetric matrix.
 
-    Accepts dense arrays or scipy sparse matrices.  Small or dense inputs go
-    through a blocked LDL^T factorization; large sparse inputs through a
-    diagonal-pivot sparse LU, falling back to the dense path (up to order
-    4000) when diagonal pivoting is impossible.
+    Accepts dense arrays or scipy sparse matrices; see ``Factorization``
+    for the factorization paths.
     """
-    if sp.issparse(A):
-        order = A.shape[0]
-        amax = float(abs(A).max()) if A.nnz else 0.0
-    else:
-        A = np.asarray(A, dtype=float)
-        order = A.shape[0]
-        amax = float(np.abs(A).max()) if order else 0.0
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(A.data if sp.issparse(A) else A)):
-        raise ValueError("matrix entries must be finite")
-    if amax == 0.0:
-        return Inertia(0, order, 0)
-    tau0 = PIVOT_RTOL * amax
-
-    if not sp.issparse(A):
-        return _inertia_dense(A, tau0)
-    if order <= _DENSE_SWITCH:
-        return _inertia_dense(A.toarray(), tau0)
-    try:
-        return _inertia_sparse(A, tau0)
-    except (FactorizationBreakdown, RuntimeError) as exc:
-        if order <= DENSE_CAP:
-            return _inertia_dense(A.toarray(), tau0)
-        raise FactorizationBreakdown(
-            f"sparse factorization failed at order {order}: {exc}"
-        ) from exc
+    return Factorization(A).inertia
 
 
 def _as_mass_vector(M, order: int) -> np.ndarray:
@@ -135,17 +180,20 @@ def _as_mass_vector(M, order: int) -> np.ndarray:
 
 def _check_massless_block(K, m: np.ndarray):
     """The counting semantics need K positive definite on the mass-free
-    nodes; verify by factorizing that principal block."""
+    nodes; verify by factorizing that principal block.  Returns the
+    block's Factorization, or None when every node carries mass."""
     idx = np.flatnonzero(m == 0.0)
     if idx.size == 0:
-        return
+        return None
     Kzz = K[np.ix_(idx, idx)] if not sp.issparse(K) else K.tocsr()[idx][:, idx]
-    inert = inertia(Kzz)
+    factor = Factorization(Kzz)
+    inert = factor.inertia
     if inert.n_minus or inert.n_zero:
         raise SingularDirichletBlock(
             "stiffness is not positive definite on the mass-free nodes: "
             f"(n_minus, n_zero, n_plus) = {(inert.n_minus, inert.n_zero, inert.n_plus)}"
         )
+    return factor
 
 
 def _shift(K, m: np.ndarray, lam: float):
@@ -188,9 +236,9 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     if order > DENSE_CAP:
         raise SizeCap(f"dense eigensolver capped at order {DENSE_CAP}, got {order}")
     m = _as_mass_vector(M, order)
-    _check_massless_block(K, m)
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
     Kd = (Kd + Kd.T) / 2.0
+    zero_factor = _check_massless_block(Kd, m)
 
     pos = np.flatnonzero(m > 0.0)
     zero = np.flatnonzero(m == 0.0)
@@ -203,9 +251,8 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
         )
 
     if zero.size:
-        Kzz = Kd[np.ix_(zero, zero)]
         Kzp = Kd[np.ix_(zero, pos)]
-        back = sla.solve(Kzz, Kzp, assume_a="pos")
+        back = zero_factor.solve(Kzp)
         S = Kd[np.ix_(pos, pos)] - Kzp.T @ back
         S = (S + S.T) / 2.0
     else:
@@ -239,22 +286,25 @@ def heat_trace(s: SpectralSummary, t: float) -> float:
 ORTHONORMALITY_TOL = 1e-8
 
 
-def two_infinity_norm(s: SpectralSummary, w, t: float) -> float:
+def two_infinity_norm(s: SpectralSummary, w, t):
     """Exact 2->infinity operator norm of the discrete semigroup exp(-tL) on
     the weighted space l2(w): max over nodes x of
     (sum_k exp(-2 t mu_k) u_k(x)^2)^(1/2).
 
-    The eigenvectors must be w-orthonormal (checked); the weights enter only
-    through that normalization.
+    ``t`` is one time or a 1-D grid of times; a grid returns one norm per
+    time.  The eigenvectors must be w-orthonormal (checked once per call);
+    the weights enter only through that normalization.
     """
     if s.eigenvectors is None:
         raise MissingVectors("two_infinity_norm needs eigenvectors")
-    if t <= 0:
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0):
         raise ValueError("needs t > 0")
     wv = np.asarray(w, dtype=float)
     U = s.eigenvectors
     gram = U.T @ (wv[:, None] * U)
     if np.abs(gram - np.eye(gram.shape[0])).max() > ORTHONORMALITY_TOL:
         raise ValueError("eigenvectors are not w-orthonormal")
-    amp = U * np.exp(-t * s.eigenvalues)[None, :]
-    return float(np.sqrt(np.max(np.sum(amp * amp, axis=1))))
+    decay = np.exp(-2.0 * np.multiply.outer(s.eigenvalues, ts.ravel()))
+    norms = np.sqrt(np.max((U * U) @ decay, axis=0))
+    return float(norms[0]) if ts.ndim == 0 else norms

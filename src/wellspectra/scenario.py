@@ -313,6 +313,7 @@ class _LevelRun:
         self.reports = []
         self.violations = []
         self.meta = {}
+        self.pencil = None
 
     def run(self):
         try:
@@ -335,14 +336,18 @@ class _LevelRun:
         self.dir_spec = pencil_eigs(
             pencil.K_II, pencil.M_interior, want_vectors=want_vectors
         )
-        self.bm = a2r.boundary_measures(pencil)
-        self.S0 = a2r.schur_form(pencil, 0.0)
+        self.P0 = a2r.poisson_matrix(pencil, 0.0)
+        self.bm = a2r.boundary_measures(pencil, self.P0)
+        self.S0 = a2r.schur_form(pencil, 0.0, self.P0)
         self.consts = self._derive_constants()
 
         lam_grid = self._lambda_grid()
         t_grid = np.geomspace(self.cfg.sweep.t_min, self.cfg.sweep.t_max, len(lam_grid))
+        two_inf = [None] * len(t_grid)
+        if self.consts is not None and self.dir_spec.eigenvectors is not None:
+            two_inf = two_infinity_norm(self.dir_spec, pencil.M_interior, t_grid)
         with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            produced = list(pool.map(self._sweep_point, lam_grid, t_grid))
+            produced = list(pool.map(self._sweep_point, lam_grid, t_grid, two_inf))
         for row, reports in produced:
             self.rows.append(row)
             self.reports.extend(reports)
@@ -421,7 +426,7 @@ class _LevelRun:
 
     # -- per sweep point ---------------------------------------------------
 
-    def _sweep_point(self, lam0: float, t: float):
+    def _sweep_point(self, lam0: float, t: float, two_inf: float | None):
         def counting(lam):
             n_full, n_dir, n_bnd, identity = a2r.splitting_counts(self.pencil, lam)
             gamma = a2r.a_lambda_norm(self.dir_spec, lam)
@@ -487,17 +492,14 @@ class _LevelRun:
                     lhs=trace_val,
                 )
             )
-            if self.dir_spec.eigenvectors is not None:
-                two_inf = two_infinity_norm(
-                    self.dir_spec, self.pencil.M_interior, t
-                )
+            if two_inf is not None:
                 reports.append(
                     BoundReport(
                         name="semigroup-2inf-bound",
                         constants=consts.to_dict(),
                         point={"e": self.e, "t": t},
                         rhs=two_inf_rhs,
-                        lhs=two_inf,
+                        lhs=float(two_inf),
                     )
                 )
 
@@ -534,7 +536,7 @@ class _LevelRun:
 
     def _reduction_report(self):
         def check(lam):
-            return reduction_check(self.V, self.e, lam)
+            return reduction_check(self.V, self.e, lam, pencil=self.pencil)
 
         try:
             lam, (n_op, n_weighted, holds) = _nudged(check, 1.0, "lambda")
@@ -587,7 +589,7 @@ class _LevelRun:
             value, note = cfg.constants.c_P, "c_P supplied by configuration"
         else:
             value = a2r.estimate_poisson_constant(
-                self.pencil, cfg.constants.cp_samples, seed=cfg.seed
+                self.pencil, cfg.constants.cp_samples, seed=cfg.seed, P0=self.P0
             )
             note = (
                 f"c_P estimated from {cfg.constants.cp_samples} sampled "

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from .errors import EmptySublevel, EnumerationCap, OnEigenvalue
 from .assemble import assemble_pencil, classify_nodes
 from .eigcount import inertia
-from .model import GridSpec, PotentialField
+from .model import AssembledPencil, GridSpec, PotentialField
 
 #: lattice enumeration guard: mu * L^2 / pi^2 may not exceed this
 ENUMERATION_LIMIT = 1e6
@@ -72,7 +72,9 @@ def _strict_count(A, label: str) -> int:
     return inert.n_minus
 
 
-def reduction_check(V: PotentialField, e: float, lam: float):
+def reduction_check(
+    V: PotentialField, e: float, lam: float, pencil: AssembledPencil | None = None
+):
     """Compare the box operator's bound-state count below e with the full
     weighted count of the sublevel pencil at shift lam:
 
@@ -80,7 +82,10 @@ def reduction_check(V: PotentialField, e: float, lam: float):
 
     Positive parts of V are clamped to zero first (with a warning): the
     comparison argument drops them, so clamping only strengthens the check.
-    Returns (N_operator, N_weighted_full, inequality_holds).
+    ``pencil`` is the sublevel pencil of (V, e) if the caller already
+    assembled it; clamping leaves it unchanged, since only nodes with
+    V < e <= 0 enter it.  Returns (N_operator, N_weighted_full,
+    inequality_holds).
     """
     if lam < 1.0:
         raise ValueError("the reduction needs lam >= 1")
@@ -95,11 +100,14 @@ def reduction_check(V: PotentialField, e: float, lam: float):
     A, m = assemble_schrodinger(V)
     n_op = _strict_count(A - e * sp.diags(m), "box operator")
 
-    try:
-        dec = classify_nodes(V, e)
-    except EmptySublevel:
-        return n_op, 0, n_op <= 0
-    pencil = assemble_pencil(dec, V, e)
+    if pencil is None:
+        try:
+            dec = classify_nodes(V, e)
+        except EmptySublevel:
+            return n_op, 0, n_op <= 0
+        pencil = assemble_pencil(dec, V, e)
+    elif abs(pencil.level - e) > 1e-12 * max(1.0, abs(e)):
+        raise ValueError(f"pencil level {pencil.level} does not match e={e}")
     n_weighted = _strict_count(pencil.shifted(lam), "weighted pencil")
     return n_op, n_weighted, n_op <= n_weighted
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wellspectra.a2r import (
     RESIDUAL_TOL,
@@ -228,6 +230,27 @@ def test_a_lambda_norm_brute_force(rng):
             continue
         brute = np.max(np.abs(lam * mus / (mus - lam)))
         assert a_lambda_norm(s, lam) == pytest.approx(brute, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    mus=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+    lam=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-2, 1e-2)),
+    near=st.one_of(st.none(), st.tuples(st.integers(0, 39), st.floats(-1e-6, 1e-6))),
+)
+def test_a_lambda_norm_is_the_maximum_over_the_whole_spectrum(mus, lam, near):
+    """The bracketing (lam > 0) or top (lam < 0) candidates give the same
+    value as the brute-force maximum over every pinned eigenvalue, also for
+    shifts just off an eigenvalue and clustered spectra."""
+    mus = np.sort(np.array(mus))
+    if near is not None:
+        k, rel = near
+        lam = float(mus[k % mus.size] * (1.0 + rel))
+    assume(lam != 0.0)
+    assume(np.min(np.abs(mus - lam)) > 1e-14 * max(abs(lam), mus[-1]))
+    brute = np.max(np.abs(lam * mus / (mus - lam)))
+    got = a_lambda_norm(SpectralSummary(eigenvalues=mus), lam)
+    assert got == pytest.approx(brute, rel=1e-12)
 
 
 def test_a_lambda_norm_edge_cases():

@@ -1,15 +1,19 @@
 import json
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from wellspectra import a2r, eigcount, scenario, schrodinger
 from wellspectra.errors import ConfigError, OnEigenvalue
-from wellspectra.model import HOLDS, NOT_APPLICABLE
+from wellspectra.model import HOLDS, NOT_APPLICABLE, build_potential
 from wellspectra.scenario import (
     CSV_COLUMNS,
     _fmt,
+    _LevelRun,
     _nudged,
     load_config,
     run_scenario,
@@ -261,3 +265,56 @@ def test_write_csv_preserves_column_order(tmp_path):
     assert cells[0] == "x" and cells[1] == "-1.0"
     assert cells[CSV_COLUMNS.index("N_full")] == "2"
     assert cells[CSV_COLUMNS.index("identity_holds")] == "false"
+
+
+def test_level_factors_each_shift_once(tmp_path, monkeypatch):
+    """One level of a small 3D ball: each sweep shift factors
+    (K - lam*M)_II exactly once, P0 and the Gram check run once, the pencil
+    is classified and assembled once, and S(lam) is still formed and
+    factored on its own."""
+    cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
+    V = build_potential(cfg.family, cfg.grid)
+
+    factored = []
+    real_init = eigcount.Factorization.__init__
+
+    def recording_init(self, A):
+        factored.append(A.toarray() if sp.issparse(A) else np.array(A))
+        real_init(self, A)
+
+    monkeypatch.setattr(eigcount.Factorization, "__init__", recording_init)
+    calls = Counter()
+
+    def count_calls(module, name, key=lambda *args: ()):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[(name, *key(*args))] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count_calls(a2r, "poisson_matrix", key=lambda p, lam, *rest: (float(lam),))
+    count_calls(scenario, "two_infinity_norm")
+    for module in (scenario, schrodinger):
+        count_calls(module, "classify_nodes")
+        count_calls(module, "assemble_pencil")
+
+    level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
+    monkeypatch.undo()
+
+    assert len(level.rows) == 4 and level.violations == []
+    assert calls[("poisson_matrix", 0.0)] == 1
+    assert calls[("two_infinity_norm",)] == 1
+    assert calls[("classify_nodes",)] == 1
+    assert calls[("assemble_pencil",)] == 1
+    p = level.pencil
+
+    def times_factored(B):
+        return sum(A.shape == B.shape and np.array_equal(A, B) for A in factored)
+
+    for row in level.rows:
+        lam = row["lambda"]
+        assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
+        assert times_factored(a2r.schur_form(p, lam)) == 1
+        assert times_factored(p.shifted(lam).toarray()) == 1

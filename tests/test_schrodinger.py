@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.bounds import polya_weyl_report
 from wellspectra.eigcount import pencil_eigs
 from wellspectra.errors import EnumerationCap
@@ -97,6 +98,23 @@ def test_reduction_holds_across_levels(ball3d):
     for e in np.linspace(-6.0, -0.5, 6):
         n_op, n_w, ok = reduction_check(V, float(e), 1.0 + 1e-9)
         assert ok, (e, n_op, n_w)
+
+
+def test_reduction_check_reuses_a_given_pencil():
+    """Handing over the level's pencil gives the same answer as letting
+    reduction_check classify and assemble, also when V has positive parts
+    that get clamped; a pencil of another level is refused."""
+    grid = GridSpec(box=((-2.0, 2.0),) * 2, resolution=(21, 21))
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+    V = PotentialField(grid=grid, values=2.0 * (X**2 + Y**2) - 8.0 + 0.5 * (X > 1.5))
+    for e in (-6.0, -2.0):
+        pencil = assemble_pencil(classify_nodes(V, e), V, e)
+        with pytest.warns(UserWarning):
+            plain = reduction_check(V, e, 1.0 + 1e-9)
+        with pytest.warns(UserWarning):
+            assert reduction_check(V, e, 1.0 + 1e-9, pencil=pencil) == plain
+    with pytest.warns(UserWarning), pytest.raises(ValueError):
+        reduction_check(V, -6.0, 1.0, pencil=pencil)
 
 
 # --------------------------------------------------------------- box count
