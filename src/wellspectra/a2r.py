@@ -73,7 +73,10 @@ class BoundaryMeasures:
 
 def _pinned_factor(p: AssembledPencil, lam: float) -> Factorization:
     """The one factorization of (K - lam*M)_II; its inertia shows whether
-    lam is on the pinned spectrum, and it solves for that shift."""
+    lam is on the pinned spectrum, and it solves for that shift.  At
+    lam = 0 it is the K_II factor that assembly already computed."""
+    if lam == 0.0 and p.K_II_factor is not None:
+        return p.K_II_factor
     return Factorization(p.K_II - lam * sp.diags(p.M_interior))
 
 

@@ -133,7 +133,8 @@ def assemble_pencil(
     (edges between two boundary nodes carry no energy and are absent by
     construction, so K_BB is diagonal).  M_ii = (V(x_i) - e)_- * h^n on the
     interior and 0 on the boundary; sigma_b counts interface faces, each
-    weighted h^(n-1).  The pinned block K_II is verified positive definite.
+    weighted h^(n-1).  The pinned block K_II is verified positive definite,
+    and the factorization that showed it is kept as ``K_II_factor``.
     """
     if abs(dec.level - e) > 1e-12 * max(1.0, abs(e)):
         raise ValueError(f"decomposition level {dec.level} does not match e={e}")
@@ -172,9 +173,10 @@ def assemble_pencil(
 
     pencil = AssembledPencil(grid=grid, dec=dec, K=K, M=M, sigma=sigma)
 
-    from .eigcount import inertia
+    from .eigcount import Factorization
 
-    pinned = inertia(pencil.K_II)
+    pencil.K_II_factor = Factorization(pencil.K_II)
+    pinned = pencil.K_II_factor.inertia
     if pinned.n_minus or pinned.n_zero:
         raise SingularDirichletBlock(
             f"pinned stiffness block is not positive definite: "

@@ -10,6 +10,10 @@ silently absorbed.
 ``Factorization`` is the one factorization object: the pivots that give a
 matrix its inertia come from the same factor that then solves with it, so a
 shifted matrix is factored once whether it is counted, solved, or both.
+
+``pencil_eigs`` is the dense pinned spectrum (and the oracle of the tests):
+eigenvalues from dsyevr, and eigenvectors, when a caller reads them, from
+divide and conquer (dsyevd), whose O(n^2) workspace DENSE_CAP bounds.
 """
 
 from __future__ import annotations
@@ -225,12 +229,17 @@ def count_below(K, M, lam: float) -> int:
 
 def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     """All finite generalized eigenvalues of (K, diag M), sorted ascending;
-    dense solve, order capped at 4000.
+    dense solve, order capped at DENSE_CAP = 4000.
 
     Zero-mass nodes are eliminated exactly: with z the mass-free nodes and p
     the rest, the finite spectrum is that of the condensed pencil
     (K_pp - K_pz K_zz^{-1} K_zp, M_p), and eigenvectors are extended back by
     x_z = -K_zz^{-1} K_zp x_p.  Returned eigenvectors are M-orthonormal.
+
+    Eigenvectors come from LAPACK divide and conquer (dsyevd), which is the
+    fastest dense route for the clustered, degenerate spectra of symmetric
+    wells; its O(n^2) workspace (about 2n^2 doubles, 256 MB at the cap) is
+    what DENSE_CAP bounds.  Eigenvalues alone come from dsyevr.
     """
     order = K.shape[0]
     if order > DENSE_CAP:
@@ -263,7 +272,7 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     Aw = d[:, None] * S * d[None, :]
     Aw = (Aw + Aw.T) / 2.0
     if want_vectors:
-        w, Y = sla.eigh(Aw)
+        w, Y = sla.eigh(Aw, driver="evd")
         X = np.zeros((order, pos.size))
         X[pos] = d[:, None] * Y
         if zero.size:

@@ -84,11 +84,10 @@ class GridSpec:
 
         With ``indices=None`` returns all nodes in linear (C) order.
         """
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
         if indices is None:
-            return pts
-        return pts[np.asarray(indices, dtype=int)]
+            indices = np.arange(self.num_nodes)
+        multi = np.unravel_index(np.asarray(indices, dtype=int), self.shape)
+        return np.stack([ax[i] for ax, i in zip(self.axes(), multi)], axis=-1)
 
     def to_dict(self) -> dict:
         return {
@@ -311,6 +310,9 @@ class AssembledPencil:
     decomposition edges (CSR), ``M`` the diagonal mass vector
     (``(V - e)_- * h^n`` on interior, zero on boundary), ``sigma`` the
     per-boundary-node surface weights (#interior neighbors * h^(n-1)).
+    ``K_II_factor`` is the eigcount.Factorization of ``K_II`` that
+    ``assemble_pencil`` checked for positive definiteness (None when the
+    pencil was built some other way); it solves the lam = 0 problems.
     """
 
     grid: GridSpec
@@ -318,6 +320,7 @@ class AssembledPencil:
     K: sp.csr_matrix
     M: np.ndarray
     sigma: np.ndarray
+    K_II_factor: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)

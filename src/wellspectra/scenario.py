@@ -14,6 +14,12 @@ with ``repr``, rows are produced in sweep order, and every random draw is
 seeded from the config.  Sweep points are dispatched to a thread pool
 (``WELLSPECTRA_WORKERS`` caps the width) and collected in order.
 
+Each spectral object is computed once per scenario and only as far as a
+report reads it: pinned eigenvectors only in dimension >= 3, where the
+semigroup 2->infinity norm reads them, and the box operator's bound-state
+counts for all levels from one ``BoxOperator``, built by the first
+operator-reduction check.
+
 Config schema::
 
     [grid]       dimension, box (lo:hi per axis, comma separated),
@@ -53,7 +59,7 @@ from .model import (
     PotentialField,
     build_potential,
 )
-from .schrodinger import reduction_check
+from .schrodinger import BoxOperator, reduction_check
 
 #: pinned CSV column order (stable external interface)
 CSV_COLUMNS = [
@@ -302,12 +308,24 @@ def _empty_level_row(scenario_id: str, e: float) -> dict:
 
 
 class _LevelRun:
-    """All computations for one energy level of one scenario."""
+    """All computations for one energy level of one scenario.
 
-    def __init__(self, cfg: ScenarioConfig, V: PotentialField, index: int, e: float):
+    ``box`` is the scenario's BoxOperator of V; by default the level counts
+    the box operator on its own.
+    """
+
+    def __init__(
+        self,
+        cfg: ScenarioConfig,
+        V: PotentialField,
+        index: int,
+        e: float,
+        box: BoxOperator | None = None,
+    ):
         self.cfg = cfg
         self.V = V
         self.e = float(e)
+        self.box = box if box is not None else BoxOperator(V, [e])
         self.scenario_id = f"{cfg.prefix}-L{index:02d}"
         self.rows = []
         self.reports = []
@@ -332,9 +350,9 @@ class _LevelRun:
             "diameter": float(dec.diameter),
         }
 
-        want_vectors = pencil.n_interior <= 4000
+        # only the 2->infinity norm reads eigenvectors, and only for n >= 3
         self.dir_spec = pencil_eigs(
-            pencil.K_II, pencil.M_interior, want_vectors=want_vectors
+            pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3
         )
         self.P0 = a2r.poisson_matrix(pencil, 0.0)
         self.bm = a2r.boundary_measures(pencil, self.P0)
@@ -536,10 +554,16 @@ class _LevelRun:
 
     def _reduction_report(self):
         def check(lam):
-            return reduction_check(self.V, self.e, lam, pencil=self.pencil)
+            return reduction_check(self.V, self.e, lam, pencil=self.pencil, box=self.box)
 
         try:
-            lam, (n_op, n_weighted, holds) = _nudged(check, 1.0, "lambda")
+            try:
+                lam, (n_op, n_weighted, holds) = 1.0, check(1.0)
+            except OnEigenvalue:
+                # a level on the box operator spectrum stays there for every
+                # lambda: count_below re-raises its kept error, unnudged
+                self.box.count_below(self.e)
+                lam, (n_op, n_weighted, holds) = _nudged(check, 1.0 + NUDGE, "lambda")
         except Exception as exc:
             self.reports.append(
                 BoundReport(
@@ -620,11 +644,12 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
         cfg.out_dir = str(out_dir)
     V = build_potential(cfg.family, cfg.grid)
 
+    box = BoxOperator(V, cfg.levels)
     rows = []
     violations = []
     scenario_docs = []
     for index, e in enumerate(cfg.levels):
-        level = _LevelRun(cfg, V, index, e).run()
+        level = _LevelRun(cfg, V, index, e, box=box).run()
         rows.extend(level.rows)
         violations.extend(level.violations)
         doc = {

@@ -1,6 +1,22 @@
 """The operator side: -Laplacian + V on the box with pinned walls, the
 reduction of its bound-state count to the weighted sublevel problem, and the
 exact cube-spectrum oracle used for semiclassical sanity checks.
+
+The box operator A = -Laplacian + min(V, 0) does not depend on the energy
+level, so ``BoxOperator`` counts it below every level of a scenario from one
+factorization.  With the scalar mass h^n, the count below e is the number of
+eigenvalues of A below the shift s = e*h^n.  The operator is factored at the
+highest level; if that count k is 0, every lower level is 0 as well
+(Sylvester monotonicity).  Otherwise shift-invert Lanczos (ARPACK, with that
+factor as the inverse operator) finds the k bound states, Rayleigh-Ritz on
+the orthonormalized vectors gives Ritz values theta_i, and Kahan's residual
+bound (Parlett, The Symmetric Eigenvalue Problem, Thm 11.5.1) gives a radius
+r such that k eigenvalues of A lie within r of the theta_i, one each.  Once
+every theta_i + r lies below the top shift, those k eigenvalues are the
+bound states, and a lower level's count is #{theta_i < s} whenever every
+theta_i lies farther than r + tau0 from s.  A level that is not certified
+this way is factored on its own, exactly as a direct count would be, so
+OnEigenvalue keeps its meaning.
 """
 
 from __future__ import annotations
@@ -9,11 +25,12 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EmptySublevel, EnumerationCap, OnEigenvalue
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import inertia
-from .model import AssembledPencil, GridSpec, PotentialField
+from .eigcount import PIVOT_RTOL, Factorization, inertia
+from .model import AssembledPencil, GridSpec, Inertia, PotentialField
 
 #: lattice enumeration guard: mu * L^2 / pi^2 may not exceed this
 ENUMERATION_LIMIT = 1e6
@@ -65,15 +82,122 @@ def assemble_schrodinger(V: PotentialField):
     return A.tocsr(), np.full(inner.size, hn)
 
 
-def _strict_count(A, label: str) -> int:
-    inert = inertia(A)
+def _strict_count(inert: Inertia, label: str) -> int:
     if inert.n_zero:
         raise OnEigenvalue(f"shift lies on the {label} spectrum (n_zero={inert.n_zero})")
     return inert.n_minus
 
 
+def _clamped(V: PotentialField) -> PotentialField:
+    return PotentialField(grid=V.grid, values=np.minimum(V.values, 0.0), family=V.family)
+
+
+class BoxOperator:
+    """Bound-state counts of the box operator -Laplacian + min(V, 0) below
+    the nonpositive levels of one scenario (see the module docstring).
+
+    Nothing is assembled or factored until the first ``count_below``, which
+    certifies every level at once.  Counts and OnEigenvalue errors are kept
+    per level, so each level is counted once; a level outside ``levels``,
+    or one the certificate does not cover, is factored on its own.
+    """
+
+    def __init__(self, V: PotentialField, levels):
+        self.potential = V
+        self.levels = sorted({float(e) for e in levels if e <= 0})
+        self._A = self._m = None
+        self._counts = {}
+
+    def count_below(self, e: float) -> int:
+        """Number of box-operator eigenvalues strictly below e, or
+        OnEigenvalue if e lies on that spectrum."""
+        e = float(e)
+        if self._A is None:
+            self._A, self._m = assemble_schrodinger(_clamped(self.potential))
+            self._certify()
+        if e not in self._counts:
+            try:
+                self._counts[e] = _strict_count(
+                    inertia(self._A - e * sp.diags(self._m)), "box operator"
+                )
+            except OnEigenvalue as exc:
+                self._counts[e] = exc
+        count = self._counts[e]
+        if isinstance(count, OnEigenvalue):
+            raise count
+        return count
+
+    def _certify(self):
+        if not self.levels:
+            return
+        A, m = self._A, self._m
+        top = self.levels[-1]
+        factor = Factorization(A - top * sp.diags(m))
+        try:
+            k = self._counts[top] = _strict_count(factor.inertia, "box operator")
+        except OnEigenvalue as exc:
+            self._counts[top] = exc
+            return
+        lower = self.levels[:-1]
+        if not lower:
+            return
+        certified = _bound_states(A, factor, top * m[0], k)
+        if certified is None:
+            return
+        theta, r = certified
+        for e in lower:
+            s = e * m[0]
+            tau0 = PIVOT_RTOL * abs(A - e * sp.diags(m)).max()
+            if top * m[0] - s > tau0 and np.all(np.abs(theta - s) > r + tau0):
+                self._counts[e] = int(np.sum(theta < s))
+
+
+def _bound_states(A, factor: Factorization, shift: float, k: int):
+    """The k eigenvalues of A below ``shift`` (k from the inertia of
+    ``factor``, the factorization of A - shift*I), as Ritz values theta and
+    a radius r with one eigenvalue of A within r of each theta_i; None when
+    Lanczos fails or the certificate does not place all k below the shift.
+    """
+    n = A.shape[0]
+    if k == 0:
+        return np.empty(0), 0.0
+    if k >= n - 1:
+        return None
+    inverse = LinearOperator((n, n), matvec=factor.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        _, X = eigsh(A, k=k, sigma=shift, which="SA", OPinv=inverse, v0=v0)
+    except ArpackError:
+        return None
+    Q, _ = np.linalg.qr(X)
+    H = Q.T @ (A @ Q)
+    theta, Y = np.linalg.eigh((H + H.T) / 2.0)
+    Z = Q @ Y
+    # Kahan's bound needs orthonormal columns.  Z is orthonormal to within
+    # eta = |Z^T Z - I|_2; its orthonormal polar factor Z (Z^T Z)^(-1/2)
+    # has residual at most |R|_2 / sqrt(1 - eta) + 2 sqrt(1 + eta) eta
+    # max|theta|.  eta and |R|_2 are widened by the worst-case rounding of
+    # the products that formed them.
+    eps = np.finfo(float).eps
+    anorm = abs(A).sum(axis=1).max()
+    row_nnz = np.diff(A.indptr).max()
+    eta = np.linalg.norm(Z.T @ Z - np.eye(k), 2) + 2.0 * n * eps * k
+    if eta >= 0.5:
+        return None
+    resid = np.linalg.norm(A @ Z - Z * theta, 2) * (1.0 + 4.0 * k * eps)
+    resid += 2.0 * (row_nnz + 2) * eps * np.sqrt(k) * anorm
+    r = resid / np.sqrt(1.0 - eta) + 2.0 * np.sqrt(1.0 + eta) * eta * np.abs(theta).max()
+    if not np.all(theta + r < shift):
+        return None
+    return theta, r
+
+
 def reduction_check(
-    V: PotentialField, e: float, lam: float, pencil: AssembledPencil | None = None
+    V: PotentialField,
+    e: float,
+    lam: float,
+    pencil: AssembledPencil | None = None,
+    box: BoxOperator | None = None,
 ):
     """Compare the box operator's bound-state count below e with the full
     weighted count of the sublevel pencil at shift lam:
@@ -84,21 +208,23 @@ def reduction_check(
     comparison argument drops them, so clamping only strengthens the check.
     ``pencil`` is the sublevel pencil of (V, e) if the caller already
     assembled it; clamping leaves it unchanged, since only nodes with
-    V < e <= 0 enter it.  Returns (N_operator, N_weighted_full,
-    inequality_holds).
+    V < e <= 0 enter it.  ``box`` is the scenario's BoxOperator of V, which
+    counts the box operator once for all levels.  Returns (N_operator,
+    N_weighted_full, inequality_holds).
     """
     if lam < 1.0:
         raise ValueError("the reduction needs lam >= 1")
     if e > 0:
         raise ValueError("level e must be nonpositive")
+    if box is None:
+        box = BoxOperator(V, [e])
+    elif box.potential is not V:
+        raise ValueError("box operator belongs to another potential")
     if np.any(V.values > 0):
         warnings.warn("potential has positive parts; clamping them to zero")
-        V = PotentialField(
-            grid=V.grid, values=np.minimum(V.values, 0.0), family=V.family
-        )
+        V = _clamped(V)
 
-    A, m = assemble_schrodinger(V)
-    n_op = _strict_count(A - e * sp.diags(m), "box operator")
+    n_op = box.count_below(e)
 
     if pencil is None:
         try:
@@ -108,7 +234,7 @@ def reduction_check(
         pencil = assemble_pencil(dec, V, e)
     elif abs(pencil.level - e) > 1e-12 * max(1.0, abs(e)):
         raise ValueError(f"pencil level {pencil.level} does not match e={e}")
-    n_weighted = _strict_count(pencil.shifted(lam), "weighted pencil")
+    n_weighted = _strict_count(inertia(pencil.shifted(lam)), "weighted pencil")
     return n_op, n_weighted, n_op <= n_weighted
 
 

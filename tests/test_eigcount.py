@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellspectra.eigcount import (
+    ORTHONORMALITY_TOL,
     count_below,
     heat_trace,
     inertia,
@@ -194,6 +195,23 @@ def test_pencil_eigs_vectors_solve_the_pencil(rng):
     # m-orthonormal columns
     G = X.T @ (m[:, None] * X)
     assert np.abs(G - np.eye(7)).max() < 1e-10
+
+
+def test_pencil_eigs_on_a_degenerate_ball(ball3d):
+    """Divide and conquer on the ball's pinned block, whose cubic symmetry
+    makes eigenvalues repeat: the values match eigvalsh of the pencil and
+    the vectors are M-orthonormal within ORTHONORMALITY_TOL."""
+    _, p = ball3d
+    K, m = p.K_II.toarray(), p.M_interior
+    s = pencil_eigs(p.K_II, m, want_vectors=True)
+    ref = sla.eigvalsh(K, np.diag(m))
+    assert np.any(np.diff(ref) < 1e-9 * ref[-1])  # the spectrum is degenerate
+    assert np.allclose(s.eigenvalues, ref, rtol=1e-10, atol=0.0)
+    X = s.eigenvectors
+    G = X.T @ (m[:, None] * X)
+    assert np.abs(G - np.eye(X.shape[1])).max() <= ORTHONORMALITY_TOL
+    R = K @ X - (m[:, None] * X) * s.eigenvalues
+    assert np.abs(R).max() < 1e-10 * np.abs(K).max()
 
 
 def test_pencil_eigs_zero_mass_rank():

@@ -26,6 +26,17 @@ def test_grid_basichape():
     assert g.node_coords([24])[0] == pytest.approx([1.0, 1.0])
 
 
+@pytest.mark.parametrize("resolution", [(7,), (5, 8), (4, 6, 5)])
+def test_node_coords_match_the_meshgrid(resolution):
+    g = GridSpec(box=tuple((-1.0, 2.0 * r - 3.0) for r in resolution), resolution=resolution)
+    mesh = np.meshgrid(*g.axes(), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    idx = np.random.default_rng(len(resolution)).integers(0, g.num_nodes, size=25)
+    assert np.array_equal(g.node_coords(idx), pts[idx])
+    assert np.array_equal(g.node_coords(), pts)
+    assert g.node_coords([]).shape == (0, len(resolution))
+
+
 def test_grid_rejects_bad_inputs():
     with pytest.raises(ValueError):
         GridSpec(box=((0, 1),) * 4, resolution=(5,) * 4)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from wellspectra import a2r, eigcount, scenario, schrodinger
 from wellspectra.errors import ConfigError, OnEigenvalue
-from wellspectra.model import HOLDS, NOT_APPLICABLE, build_potential
+from wellspectra.model import HOLDS, NOT_APPLICABLE, Inertia, build_potential
 from wellspectra.scenario import (
     CSV_COLUMNS,
     _fmt,
@@ -304,6 +304,7 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     assert len(level.rows) == 4 and level.violations == []
+    assert level.dir_spec.eigenvectors is not None  # the 2->inf norm reads them
     assert calls[("poisson_matrix", 0.0)] == 1
     assert calls[("two_infinity_norm",)] == 1
     assert calls[("classify_nodes",)] == 1
@@ -313,8 +314,77 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     def times_factored(B):
         return sum(A.shape == B.shape and np.array_equal(A, B) for A in factored)
 
+    assert times_factored(p.K_II.toarray()) == 1  # assembly's check serves P0
     for row in level.rows:
         lam = row["lambda"]
         assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
         assert times_factored(a2r.schur_form(p, lam)) == 1
         assert times_factored(p.shifted(lam).toarray()) == 1
+
+
+def test_2d_level_computes_no_eigenvectors(tmp_path, monkeypatch):
+    cfg = load_config(_write(tmp_path, SMALL_2D))
+    V = build_potential(cfg.family, cfg.grid)
+    asked = []
+    real = scenario.pencil_eigs
+
+    def recording(K, M, want_vectors=False):
+        asked.append(want_vectors)
+        return real(K, M, want_vectors=want_vectors)
+
+    monkeypatch.setattr(scenario, "pencil_eigs", recording)
+    level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
+    assert asked == [False]
+    assert level.dir_spec.eigenvectors is None and level.violations == []
+
+
+def _box_shape(cfg):
+    return (int(np.prod([r - 2 for r in cfg.grid.resolution])),) * 2
+
+
+def test_scenario_factors_the_box_operator_once(tmp_path, monkeypatch):
+    """Both levels of the scenario read their box counts off one
+    factorization, made inside the first reduction check."""
+    path = _write(tmp_path, SMALL_2D)
+    cfg = load_config(path)
+    shapes = []
+    real_init = eigcount.Factorization.__init__
+
+    def recording_init(self, A):
+        shapes.append(A.shape)
+        real_init(self, A)
+
+    monkeypatch.setattr(eigcount.Factorization, "__init__", recording_init)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    assert result.exit_code == 0
+    assert shapes.count(_box_shape(cfg)) == 1
+    reps = [
+        rep
+        for sc in result.document["scenarios"]
+        for rep in sc["reports"]
+        if rep["name"] == "operator-reduction"
+    ]
+    assert len(reps) == len(cfg.levels) and all(r["verdict"] == HOLDS for r in reps)
+
+
+def test_level_on_the_box_spectrum_is_skipped_not_nudged(tmp_path, monkeypatch):
+    """A box operator singular at e stays singular whatever lambda is: the
+    report is skipped after one count attempt, with a note naming it."""
+    cfg = load_config(_write(tmp_path, SMALL_2D))
+    V = build_potential(cfg.family, cfg.grid)
+    attempts = []
+
+    class Singular(eigcount.Factorization):
+        def __init__(self, A):
+            super().__init__(A)
+            attempts.append(A.shape)
+            inert = self.inertia
+            self.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+
+    monkeypatch.setattr(schrodinger, "Factorization", Singular)
+    level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
+    assert attempts == [_box_shape(cfg)]
+    (rep,) = [r for r in level.reports if r.name == "operator-reduction"]
+    assert rep.verdict == NOT_APPLICABLE and rep.lhs is None
+    assert rep.notes == "skipped: shift lies on the box operator spectrum (n_zero=1)"
+    assert level.violations == []

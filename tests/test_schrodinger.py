@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from wellspectra import schrodinger
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.bounds import polya_weyl_report
-from wellspectra.eigcount import pencil_eigs
-from wellspectra.errors import EnumerationCap
-from wellspectra.model import GridSpec, PotentialField, build_potential
+from wellspectra.eigcount import inertia, pencil_eigs
+from wellspectra.errors import EnumerationCap, OnEigenvalue
+from wellspectra.model import GridSpec, Inertia, PotentialField, build_potential
 from wellspectra.schrodinger import (
+    BoxOperator,
     assemble_schrodinger,
     box_exact_count,
     box_interior_indices,
@@ -115,6 +119,145 @@ def test_reduction_check_reuses_a_given_pencil():
             assert reduction_check(V, e, 1.0 + 1e-9, pencil=pencil) == plain
     with pytest.warns(UserWarning), pytest.raises(ValueError):
         reduction_check(V, -6.0, 1.0, pencil=pencil)
+    other = PotentialField(grid=grid, values=V.values.copy())
+    with pytest.raises(ValueError):
+        reduction_check(V, -6.0, 1.0, box=BoxOperator(other, [-6.0]))
+
+
+# ------------------------------------------------ certified box-operator counts
+
+
+def _direct_box_count(V, e):
+    """Today's per-level count: one factorization of A - e*h^n."""
+    A, m = assemble_schrodinger(V)
+    inert = inertia(A - e * sp.diags(m))
+    return "on-spectrum" if inert.n_zero else inert.n_minus
+
+
+def _box_outcome(box, e):
+    try:
+        return box.count_below(e)
+    except OnEigenvalue:
+        return "on-spectrum"
+
+
+def _landscape(dim, name):
+    """A seeded deep landscape with 6 nonpositive levels spread over its range."""
+    rng = np.random.default_rng(7)
+    centre = list(rng.uniform(-0.3, 0.3, dim))
+    family = {
+        "ball": {"name": "ball_well", "center": centre, "radius": 1.0, "depth": 60.0},
+        "gaussian": {"name": "gaussian_well", "center": centre, "width": 0.5, "depth": 80.0},
+        "multi": {
+            "name": "multi_well",
+            "wells": [
+                {
+                    "name": "gaussian_well",
+                    "center": list(rng.uniform(-0.9, 0.9, dim)),
+                    "width": 0.3,
+                    "depth": float(rng.uniform(40.0, 80.0)),
+                }
+                for _ in range(3)
+            ],
+        },
+        "band": {"name": "band_limited_random", "seed": 11, "cutoff": 3, "amplitude": 300.0},
+    }[name]
+    res = {2: 41, 3: 15}[dim]
+    V = build_potential(family, GridSpec(box=((-2.0, 2.0),) * dim, resolution=(res,) * dim))
+    levels = sorted(rng.uniform(0.9 * V.values.min(), -0.05, 6))
+    return V, levels
+
+
+def _count_direct_calls(monkeypatch):
+    """Record the per-level factorizations BoxOperator falls back to."""
+    calls = []
+    real = schrodinger.inertia
+
+    def recording(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(schrodinger, "inertia", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", ["ball", "gaussian", "multi", "band"])
+def test_certified_box_counts_equal_direct_factorization(dim, name, monkeypatch):
+    V, levels = _landscape(dim, name)
+    direct = [_direct_box_count(V, e) for e in levels]
+    fallbacks = _count_direct_calls(monkeypatch)
+    box = BoxOperator(V, levels)
+    assert [_box_outcome(box, e) for e in reversed(levels)] == direct[::-1]
+    assert fallbacks == []  # every lower level was read off the bound states
+    assert direct[-1] >= 1
+
+
+def _ball_2d():
+    grid = GridSpec(box=((-2.0, 2.0),) * 2, resolution=(31,) * 2)
+    return build_potential(
+        {"name": "ball_well", "center": [0.1, -0.2], "radius": 1.0, "depth": 60.0}, grid
+    )
+
+
+def test_level_inside_a_ritz_interval_falls_back(monkeypatch):
+    """A level on a bound state cannot be certified: it gets its own
+    factorization, with today's outcome, and raises OnEigenvalue when that
+    factorization finds a zero pivot."""
+    V = _ball_2d()
+    A, m = assemble_schrodinger(V)
+    mus = np.linalg.eigvalsh(A.toarray()) / m[0]
+    on, clear, top = mus[2], (mus[4] + mus[5]) / 2, (mus[8] + mus[9]) / 2
+    fallbacks = _count_direct_calls(monkeypatch)
+    box = BoxOperator(V, [on, clear, top])
+    assert _box_outcome(box, on) == _direct_box_count(V, on)
+    assert box.count_below(clear) == 5 and box.count_below(top) == 9
+    assert fallbacks == [A.shape]
+
+    def zero_pivot(M):
+        inert = inertia(M)
+        return Inertia(inert.n_minus, 1, inert.n_plus - 1)
+
+    monkeypatch.setattr(schrodinger, "inertia", zero_pivot)
+    box = BoxOperator(V, [on, clear, top])
+    with pytest.raises(OnEigenvalue, match="box operator"):
+        box.count_below(on)
+    assert box.count_below(clear) == 5
+
+
+def test_box_falls_back_when_lanczos_fails(monkeypatch):
+    V, levels = _landscape(2, "ball")
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(schrodinger, "eigsh", no_convergence)
+    fallbacks = _count_direct_calls(monkeypatch)
+    box = BoxOperator(V, levels)
+    assert [_box_outcome(box, e) for e in levels] == [_direct_box_count(V, e) for e in levels]
+    assert len(fallbacks) == len(levels) - 1
+
+
+def test_box_without_bound_states_or_with_one_level_needs_no_lanczos(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("Lanczos should not run")
+
+    monkeypatch.setattr(schrodinger, "eigsh", unexpected)
+    fallbacks = _count_direct_calls(monkeypatch)
+    V = _ball_2d()
+    # k = 0: the top level lies below the ground state (about -55.5)
+    levels = [-59.0, -58.0, -57.0, -56.0]
+    box = BoxOperator(V, levels)
+    assert [box.count_below(e) for e in levels] == [0, 0, 0, 0]
+    # a single level is the top factorization's own count
+    assert BoxOperator(V, [-30.0]).count_below(-30.0) == _direct_box_count(V, -30.0)
+    # k >= order - 1 leaves nothing for Lanczos to find
+    tiny = PotentialField(
+        grid=GridSpec(box=((0.0, 1.0),), resolution=(5,)), values=np.full(5, -1e3)
+    )
+    box = BoxOperator(tiny, [-2.0, -1.0])
+    assert box.count_below(-2.0) == _direct_box_count(tiny, -2.0)
+    assert len(fallbacks) == 1
 
 
 # --------------------------------------------------------------- box count
