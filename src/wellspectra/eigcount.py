@@ -10,6 +10,9 @@ silently absorbed.
 ``Factorization`` is the one factorization object: the pivots that give a
 matrix its inertia come from the same factor that then solves with it, so a
 shifted matrix is factored once whether it is counted, solved, or both.
+Sparse matrices, of any order, are factored sparsely: an unpivoted sparse
+factor's pivots are trusted only after one solve with it shows a small
+normwise backward error.
 
 ``pencil_eigs`` is the dense pinned spectrum (and the oracle of the tests):
 eigenvalues from dsyevr, and eigenvectors, when a caller reads them, from
@@ -36,8 +39,9 @@ from .model import Inertia, SpectralSummary
 #: relative pivot tolerance for rank decisions
 PIVOT_RTOL = 1e-12
 
-#: orders up to this go straight to the dense factorization
-_DENSE_SWITCH = 800
+#: largest normwise backward error of the guard solve that lets a sparse
+#: factor's pivots stand; above it the dense fallback answers
+BACKWARD_ERROR_TOL = 1e-10
 
 #: hard cap for dense eigensolver / dense fallback paths
 DENSE_CAP = 4000
@@ -68,28 +72,46 @@ def _bunch_kaufman_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
     return d
 
 
+def _backward_error(A: sp.csc_matrix, lu) -> float:
+    """Normwise backward error ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)
+    of one solve with ``lu`` against a fixed pseudo-random right-hand side."""
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    residual = float(np.abs(A @ x - b).max())
+    scale = float(abs(A).sum(axis=1).max()) * float(np.abs(x).max()) + float(np.abs(b).max())
+    return residual / scale
+
+
 class Factorization:
     """One symmetric factorization of A, serving its inertia and its solves.
 
-    Dense inputs, and sparse inputs of order up to 800, are factored by
-    LAPACK Bunch-Kaufman (dsytrf, solved by dsytrs).  Larger sparse inputs
-    take a symmetric-mode SuperLU LU with diagonal pivoting: with
+    The path follows the input's representation.  Dense inputs are factored
+    by LAPACK Bunch-Kaufman (dsytrf, solved by dsytrs).  Sparse inputs, of
+    any order, take a symmetric-mode SuperLU LU with diagonal pivoting: with
     diag_pivot_thresh=0 pivots stay on the diagonal whenever structurally
     possible, and if they were still forced off it the row and column
-    permutations differ and the factor is refused.  A refused or failed
-    sparse factor falls back to the dense path up to order DENSE_CAP.
+    permutations differ and the factor is refused.  Unpivoted elimination
+    can grow, so before the pivots are trusted one solve with a fixed
+    right-hand side measures the normwise backward error
+    ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf); above
+    BACKWARD_ERROR_TOL the factor is refused too.  The guard is skipped when
+    a pivot already lies within tau0, so a singular A keeps n_zero > 0.  A
+    refused or failed sparse factor falls back to the dense path up to order
+    DENSE_CAP.
 
     ``inertia`` is (n_minus, n_zero, n_plus) with pivots classified against
     tau0 = PIVOT_RTOL * max|A_ij|; ``path`` names the factorization used
-    ("dense", "sparse", "dense-fallback", or "zero" for the zero matrix).
+    ("dense", "sparse", "dense-fallback", or "zero" for the zero matrix);
+    ``backward_error`` is the guard's measurement on a sparse factor, and
+    None on the other paths or when the guard was skipped.
     """
 
     def __init__(self, A):
-        if sp.issparse(A) and A.shape[0] > _DENSE_SWITCH:
+        if sp.issparse(A):
             A = A.tocsc().astype(float, copy=False)
             entries = A.data
         else:
-            A = entries = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+            A = entries = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
         if not np.all(np.isfinite(entries)):
@@ -97,13 +119,15 @@ class Factorization:
         self.order = order = A.shape[0]
         amax = float(np.abs(entries).max()) if entries.size else 0.0
         self._lu = self._ldu = self._ipiv = None
+        self.backward_error = None
         if amax == 0.0:
             self.path = "zero"
             self.inertia = Inertia(0, order, 0)
             return
+        tau0 = PIVOT_RTOL * amax
         if sp.issparse(A):
             try:
-                pivots = self._factor_sparse(A)
+                pivots = self._factor_sparse(A, tau0)
                 self.path = "sparse"
             except (FactorizationBreakdown, RuntimeError) as exc:
                 if order > DENSE_CAP:
@@ -115,7 +139,7 @@ class Factorization:
         else:
             pivots = self._factor_dense(A)
             self.path = "dense"
-        self.inertia = _classify(pivots, PIVOT_RTOL * amax)
+        self.inertia = _classify(pivots, tau0)
 
     def _factor_dense(self, A: np.ndarray) -> np.ndarray:
         lwork = max(1, int(dsytrf_lwork(A.shape[0], lower=1)[0]))
@@ -124,7 +148,7 @@ class Factorization:
             raise FactorizationBreakdown(f"dsytrf rejected argument {-info}")
         return _bunch_kaufman_pivots(self._ldu, self._ipiv)
 
-    def _factor_sparse(self, A: sp.csc_matrix) -> np.ndarray:
+    def _factor_sparse(self, A: sp.csc_matrix, tau0: float) -> np.ndarray:
         lu = splu(
             A,
             diag_pivot_thresh=0.0,
@@ -133,8 +157,16 @@ class Factorization:
         )
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise FactorizationBreakdown("pivoting left the diagonal")
+        pivots = lu.U.diagonal()
+        if np.abs(pivots).min() > tau0:
+            error = _backward_error(A, lu)
+            if not error <= BACKWARD_ERROR_TOL:
+                raise FactorizationBreakdown(
+                    f"unpivoted factor is unstable (backward error {error:.2e})"
+                )
+            self.backward_error = error
         self._lu = lu
-        return lu.U.diagonal()
+        return pivots
 
     def solve(self, rhs) -> np.ndarray:
         """A^{-1} rhs for a vector or a block of columns, with the factor

@@ -312,7 +312,8 @@ class AssembledPencil:
     per-boundary-node surface weights (#interior neighbors * h^(n-1)).
     ``K_II_factor`` is the eigcount.Factorization of ``K_II`` that
     ``assemble_pencil`` checked for positive definiteness (None when the
-    pencil was built some other way); it solves the lam = 0 problems.
+    pencil was built some other way); it solves the lam = 0 problems, and
+    the scenario runner drops it once P0 is computed.
     """
 
     grid: GridSpec

@@ -11,8 +11,7 @@ sweeps a shift grid and a time grid of equal length, and emits
 
 Both outputs are byte-deterministic given the config: floats are printed
 with ``repr``, rows are produced in sweep order, and every random draw is
-seeded from the config.  Sweep points are dispatched to a thread pool
-(``WELLSPECTRA_WORKERS`` caps the width) and collected in order.
+seeded from the config.  Sweep points run serially, in order.
 
 Each spectral object is computed once per scenario and only as far as a
 report reads it: pinned eigenvectors only in dimension >= 3, where the
@@ -39,8 +38,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -276,13 +273,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _workers() -> int:
-    env = os.environ.get("WELLSPECTRA_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _empty_level_row(scenario_id: str, e: float) -> dict:
     return {
         "scenario_id": scenario_id,
@@ -355,6 +345,7 @@ class _LevelRun:
             pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3
         )
         self.P0 = a2r.poisson_matrix(pencil, 0.0)
+        pencil.K_II_factor = None  # it served P0, its only use
         self.bm = a2r.boundary_measures(pencil, self.P0)
         self.S0 = a2r.schur_form(pencil, 0.0, self.P0)
         self.consts = self._derive_constants()
@@ -364,9 +355,8 @@ class _LevelRun:
         two_inf = [None] * len(t_grid)
         if self.consts is not None and self.dir_spec.eigenvectors is not None:
             two_inf = two_infinity_norm(self.dir_spec, pencil.M_interior, t_grid)
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            produced = list(pool.map(self._sweep_point, lam_grid, t_grid, two_inf))
-        for row, reports in produced:
+        for lam, t, two in zip(lam_grid, t_grid, two_inf):
+            row, reports = self._sweep_point(lam, t, two)
             self.rows.append(row)
             self.reports.extend(reports)
             if row["identity_holds"] is not True:
