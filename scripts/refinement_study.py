@@ -11,12 +11,9 @@ would reveal itself here by a rising margin.
 
 import argparse
 
-import numpy as np
-
 from wellspectra import a2r, bounds
 from wellspectra.assemble import assemble_pencil, classify_nodes
-from wellspectra.eigcount import heat_trace, inertia, pencil_eigs
-from wellspectra.errors import OnEigenvalue
+from wellspectra.eigcount import count_below, heat_trace, pencil_eigs
 from wellspectra.model import GridSpec, build_potential
 from wellspectra.scenario import _nudged
 
@@ -32,49 +29,33 @@ def measure(resolution, lams, ts, gammas):
     dec = classify_nodes(V, LEVEL)
     pencil = assemble_pencil(dec, V, LEVEL)
     spec = pencil_eigs(pencil.K_II, pencil.M_interior)
-    bm = a2r.boundary_measures(pencil)
-    S0 = a2r.schur_form(pencil, 0.0)
+    P0 = a2r.poisson_matrix(pencil, 0.0)
+    bm = a2r.boundary_measures(pencil, P0)
+    S0 = a2r.schur_form(pencil, 0.0, P0)
 
-    normW1 = V.norm(LEVEL, 1.0)
-    normWp = V.norm(LEVEL, P)
     dmu_p, _, dnu_dmu = a2r.radon_nikodym_report(bm, pencil.sigma, P)
     q, S_trace = bounds.trace_sobolev_constants(3)
     b = bounds.estimate_b(S0, bm, pencil.sigma, q, S_trace, 200, seed=7)
-    _, m, c1, c2 = bounds.boundary_bound_constants(3, P, S_trace, b, dmu_p, dnu_dmu)
-    r, S_r = bounds.weighted_sobolev(3, P, normWp)
-    d = 2 * r / (r - 2)
+    c = bounds.BoundConstants.derive(
+        3, P, V.norm(LEVEL, 1.0), V.norm(LEVEL, P),
+        dmu_dsigma_p=dmu_p, dnu_dmu_inf=dnu_dmu, b=b,
+    )
 
     rows = []
     for lam in lams:
         lam_used, n_dir = _nudged(
-            lambda x: inertia_count(pencil.K_II, pencil.M_interior, x), lam, "lambda"
+            lambda x: count_below(pencil.K_II, pencil.M_interior, x), lam, "lambda"
         )
         rows.append(("count(lam=%.3g)" % lam, n_dir,
-                     bounds.dirichlet_count_bound(3, P, normW1, normWp, lam_used)))
+                     bounds.dirichlet_count_bound(3, P, c.normW1, c.normWp, lam_used)))
     for t in ts:
         rows.append(("trace(t=%.3g)" % t, heat_trace(spec, t),
-                     bounds.ultracontractivity_and_trace_bounds(d, S_r, normW1, t)[1]))
+                     bounds.ultracontractivity_and_trace_bounds(c.d, c.S_r, c.normW1, t)[1]))
     for g in gammas:
-        g_used, n_g = _nudged(lambda x: steklov_count(S0, bm, x), g, "gamma")
+        g_used, n_g = _nudged(lambda x: count_below(S0, bm.mu, x), g, "gamma")
         rows.append(("boundary(gamma=%.3g)" % g, n_g,
-                     bounds.a2r_count_bound(m, c1, c2, normW1, g_used)))
+                     bounds.a2r_count_bound(c.m, c.c1, c.c2, c.normW1, g_used)))
     return rows
-
-
-def inertia_count(K, M, lam):
-    import scipy.sparse as sp
-
-    inert = inertia((K - lam * sp.diags(M)).tocsr())
-    if inert.n_zero:
-        raise OnEigenvalue("on spectrum")
-    return inert.n_minus
-
-
-def steklov_count(S0, bm, gamma):
-    inert = inertia(S0 - gamma * np.diag(bm.mu))
-    if inert.n_zero:
-        raise OnEigenvalue("on spectrum")
-    return inert.n_minus
 
 
 def main():

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import OnEigenvalue, ResolventViolation
-from .eigcount import Factorization, inertia, pencil_eigs
+from .eigcount import Factorization, inertia, strict_count
 from .model import AssembledPencil, SpectralSummary
 
 #: relative residual contract for harmonic extensions and form identities
@@ -222,36 +222,12 @@ def splitting_counts(p: AssembledPencil, lam: float):
     Raises OnEigenvalue if lam sits on the spectrum of any of the three
     objects (the caller perturbs lam and retries).
     """
-    full = inertia(p.shifted(lam))
-    if full.n_zero:
-        raise OnEigenvalue(f"shift {lam!r} lies on the full pencil spectrum")
+    n_full = strict_count(inertia(p.shifted(lam)), "full pencil")
     factor = _pinned_factor(p, lam)
-    pinned = factor.inertia
-    if pinned.n_zero:
-        raise OnEigenvalue(f"shift {lam!r} lies on the pinned spectrum")
+    n_dir = strict_count(factor.inertia, "pinned")
     S = schur_form(p, lam, poisson_matrix(p, lam, factor))
-    boundary = inertia(S)
-    if boundary.n_zero:
-        raise OnEigenvalue(f"shift {lam!r} makes the boundary form singular")
-    n_full, n_dir, n_bnd = full.n_minus, pinned.n_minus, boundary.n_minus
+    n_bnd = strict_count(inertia(S), "boundary form")
     return n_full, n_dir, n_bnd, (n_full == n_dir + n_bnd)
-
-
-def a2r_spectrum_and_count(S0: np.ndarray, bm: BoundaryMeasures, gamma: float):
-    """Steklov-type spectrum of (S(0), diag mu) and the count
-    n_minus(S(0) - gamma*diag(mu)).
-
-    For gamma below the smallest generalized eigenvalue the count is zero
-    (S(0) is positive semidefinite).
-    """
-    if np.any(bm.mu <= 0):
-        raise ValueError("boundary mass must be strictly positive")
-    summary = pencil_eigs(np.asarray(S0, dtype=float), bm.mu)
-    shifted = np.asarray(S0, dtype=float) - gamma * np.diag(bm.mu)
-    inert = inertia(shifted)
-    if inert.n_zero:
-        raise OnEigenvalue(f"gamma {gamma!r} lies on the boundary-form spectrum")
-    return summary, inert.n_minus
 
 
 def radon_nikodym_report(bm: BoundaryMeasures, sigma: np.ndarray, p: float):

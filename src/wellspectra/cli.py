@@ -49,7 +49,7 @@ from . import a2r, model
 from .assemble import assemble_pencil, classify_nodes
 from .eigcount import count_below, pencil_eigs
 from .errors import ConfigError, EmptySublevel, WellSpectraError
-from .scenario import _nudged, load_config, run_scenario
+from .scenario import _nudged, lambda_grid, load_config, run_scenario
 from .schrodinger import box_exact_count
 
 
@@ -125,16 +125,11 @@ def _cmd_splitting(args) -> int:
     except EmptySublevel:
         print(f"level {args.level}: empty sublevel region, nothing to split")
         return 0
-    spec = pencil_eigs(pencil.K_II, pencil.M_interior)
-    lo = args.lambda_min if args.lambda_min is not None else 0.5 * spec.eigenvalues[0]
-    hi = (
-        args.lambda_max
-        if args.lambda_max is not None
-        else 1.02 * spec.eigenvalues[min(10, spec.count) - 1]
-    )
+    mus = pencil_eigs(pencil.K_II, pencil.M_interior).eigenvalues
+    grid = lambda_grid(mus, args.lambda_min, args.lambda_max, args.lambda_grid)
     print("lambda,N_full,N_dir,N_a2r_nonpos,identity_holds")
     bad = 0
-    for lam0 in np.geomspace(lo, hi, args.lambda_grid):
+    for lam0 in grid:
         lam, (nf, nd, nb, ident) = _nudged(
             lambda x: a2r.splitting_counts(pencil, x), float(lam0), "lambda"
         )

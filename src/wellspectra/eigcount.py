@@ -4,8 +4,9 @@ spectra (the brute-force oracle), heat traces and 2->infinity norms.
 Counting below a shift never computes eigenvalues: one symmetric
 factorization of K - lambda*diag(M) yields the exact integer count through
 Sylvester's law of inertia.  Zero pivots are classified against the scaled
-tolerance tau0 = 1e-12 * max|A_ij| and reported as OnEigenvalue, never
-silently absorbed.
+tolerance tau0 = 1e-12 * max|A_ij| and reported as n_zero; every count is
+read off an inertia by ``strict_count``, which turns n_zero > 0 into
+OnEigenvalue, so a shift on a spectrum is never silently absorbed.
 
 ``Factorization`` is the one factorization object: the pivots that give a
 matrix its inertia come from the same factor that then solves with it, so a
@@ -97,7 +98,10 @@ class Factorization:
     BACKWARD_ERROR_TOL the factor is refused too.  The guard is skipped when
     a pivot already lies within tau0, so a singular A keeps n_zero > 0.  A
     refused or failed sparse factor falls back to the dense path up to order
-    DENSE_CAP.
+    DENSE_CAP.  Above it, SuperLU's "exactly singular" is OnEigenvalue: with
+    diag_pivot_thresh=0 it stops only at a pivot column that is zero
+    throughout, so A is singular.  Any other refusal there is
+    FactorizationBreakdown.
 
     ``inertia`` is (n_minus, n_zero, n_plus) with pivots classified against
     tau0 = PIVOT_RTOL * max|A_ij|; ``path`` names the factorization used
@@ -131,6 +135,10 @@ class Factorization:
                 self.path = "sparse"
             except (FactorizationBreakdown, RuntimeError) as exc:
                 if order > DENSE_CAP:
+                    if "exactly singular" in str(exc):
+                        raise OnEigenvalue(
+                            f"sparse matrix of order {order} is exactly singular"
+                        ) from exc
                     raise FactorizationBreakdown(
                         f"sparse factorization failed at order {order}: {exc}"
                     ) from exc
@@ -196,6 +204,15 @@ def inertia(A) -> Inertia:
     return Factorization(A).inertia
 
 
+def strict_count(inert: Inertia, what: str) -> int:
+    """The count n_minus of an inertia, strict: a zero pivot means the
+    factored shift lies on the spectrum of ``what``, and OnEigenvalue is
+    raised for the caller to perturb the shift and retry."""
+    if inert.n_zero:
+        raise OnEigenvalue(f"shift lies on the {what} spectrum (n_zero={inert.n_zero})")
+    return inert.n_minus
+
+
 def _as_mass_vector(M, order: int) -> np.ndarray:
     """Normalize a diagonal mass (vector, dense diagonal matrix or sparse
     diagonal matrix) to a 1-D nonnegative array."""
@@ -222,7 +239,10 @@ def _check_massless_block(K, m: np.ndarray):
     if idx.size == 0:
         return None
     Kzz = K[np.ix_(idx, idx)] if not sp.issparse(K) else K.tocsr()[idx][:, idx]
-    factor = Factorization(Kzz)
+    try:
+        factor = Factorization(Kzz)
+    except OnEigenvalue as exc:  # an exactly singular sparse block
+        raise SingularDirichletBlock(f"stiffness on the mass-free nodes: {exc}") from exc
     inert = factor.inertia
     if inert.n_minus or inert.n_zero:
         raise SingularDirichletBlock(
@@ -248,15 +268,9 @@ def count_below(K, M, lam: float) -> int:
     singular the shift sits on an eigenvalue: OnEigenvalue is raised and the
     caller perturbs (the convention is lam -> lam*(1 + 1e-9)).
     """
-    order = K.shape[0]
-    m = _as_mass_vector(M, order)
+    m = _as_mass_vector(M, K.shape[0])
     _check_massless_block(K, m)
-    inert = inertia(_shift(K, m, lam))
-    if inert.n_zero:
-        raise OnEigenvalue(
-            f"shift {lam!r} lies on the pencil spectrum (n_zero={inert.n_zero})"
-        )
-    return inert.n_minus
+    return strict_count(inertia(_shift(K, m, lam)), "pencil")
 
 
 def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:

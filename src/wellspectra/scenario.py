@@ -45,7 +45,7 @@ import numpy as np
 
 from . import a2r, bounds
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import heat_trace, inertia, pencil_eigs, two_infinity_norm
+from .eigcount import heat_trace, inertia, pencil_eigs, strict_count, two_infinity_norm
 from .errors import ConfigError, EmptySublevel, OnEigenvalue
 from .model import (
     HOLDS,
@@ -261,6 +261,19 @@ def _nudged(fn, x0: float, what: str):
     raise OnEigenvalue(f"could not move {what} off the spectrum near {x0!r}")
 
 
+def lambda_grid(mus, lo: float | None, hi: float | None, points: int) -> np.ndarray:
+    """Geometric shift grid of ``points`` values from lo to hi; by default
+    from 0.5*mu_1 to 1.02*mu_min(10, N) of the ascending pinned spectrum
+    ``mus``.  A range that is not 0 < lo <= hi is a ConfigError."""
+    if lo is None:
+        lo = 0.5 * mus[0]
+    if hi is None:
+        hi = 1.02 * mus[min(10, len(mus)) - 1]
+    if not (0 < lo <= hi):
+        raise ConfigError(f"bad shift range [{lo}, {hi}]")
+    return np.geomspace(lo, hi, points)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -350,8 +363,11 @@ class _LevelRun:
         self.S0 = a2r.schur_form(pencil, 0.0, self.P0)
         self.consts = self._derive_constants()
 
-        lam_grid = self._lambda_grid()
-        t_grid = np.geomspace(self.cfg.sweep.t_min, self.cfg.sweep.t_max, len(lam_grid))
+        sweep = self.cfg.sweep
+        lam_grid = lambda_grid(
+            self.dir_spec.eigenvalues, sweep.lambda_min, sweep.lambda_max, sweep.points
+        )
+        t_grid = np.geomspace(sweep.t_min, sweep.t_max, len(lam_grid))
         two_inf = [None] * len(t_grid)
         if self.consts is not None and self.dir_spec.eigenvectors is not None:
             two_inf = two_infinity_norm(self.dir_spec, pencil.M_interior, t_grid)
@@ -420,18 +436,6 @@ class _LevelRun:
         consts.extras["b_provenance"] = b_note
         return consts
 
-    def _lambda_grid(self) -> np.ndarray:
-        mus = self.dir_spec.eigenvalues
-        lo = self.cfg.sweep.lambda_min
-        hi = self.cfg.sweep.lambda_max
-        if lo is None:
-            lo = 0.5 * mus[0]
-        if hi is None:
-            hi = 1.02 * mus[min(10, mus.size) - 1]
-        if not (0 < lo <= hi):
-            raise ConfigError(f"bad shift range [{lo}, {hi}]")
-        return np.geomspace(lo, hi, self.cfg.sweep.points)
-
     # -- per sweep point ---------------------------------------------------
 
     def _sweep_point(self, lam0: float, t: float, two_inf: float | None):
@@ -445,10 +449,7 @@ class _LevelRun:
         )
 
         def boundary_count(g):
-            inert = inertia(self.S0 - g * np.diag(self.bm.mu))
-            if inert.n_zero:
-                raise OnEigenvalue(f"gamma {g!r} on the boundary-form spectrum")
-            return inert.n_minus
+            return strict_count(inertia(self.S0 - g * np.diag(self.bm.mu)), "boundary form")
 
         gamma, n_gamma = _nudged(boundary_count, gamma0, "gamma")
         counting_ok = n_full <= n_dir + n_gamma

@@ -29,8 +29,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EmptySublevel, EnumerationCap, OnEigenvalue
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import PIVOT_RTOL, Factorization, inertia
-from .model import AssembledPencil, GridSpec, Inertia, PotentialField
+from .eigcount import PIVOT_RTOL, Factorization, inertia, strict_count
+from .model import AssembledPencil, GridSpec, PotentialField
 
 #: lattice enumeration guard: mu * L^2 / pi^2 may not exceed this
 ENUMERATION_LIMIT = 1e6
@@ -82,12 +82,6 @@ def assemble_schrodinger(V: PotentialField):
     return A.tocsr(), np.full(inner.size, hn)
 
 
-def _strict_count(inert: Inertia, label: str) -> int:
-    if inert.n_zero:
-        raise OnEigenvalue(f"shift lies on the {label} spectrum (n_zero={inert.n_zero})")
-    return inert.n_minus
-
-
 def _clamped(V: PotentialField) -> PotentialField:
     return PotentialField(grid=V.grid, values=np.minimum(V.values, 0.0), family=V.family)
 
@@ -117,7 +111,7 @@ class BoxOperator:
             self._certify()
         if e not in self._counts:
             try:
-                self._counts[e] = _strict_count(
+                self._counts[e] = strict_count(
                     inertia(self._A - e * sp.diags(self._m)), "box operator"
                 )
             except OnEigenvalue as exc:
@@ -132,9 +126,9 @@ class BoxOperator:
             return
         A, m = self._A, self._m
         top = self.levels[-1]
-        factor = Factorization(A - top * sp.diags(m))
         try:
-            k = self._counts[top] = _strict_count(factor.inertia, "box operator")
+            factor = Factorization(A - top * sp.diags(m))
+            k = self._counts[top] = strict_count(factor.inertia, "box operator")
         except OnEigenvalue as exc:
             self._counts[top] = exc
             return
@@ -234,7 +228,7 @@ def reduction_check(
         pencil = assemble_pencil(dec, V, e)
     elif abs(pencil.level - e) > 1e-12 * max(1.0, abs(e)):
         raise ValueError(f"pencil level {pencil.level} does not match e={e}")
-    n_weighted = _strict_count(inertia(pencil.shifted(lam)), "weighted pencil")
+    n_weighted = strict_count(inertia(pencil.shifted(lam)), "weighted pencil")
     return n_op, n_weighted, n_op <= n_weighted
 
 

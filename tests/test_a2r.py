@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from wellspectra.a2r import (
     RESIDUAL_TOL,
-    a2r_spectrum_and_count,
     a_lambda_norm,
     boundary_measures,
     estimate_poisson_constant,
@@ -17,7 +16,7 @@ from wellspectra.a2r import (
     splitting_counts,
     verify_isomorphism,
 )
-from wellspectra.eigcount import inertia, pencil_eigs
+from wellspectra.eigcount import count_below, inertia, pencil_eigs
 from wellspectra.errors import OnEigenvalue, ResolventViolation
 from wellspectra.model import SpectralSummary
 
@@ -324,14 +323,13 @@ def test_steklov_path3(path3):
     S0 = schur_form(p, 0.0)
     bm = boundary_measures(p)
     assert np.allclose(bm.mu, [0.25, 0.25])
-    summary, n_neg = a2r_spectrum_and_count(S0, bm, 2.0)
     # interior mass m = 1/2: nonzero Steklov eigenvalue 2/m = 4
-    assert np.allclose(summary.eigenvalues, [0.0, 4.0], atol=1e-12)
-    assert n_neg == 1
-    assert a2r_spectrum_and_count(S0, bm, -1.0)[1] == 0
-    assert a2r_spectrum_and_count(S0, bm, 5.0)[1] == 2
+    assert np.allclose(pencil_eigs(S0, bm.mu).eigenvalues, [0.0, 4.0], atol=1e-12)
+    assert count_below(S0, bm.mu, 2.0) == 1
+    assert count_below(S0, bm.mu, -1.0) == 0
+    assert count_below(S0, bm.mu, 5.0) == 2
     with pytest.raises(OnEigenvalue):
-        a2r_spectrum_and_count(S0, bm, 4.0)
+        count_below(S0, bm.mu, 4.0)
 
 
 def test_counting_inequality_chain(disk2d):
@@ -345,7 +343,7 @@ def test_counting_inequality_chain(disk2d):
         try:
             n_full, n_dir, _, ok = splitting_counts(p, lam)
             gamma = a_lambda_norm(spec, lam)
-            _, n_gamma = a2r_spectrum_and_count(S0, bm, gamma * (1 + 1e-9))
+            n_gamma = count_below(S0, bm.mu, gamma * (1 + 1e-9))
         except OnEigenvalue:
             continue
         assert ok

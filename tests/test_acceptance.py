@@ -17,14 +17,12 @@ from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.eigcount import (
     count_below,
     heat_trace,
-    inertia,
     pencil_eigs,
     two_infinity_norm,
 )
 from wellspectra.errors import (
     DetachedComponent,
     EmptySublevel,
-    OnEigenvalue,
 )
 from wellspectra.model import GridSpec, build_potential
 from wellspectra.scenario import _nudged, run_scenario
@@ -130,13 +128,7 @@ def scenario_batch():
 
 
 def _boundary_count(S0, mu, gamma0):
-    def probe(g):
-        inert = inertia(S0 - g * np.diag(mu))
-        if inert.n_zero:
-            raise OnEigenvalue("gamma on boundary-form spectrum")
-        return inert.n_minus
-
-    return _nudged(probe, gamma0, "gamma")
+    return _nudged(lambda g: count_below(S0, mu, g), gamma0, "gamma")
 
 
 def test_splitting_identity_exact_on_randomized_scenarios(scenario_batch, report):

@@ -97,6 +97,14 @@ def test_splitting_subcommand(cfg2d, capsys):
         assert line.endswith(",true")
 
 
+def test_splitting_subcommand_rejects_a_reversed_shift_range(cfg2d, capsys):
+    args = ["splitting", str(cfg2d), "--level", "-0.8", "--lambda-min", "2", "--lambda-max", "1"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad shift range [2.0, 1.0]" in captured.err
+
+
 def test_bounds_subcommand_needs_3d(cfg2d, capsys):
     assert cli.main(["bounds", str(cfg2d), "--level", "-0.8"]) == 2
     assert "dimension >= 3" in capsys.readouterr().err

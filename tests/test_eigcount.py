@@ -11,6 +11,7 @@ from wellspectra.eigcount import (
     heat_trace,
     inertia,
     pencil_eigs,
+    strict_count,
     two_infinity_norm,
 )
 from wellspectra.errors import (
@@ -101,6 +102,15 @@ def test_inertia_input_validation():
         inertia(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         inertia(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_strict_count_is_n_minus_off_the_spectrum():
+    assert strict_count(Inertia(3, 0, 2), "pencil") == 3
+    assert strict_count(Inertia(0, 0, 5), "pencil") == 0
+    with pytest.raises(
+        OnEigenvalue, match=r"^shift lies on the box operator spectrum \(n_zero=2\)$"
+    ):
+        strict_count(Inertia(1, 2, 4), "box operator")
 
 
 # ------------------------------------------------------------ count_below

@@ -10,8 +10,10 @@ import scipy.sparse as sp
 from conftest import make_pencil
 from wellspectra import eigcount
 from wellspectra.a2r import RESIDUAL_TOL
-from wellspectra.eigcount import Factorization, inertia, pencil_eigs
+from wellspectra.eigcount import Factorization, count_below, inertia, pencil_eigs
+from wellspectra.errors import FactorizationBreakdown, OnEigenvalue, SingularDirichletBlock
 from wellspectra.model import Inertia
+from wellspectra.scenario import _nudged
 
 
 def eigvalsh_inertia(A) -> Inertia:
@@ -216,6 +218,36 @@ def test_singular_sparse_matrix_above_the_dense_cap_counts_its_kernel():
     assert F.backward_error is None
     assert F.inertia.n_zero > 0
     assert F.inertia.n_minus + F.inertia.n_zero == 1
+
+
+@pytest.mark.parametrize("n", [900, eigcount.DENSE_CAP + 500])
+def test_exactly_singular_sparse_matrix_is_on_the_spectrum(n):
+    """The path-graph Neumann Laplacian has the constants in its kernel and
+    an exactly zero last pivot.  Up to DENSE_CAP the dense fallback reports
+    n_zero = 1; above it SuperLU's "exactly singular" is OnEigenvalue.  On
+    both sides the nudged count from 0 counts the zero eigenvalue, and a
+    count whose mass-free block is K is refused as SingularDirichletBlock."""
+    d = np.full(n, 2.0)
+    d[[0, -1]] = 1.0
+    K = sp.diags([-np.ones(n - 1), d, -np.ones(n - 1)], (-1, 0, 1)).tocsr()
+    if n <= eigcount.DENSE_CAP:
+        assert Factorization(K).path == "dense-fallback"
+        assert inertia(K).n_zero == 1
+    else:
+        with pytest.raises(OnEigenvalue, match="exactly singular"):
+            inertia(K)
+    assert _nudged(lambda x: count_below(K, np.ones(n), x), 0.0, "lambda") == (1e-9, 1)
+    with pytest.raises(SingularDirichletBlock):
+        count_below(sp.block_diag([K, [[1.0]]]), np.r_[np.zeros(n), 1.0], 0.5)
+
+
+def test_unstable_factor_above_the_dense_cap_is_a_breakdown():
+    """A refusal other than exact singularity still ends in
+    FactorizationBreakdown where no dense fallback is allowed."""
+    blocks = (eigcount.DENSE_CAP + 500) // 2
+    A = sp.block_diag([[[1e-8, 1.0], [1.0, 1e-8]]] * blocks, format="csr")
+    with pytest.raises(FactorizationBreakdown, match="unstable"):
+        Factorization(A)
 
 
 def test_inertia_is_the_factorization_inertia(rng):
