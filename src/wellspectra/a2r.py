@@ -14,6 +14,8 @@ complements.
 At each shift (K - lam*M)_II is factored once: the factor that shows lam is
 off the pinned spectrum is the one that solves for the Poisson matrix, and
 the lam = 0 Poisson matrix P0 can be handed to every consumer of the level.
+Every shift of the pinned block, and every shift of the full pencil, is
+factored through the pencil's shift family, at one fill-reducing order.
 The boundary count n_minus(S(lam)) still comes from an explicitly formed
 S(lam), so the splitting identity is checked, not assumed.
 """
@@ -74,10 +76,11 @@ class BoundaryMeasures:
 def _pinned_factor(p: AssembledPencil, lam: float) -> Factorization:
     """The one factorization of (K - lam*M)_II; its inertia shows whether
     lam is on the pinned spectrum, and it solves for that shift.  At
-    lam = 0 it is the K_II factor that assembly already computed."""
+    lam = 0 it is the K_II factor that assembly already computed; other
+    shifts come from the pinned shift family, ordered as that factor."""
     if lam == 0.0 and p.K_II_factor is not None:
         return p.K_II_factor
-    return Factorization(p.K_II - lam * sp.diags(p.M_interior))
+    return p.pinned_shifts.factor(lam)
 
 
 def _interior_solve(
@@ -222,7 +225,7 @@ def splitting_counts(p: AssembledPencil, lam: float):
     Raises OnEigenvalue if lam sits on the spectrum of any of the three
     objects (the caller perturbs lam and retries).
     """
-    n_full = strict_count(inertia(p.shifted(lam)), "full pencil")
+    n_full = strict_count(p.full_shifts.factor(lam).inertia, "full pencil")
     factor = _pinned_factor(p, lam)
     n_dir = strict_count(factor.inertia, "pinned")
     S = schur_form(p, lam, poisson_matrix(p, lam, factor))

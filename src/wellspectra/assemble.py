@@ -134,7 +134,8 @@ def assemble_pencil(
     construction, so K_BB is diagonal).  M_ii = (V(x_i) - e)_- * h^n on the
     interior and 0 on the boundary; sigma_b counts interface faces, each
     weighted h^(n-1).  The pinned block K_II is verified positive definite,
-    and the factorization that showed it is kept as ``K_II_factor``.
+    and the factorization that showed it is kept as ``K_II_factor``; the
+    pinned shift family is ordered by it.
     """
     if abs(dec.level - e) > 1e-12 * max(1.0, abs(e)):
         raise ValueError(f"decomposition level {dec.level} does not match e={e}")
@@ -173,7 +174,7 @@ def assemble_pencil(
 
     pencil = AssembledPencil(grid=grid, dec=dec, K=K, M=M, sigma=sigma)
 
-    from .eigcount import Factorization
+    from .eigcount import Factorization, ShiftFamily
 
     pencil.K_II_factor = Factorization(pencil.K_II)
     pinned = pencil.K_II_factor.inertia
@@ -182,4 +183,5 @@ def assemble_pencil(
             f"pinned stiffness block is not positive definite: "
             f"(n_minus, n_zero, n_plus) = {(pinned.n_minus, pinned.n_zero, pinned.n_plus)}"
         )
+    pencil.pinned_shifts = ShiftFamily(pencil.K_II, pencil.M_interior, first=pencil.K_II_factor)
     return pencil

@@ -15,12 +15,20 @@ Sparse matrices, of any order, are factored sparsely: an unpivoted sparse
 factor's pivots are trusted only after one solve with it shows a small
 normwise backward error.
 
+``ShiftFamily`` factors the shifts K - lam*diag(m) of one sparse K at one
+fill-reducing order (order once, factor per shift): only the first sparse
+factor of a family runs SuperLU's minimum-degree ordering, and every later
+shift writes its diagonal into a permuted copy of K's data.  The pinned
+block, the full pencil and the box operator each get one family.
+
 ``pencil_eigs`` is the dense pinned spectrum (and the oracle of the tests):
 eigenvalues from dsyevr, and eigenvectors, when a caller reads them, from
 divide and conquer (dsyevd), whose O(n^2) workspace DENSE_CAP bounds.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -73,13 +81,23 @@ def _bunch_kaufman_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
     return d
 
 
-def _backward_error(A: sp.csc_matrix, lu) -> float:
+@lru_cache(maxsize=8)
+def _guard_rhs(order: int) -> np.ndarray:
+    """The guard's fixed pseudo-random right-hand side of length ``order``,
+    drawn once per order (read-only)."""
+    b = np.random.default_rng(0).standard_normal(order)
+    b.setflags(write=False)
+    return b
+
+
+def _backward_error(A: sp.csc_matrix, lu, b: np.ndarray) -> float:
     """Normwise backward error ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)
-    of one solve with ``lu`` against a fixed pseudo-random right-hand side."""
-    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    of one solve with ``lu``; ||A||_inf is read off the CSC data as the
+    largest row sum of |a_ij|."""
     x = lu.solve(b)
     residual = float(np.abs(A @ x - b).max())
-    scale = float(abs(A).sum(axis=1).max()) * float(np.abs(x).max()) + float(np.abs(b).max())
+    row_sums = np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[0])
+    scale = float(row_sums.max()) * float(np.abs(x).max()) + float(np.abs(b).max())
     return residual / scale
 
 
@@ -103,6 +121,13 @@ class Factorization:
     throughout, so A is singular.  Any other refusal there is
     FactorizationBreakdown.
 
+    ``perm`` is given by a ShiftFamily: A is then a sparse matrix X already
+    permuted symmetrically into a fill-reducing column order,
+    A = X[perm][:, perm], and SuperLU factors it in that order ("NATURAL")
+    instead of computing one.  The factorization stands for X: solves take
+    and return vectors in X's order, the guard solves for X's right-hand
+    side, and the dense fallback factors X itself.
+
     ``inertia`` is (n_minus, n_zero, n_plus) with pivots classified against
     tau0 = PIVOT_RTOL * max|A_ij|; ``path`` names the factorization used
     ("dense", "sparse", "dense-fallback", or "zero" for the zero matrix);
@@ -110,7 +135,7 @@ class Factorization:
     None on the other paths or when the guard was skipped.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, perm: np.ndarray | None = None):
         if sp.issparse(A):
             A = A.tocsc().astype(float, copy=False)
             entries = A.data
@@ -122,7 +147,7 @@ class Factorization:
             raise ValueError("matrix entries must be finite")
         self.order = order = A.shape[0]
         amax = float(np.abs(entries).max()) if entries.size else 0.0
-        self._lu = self._ldu = self._ipiv = None
+        self._lu = self._ldu = self._ipiv = self._perm = None
         self.backward_error = None
         if amax == 0.0:
             self.path = "zero"
@@ -131,7 +156,7 @@ class Factorization:
         tau0 = PIVOT_RTOL * amax
         if sp.issparse(A):
             try:
-                pivots = self._factor_sparse(A, tau0)
+                pivots = self._factor_sparse(A, tau0, perm)
                 self.path = "sparse"
             except (FactorizationBreakdown, RuntimeError) as exc:
                 if order > DENSE_CAP:
@@ -142,7 +167,11 @@ class Factorization:
                     raise FactorizationBreakdown(
                         f"sparse factorization failed at order {order}: {exc}"
                     ) from exc
-                pivots = self._factor_dense(A.toarray())
+                dense = A.toarray()
+                if perm is not None:
+                    inverse = np.argsort(perm)
+                    dense = dense[np.ix_(inverse, inverse)]
+                pivots = self._factor_dense(dense)
                 self.path = "dense-fallback"
         else:
             pivots = self._factor_dense(A)
@@ -156,24 +185,25 @@ class Factorization:
             raise FactorizationBreakdown(f"dsytrf rejected argument {-info}")
         return _bunch_kaufman_pivots(self._ldu, self._ipiv)
 
-    def _factor_sparse(self, A: sp.csc_matrix, tau0: float) -> np.ndarray:
+    def _factor_sparse(self, A: sp.csc_matrix, tau0: float, perm) -> np.ndarray:
         lu = splu(
             A,
             diag_pivot_thresh=0.0,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
             options=dict(SymmetricMode=True, Equil=False),
         )
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise FactorizationBreakdown("pivoting left the diagonal")
         pivots = lu.U.diagonal()
         if np.abs(pivots).min() > tau0:
-            error = _backward_error(A, lu)
+            b = _guard_rhs(A.shape[0])
+            error = _backward_error(A, lu, b if perm is None else b[perm])
             if not error <= BACKWARD_ERROR_TOL:
                 raise FactorizationBreakdown(
                     f"unpivoted factor is unstable (backward error {error:.2e})"
                 )
             self.backward_error = error
-        self._lu = lu
+        self._lu, self._perm = lu, perm
         return pivots
 
     def solve(self, rhs) -> np.ndarray:
@@ -188,7 +218,11 @@ class Factorization:
         if rhs.shape[0] != self.order:
             raise ValueError("right-hand side has the wrong length")
         if self._lu is not None:
-            return self._lu.solve(rhs)
+            if self._perm is None:
+                return self._lu.solve(rhs)
+            x = np.empty(rhs.shape)
+            x[self._perm] = self._lu.solve(rhs[self._perm])
+            return x
         x, info = dsytrs(self._ldu, self._ipiv, rhs.reshape(self.order, -1), lower=1)
         if info != 0:
             raise FactorizationBreakdown(f"dsytrs rejected argument {-info}")
@@ -256,6 +290,81 @@ def _shift(K, m: np.ndarray, lam: float):
     if sp.issparse(K):
         return (K - lam * sp.diags(m)).tocsr()
     return K - lam * np.diag(m)
+
+
+class ShiftFamily:
+    """The shifted matrices K - lam*diag(m) of one sparse symmetric K, each
+    factored at the fill-reducing order of the family's first sparse factor
+    (order once, factor per shift).
+
+    Until that order is known, ``factor`` forms K - lam*diag(m) and factors
+    it as any sparse Factorization does, ordered by SuperLU's
+    MMD_AT_PLUS_A.  ``first``, if given, is a Factorization of a member of
+    the family that the caller already holds, and it plays that part.  If
+    the first factor took the sparse path, the family keeps its column order
+    perm = argsort(perm_c), the CSC pattern of K (with its whole diagonal)
+    permuted into that order, and the positions of the diagonal entries.  A
+    later shift writes K_ii - lam*m_i into a copy of the permuted data and
+    factors it with ``Factorization(A, perm)``.  Each permuted column keeps
+    its rows in the sequence the unpermuted matrix stores them, because
+    SuperLU's symbolic factorization follows that sequence: the elimination,
+    and so every pivot and solve, is bit for bit that of a fresh factor of
+    the same matrix.  (scipy's ``splu`` would sort the rows first, so the
+    matrix is flagged canonical; it has no duplicate entries.)  A family
+    whose first factor did not take the sparse path never reuses an order.
+    The guard, the dense fallback and OnEigenvalue apply to every factor.
+    """
+
+    def __init__(self, K, m, first: Factorization | None = None):
+        self._K = K
+        self._m = np.asarray(m, dtype=float)
+        self._decided = False
+        self._perm_c = self._perm = None
+        if first is not None:
+            self._learn(first)
+
+    def _learn(self, factor: Factorization):
+        self._decided = True
+        if factor.path == "sparse":
+            self._perm_c = np.array(factor._lu.perm_c)  # a copy: the view pins the factor
+
+    def _permute(self):
+        """Lay out K's pattern, with its whole diagonal, in the learnt order
+        (on the first reuse, so that an order never reused costs nothing)."""
+        perm_c = self._perm_c
+        perm = np.argsort(perm_c)
+        n = perm.size
+        coo = self._K.tocoo()
+        diagonal = np.arange(n)
+        K = sp.csc_matrix(
+            (np.r_[coo.data, np.zeros(n)], (np.r_[coo.row, diagonal], np.r_[coo.col, diagonal])),
+            shape=(n, n),
+        )
+        counts = np.diff(K.indptr)[perm]
+        self._indptr = np.r_[0, np.cumsum(counts)].astype(np.intc)
+        source = np.repeat(K.indptr[perm] - self._indptr[:-1], counts) + np.arange(K.nnz)
+        self._data = K.data[source]
+        self._indices = perm_c[K.indices[source]].astype(np.intc)
+        self._diag = np.flatnonzero(self._indices == np.repeat(diagonal, counts))
+        self._kdiag = self._data[self._diag]
+        self._mass = self._m[perm]
+        self._perm = perm
+
+    def factor(self, lam: float) -> Factorization:
+        """The Factorization of K - lam*diag(m)."""
+        if self._perm_c is None:
+            factor = Factorization(_shift(self._K, self._m, lam))
+            if not self._decided:
+                self._learn(factor)
+            return factor
+        if self._perm is None:
+            self._permute()
+        data = self._data.copy()
+        data[self._diag] = self._kdiag - lam * self._mass
+        n = self._perm.size
+        A = sp.csc_matrix((data, self._indices, self._indptr), shape=(n, n), copy=False)
+        A.has_canonical_format = True
+        return Factorization(A, self._perm)
 
 
 def count_below(K, M, lam: float) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -310,10 +311,16 @@ class AssembledPencil:
     decomposition edges (CSR), ``M`` the diagonal mass vector
     (``(V - e)_- * h^n`` on interior, zero on boundary), ``sigma`` the
     per-boundary-node surface weights (#interior neighbors * h^(n-1)).
+    ``K_II``, ``K_IB`` and ``K_BB`` are sliced from K once per pencil.
     ``K_II_factor`` is the eigcount.Factorization of ``K_II`` that
     ``assemble_pencil`` checked for positive definiteness (None when the
     pencil was built some other way); it solves the lam = 0 problems, and
-    the scenario runner drops it once P0 is computed.
+    the scenario runner drops it once P0 is computed.  ``pinned_shifts``
+    and ``full_shifts`` are the eigcount.ShiftFamily of (K - lam*M)_II and
+    of K - lam*M.  ``assemble_pencil`` sets the pinned one, ordered by
+    ``K_II_factor``; otherwise each is built on first use and ordered by its
+    own first factor.  ``release_factors`` drops the factor and both
+    families, as the scenario runner does when a level ends.
     """
 
     grid: GridSpec
@@ -350,17 +357,17 @@ class AssembledPencil:
         """Grid linear indices in local order (interior then boundary)."""
         return np.concatenate([self.dec.interior, self.dec.boundary])
 
-    @property
+    @cached_property
     def K_II(self) -> sp.csr_matrix:
         ni = self.n_interior
         return self.K[:ni, :ni]
 
-    @property
+    @cached_property
     def K_IB(self) -> sp.csr_matrix:
         ni = self.n_interior
         return self.K[:ni, ni:]
 
-    @property
+    @cached_property
     def K_BB(self) -> sp.csr_matrix:
         ni = self.n_interior
         return self.K[ni:, ni:]
@@ -369,9 +376,24 @@ class AssembledPencil:
     def M_interior(self) -> np.ndarray:
         return self.M[: self.n_interior]
 
-    def shifted(self, lam: float) -> sp.csr_matrix:
-        """K - lam * diag(M) on the full local ordering."""
-        return (self.K - lam * sp.diags(self.M)).tocsr()
+    @cached_property
+    def pinned_shifts(self):
+        from .eigcount import ShiftFamily
+
+        return ShiftFamily(self.K_II, self.M_interior)
+
+    @cached_property
+    def full_shifts(self):
+        from .eigcount import ShiftFamily
+
+        return ShiftFamily(self.K, self.M)
+
+    def release_factors(self):
+        """Drop ``K_II_factor`` and the shift families; a later use builds
+        the families again."""
+        self.K_II_factor = None
+        self.__dict__.pop("pinned_shifts", None)
+        self.__dict__.pop("full_shifts", None)
 
     def to_dict(self) -> dict:
         coo = self.K.tocoo()

@@ -358,7 +358,7 @@ class _LevelRun:
             pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3
         )
         self.P0 = a2r.poisson_matrix(pencil, 0.0)
-        pencil.K_II_factor = None  # it served P0, its only use
+        pencil.K_II_factor = None  # it served P0; pinned_shifts keeps its order
         self.bm = a2r.boundary_measures(pencil, self.P0)
         self.S0 = a2r.schur_form(pencil, 0.0, self.P0)
         self.consts = self._derive_constants()
@@ -387,6 +387,7 @@ class _LevelRun:
                 )
         self._reduction_report()
         self._kernel_constant_report()
+        pencil.release_factors()
         return self
 
     # -- constants ---------------------------------------------------------

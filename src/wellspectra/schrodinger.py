@@ -16,7 +16,8 @@ every theta_i + r lies below the top shift, those k eigenvalues are the
 bound states, and a lower level's count is #{theta_i < s} whenever every
 theta_i lies farther than r + tau0 from s.  A level that is not certified
 this way is factored on its own, exactly as a direct count would be, so
-OnEigenvalue keeps its meaning.
+OnEigenvalue keeps its meaning; those factors share the fill-reducing order
+of the top-level factor through one ShiftFamily.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EmptySublevel, EnumerationCap, OnEigenvalue
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import PIVOT_RTOL, Factorization, inertia, strict_count
+from .eigcount import PIVOT_RTOL, Factorization, ShiftFamily, strict_count
 from .model import AssembledPencil, GridSpec, PotentialField
 
 #: lattice enumeration guard: mu * L^2 / pi^2 may not exceed this
@@ -99,7 +100,7 @@ class BoxOperator:
     def __init__(self, V: PotentialField, levels):
         self.potential = V
         self.levels = sorted({float(e) for e in levels if e <= 0})
-        self._A = self._m = None
+        self._A = self._m = self._shifts = None
         self._counts = {}
 
     def count_below(self, e: float) -> int:
@@ -108,12 +109,11 @@ class BoxOperator:
         e = float(e)
         if self._A is None:
             self._A, self._m = assemble_schrodinger(_clamped(self.potential))
+            self._shifts = ShiftFamily(self._A, self._m)
             self._certify()
         if e not in self._counts:
             try:
-                self._counts[e] = strict_count(
-                    inertia(self._A - e * sp.diags(self._m)), "box operator"
-                )
+                self._counts[e] = strict_count(self._shifts.factor(e).inertia, "box operator")
             except OnEigenvalue as exc:
                 self._counts[e] = exc
         count = self._counts[e]
@@ -128,6 +128,7 @@ class BoxOperator:
         top = self.levels[-1]
         try:
             factor = Factorization(A - top * sp.diags(m))
+            self._shifts = ShiftFamily(A, m, first=factor)
             k = self._counts[top] = strict_count(factor.inertia, "box operator")
         except OnEigenvalue as exc:
             self._counts[top] = exc
@@ -228,7 +229,7 @@ def reduction_check(
         pencil = assemble_pencil(dec, V, e)
     elif abs(pencil.level - e) > 1e-12 * max(1.0, abs(e)):
         raise ValueError(f"pencil level {pencil.level} does not match e={e}")
-    n_weighted = strict_count(inertia(pencil.shifted(lam)), "weighted pencil")
+    n_weighted = strict_count(pencil.full_shifts.factor(lam).inertia, "weighted pencil")
     return n_op, n_weighted, n_op <= n_weighted
 
 

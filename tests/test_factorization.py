@@ -10,7 +10,14 @@ import scipy.sparse as sp
 from conftest import make_pencil
 from wellspectra import eigcount
 from wellspectra.a2r import RESIDUAL_TOL
-from wellspectra.eigcount import Factorization, count_below, inertia, pencil_eigs
+from wellspectra.eigcount import (
+    Factorization,
+    ShiftFamily,
+    count_below,
+    inertia,
+    pencil_eigs,
+    strict_count,
+)
 from wellspectra.errors import FactorizationBreakdown, OnEigenvalue, SingularDirichletBlock
 from wellspectra.model import Inertia
 from wellspectra.scenario import _nudged
@@ -254,3 +261,123 @@ def test_inertia_is_the_factorization_inertia(rng):
     B = rng.normal(size=(20, 20))
     A = B + B.T
     assert inertia(A) == Factorization(A).inertia == eigvalsh_inertia(A)
+
+
+# ------------------------------------------------------------ shift family
+
+
+def record_orderings(monkeypatch):
+    """The permc_spec of every SuperLU factorization, in call order."""
+    specs = []
+    real_splu = eigcount.splu
+
+    def recording(A, *args, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return real_splu(A, *args, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(eigcount, "splu", recording)
+    return specs
+
+
+@pytest.mark.parametrize(
+    "dim, case", [(2, SPARSE_CASES_2D[1]), (3, SPARSE_CASES[0]), (3, SPARSE_CASES[2])]
+)
+def test_shift_family_factors_equal_fresh_factors(dim, case, monkeypatch):
+    """Pinned (seeded, as assembly seeds it) and full families at seeded
+    shifts: after the first factor no shift is ordered again, and every
+    family factor has the inertia, the pivots and the solves of a fresh
+    factor of K - lam*diag(m), bit for bit."""
+    family, res, e = case
+    _, p = make_pencil(dim, res, family, e)
+    rng = np.random.default_rng(22 + dim)
+    specs = record_orderings(monkeypatch)
+    seeded = ShiftFamily(p.K_II, p.M_interior, first=Factorization(p.K_II))
+    blocks = (
+        (seeded, p.K_II, p.M_interior, "NATURAL"),
+        (ShiftFamily(p.K, p.M), p.K, p.M, "MMD_AT_PLUS_A"),
+    )
+    for shifts, K, m, first_spec in blocks:
+        for k, lam in enumerate(np.exp(rng.uniform(np.log(0.1), np.log(40.0), size=6))):
+            del specs[:]
+            F = shifts.factor(lam)
+            assert specs == [first_spec if k == 0 else "NATURAL"]
+            A = (K - lam * sp.diags(m)).tocsr()
+            fresh = Factorization(A)
+            assert F.path == fresh.path == "sparse"
+            assert F.inertia == fresh.inertia
+            assert np.array_equal(F._lu.U.diagonal(), fresh._lu.U.diagonal())
+            b = rng.normal(size=(A.shape[0], 2))
+            x = F.solve(b)
+            assert np.array_equal(x, fresh.solve(b))
+            assert relative_residual(A, x, b) <= RESIDUAL_TOL
+
+
+def test_shift_family_on_a_zeroed_diagonal_entry():
+    """A shift with K_ii - lam*m_i == 0 exactly: the fresh matrix drops
+    that entry, the family keeps it as an explicit zero; the counts agree
+    with the eigenvalue oracle and the solves meet the contract."""
+    _, p = make_pencil(2, 57, THREE_WELLS, -1.0)
+    K, m = p.K_II, p.M_interior
+    kdiag = K.diagonal()
+    lams = kdiag / m
+    exact = np.flatnonzero(kdiag - lams * m == 0.0)
+    i = exact[exact.size // 2]
+    lam = lams[i]
+    A = (K - lam * sp.diags(m)).tocsr()
+    assert i not in A.indices[A.indptr[i] : A.indptr[i + 1]]
+    shifts = ShiftFamily(K, m)
+    assert shifts.factor(0.0).path == "sparse"
+    F = shifts.factor(lam)
+    assert F.inertia == Factorization(A).inertia == eigvalsh_inertia(A)
+    b = np.random.default_rng(23).normal(size=A.shape[0])
+    assert relative_residual(A, F.solve(b), b) <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("n", [900, eigcount.DENSE_CAP + 500])
+def test_shift_family_on_the_spectrum_raises_like_a_fresh_factor(n):
+    """The path-graph Neumann Laplacian at shift 0: a family ordered at
+    another shift raises OnEigenvalue exactly where a fresh factor does
+    (a dense-fallback n_zero = 1 up to DENSE_CAP, SuperLU's "exactly
+    singular" above it), and its nudged count is that of count_below."""
+    d = np.full(n, 2.0)
+    d[[0, -1]] = 1.0
+    K = sp.diags([-np.ones(n - 1), d, -np.ones(n - 1)], (-1, 0, 1)).tocsr()
+    shifts = ShiftFamily(K, np.ones(n))
+    assert shifts.factor(-1.0).path == "sparse"
+    for factor in (lambda: Factorization(K), lambda: shifts.factor(0.0)):
+        with pytest.raises(OnEigenvalue):
+            strict_count(factor().inertia, "pencil")
+    nudged = _nudged(lambda x: strict_count(shifts.factor(x).inertia, "pencil"), 0.0, "lambda")
+    assert nudged == _nudged(lambda x: count_below(K, np.ones(n), x), 0.0, "lambda") == (1e-9, 1)
+
+
+def test_shift_family_whose_first_factor_fell_back_never_reuses_an_order(monkeypatch):
+    """With the guard refusing the first factor, which the dense fallback
+    then answers, every later shift is ordered afresh, seeded or not."""
+    _, p = make_pencil(2, 57, THREE_WELLS, -1.0)
+    K, m = p.K_II, p.M_interior
+    real = eigcount._backward_error
+    refused = []
+
+    def refuse_first(*args):
+        """Refuse the first guard solve since ``refused`` was cleared."""
+        if not refused:
+            refused.append(True)
+            return np.inf
+        return real(*args)
+
+    monkeypatch.setattr(eigcount, "_backward_error", refuse_first)
+    specs = record_orderings(monkeypatch)
+    first = Factorization((K - 0.5 * sp.diags(m)).tocsr())
+    seeded = ShiftFamily(K, m, first=first)
+    unseeded = ShiftFamily(K, m)
+    refused.clear()
+    assert first.path == unseeded.factor(0.5).path == "dense-fallback"
+    del specs[:]
+    lams = (0.7, 1.3, 2.9)
+    for lam in lams:
+        for shifts in (seeded, unseeded):
+            F = shifts.factor(lam)
+            assert F.path == "sparse" and F._perm is None
+            assert F.inertia == eigvalsh_inertia((K - lam * sp.diags(m)).tocsr())
+    assert specs == ["MMD_AT_PLUS_A"] * 2 * len(lams)

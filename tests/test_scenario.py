@@ -265,22 +265,43 @@ def test_write_csv_preserves_column_order(tmp_path):
     assert cells[CSV_COLUMNS.index("identity_holds")] == "false"
 
 
+def _record_factorizations(monkeypatch):
+    """Record each factored matrix, densely and in its own (unpermuted)
+    order, and count SuperLU's minimum-degree orderings by matrix order."""
+    factored = []
+    orderings = Counter()
+    real_init = eigcount.Factorization.__init__
+    real_splu = eigcount.splu
+
+    def recording_init(self, A, perm=None):
+        dense = A.toarray() if sp.issparse(A) else np.array(A)
+        if perm is not None:  # a shift-family factor of X, given as X[perm][:, perm]
+            inverse = np.argsort(perm)
+            dense = dense[np.ix_(inverse, inverse)]
+        factored.append(dense)
+        real_init(self, A, perm)
+
+    def recording_splu(A, *args, permc_spec=None, **kwargs):
+        if permc_spec == "MMD_AT_PLUS_A":
+            orderings[A.shape[0]] += 1
+        return real_splu(A, *args, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(eigcount.Factorization, "__init__", recording_init)
+    monkeypatch.setattr(eigcount, "splu", recording_splu)
+    return factored, orderings
+
+
 def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     """One level of a small 3D ball: each sweep shift factors
     (K - lam*M)_II exactly once, P0 and the Gram check run once, the pencil
-    is classified and assembled once, the K_II factor does not outlive P0,
-    and S(lam) is still formed and factored on its own."""
+    is classified and assembled once, the K_II factor does not outlive P0
+    nor the shift families the level, S(lam) is still formed and factored
+    on its own, and each of the pinned block, the full pencil and the box
+    operator is ordered by minimum degree once."""
     cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
     V = build_potential(cfg.family, cfg.grid)
 
-    factored = []
-    real_init = eigcount.Factorization.__init__
-
-    def recording_init(self, A):
-        factored.append(A.toarray() if sp.issparse(A) else np.array(A))
-        real_init(self, A)
-
-    monkeypatch.setattr(eigcount.Factorization, "__init__", recording_init)
+    factored, orderings = _record_factorizations(monkeypatch)
     calls = Counter()
 
     def count_calls(module, name, key=lambda *args: ()):
@@ -314,11 +335,13 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
 
     assert times_factored(p.K_II.toarray()) == 1  # assembly's check serves P0
     assert p.K_II_factor is None  # and is dropped once P0 is computed
+    assert "pinned_shifts" not in vars(p) and "full_shifts" not in vars(p)
     for row in level.rows:
         lam = row["lambda"]
         assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
         assert times_factored(a2r.schur_form(p, lam)) == 1
-        assert times_factored(p.shifted(lam).toarray()) == 1
+        assert times_factored((p.K - lam * sp.diags(p.M)).toarray()) == 1
+    assert orderings == {p.n_interior: 1, p.order: 1, _box_shape(cfg)[0]: 1}
 
 
 def test_2d_level_computes_no_eigenvectors(tmp_path, monkeypatch):
@@ -346,17 +369,11 @@ def test_scenario_factors_the_box_operator_once(tmp_path, monkeypatch):
     factorization, made inside the first reduction check."""
     path = _write(tmp_path, SMALL_2D)
     cfg = load_config(path)
-    shapes = []
-    real_init = eigcount.Factorization.__init__
-
-    def recording_init(self, A):
-        shapes.append(A.shape)
-        real_init(self, A)
-
-    monkeypatch.setattr(eigcount.Factorization, "__init__", recording_init)
+    factored, orderings = _record_factorizations(monkeypatch)
     result = run_scenario(path, out_dir=tmp_path / "out")
     assert result.exit_code == 0
-    assert shapes.count(_box_shape(cfg)) == 1
+    assert [A.shape for A in factored].count(_box_shape(cfg)) == 1
+    assert orderings[_box_shape(cfg)[0]] == 1
     reps = [
         rep
         for sc in result.document["scenarios"]

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from wellspectra import schrodinger
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.bounds import polya_weyl_report
-from wellspectra.eigcount import inertia, pencil_eigs
+from wellspectra.eigcount import ShiftFamily, inertia, pencil_eigs
 from wellspectra.errors import EnumerationCap, OnEigenvalue
 from wellspectra.model import GridSpec, Inertia, PotentialField, build_potential
 from wellspectra.schrodinger import (
@@ -169,15 +169,17 @@ def _landscape(dim, name):
 
 
 def _count_direct_calls(monkeypatch):
-    """Record the per-level factorizations BoxOperator falls back to."""
+    """Record the per-level factorizations BoxOperator falls back to: they
+    come from its shift family."""
     calls = []
-    real = schrodinger.inertia
+    real = ShiftFamily.factor
 
-    def recording(A):
-        calls.append(A.shape)
-        return real(A)
+    def recording(self, lam):
+        factor = real(self, lam)
+        calls.append((factor.order, factor.order))
+        return factor
 
-    monkeypatch.setattr(schrodinger, "inertia", recording)
+    monkeypatch.setattr(ShiftFamily, "factor", recording)
     return calls
 
 
@@ -214,11 +216,15 @@ def test_level_inside_a_ritz_interval_falls_back(monkeypatch):
     assert box.count_below(clear) == 5 and box.count_below(top) == 9
     assert fallbacks == [A.shape]
 
-    def zero_pivot(M):
-        inert = inertia(M)
-        return Inertia(inert.n_minus, 1, inert.n_plus - 1)
+    recording = ShiftFamily.factor
 
-    monkeypatch.setattr(schrodinger, "inertia", zero_pivot)
+    def zero_pivot(self, lam):
+        factor = recording(self, lam)
+        inert = factor.inertia
+        factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+        return factor
+
+    monkeypatch.setattr(ShiftFamily, "factor", zero_pivot)
     box = BoxOperator(V, [on, clear, top])
     with pytest.raises(OnEigenvalue, match="box operator"):
         box.count_below(on)

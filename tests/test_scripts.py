@@ -1,6 +1,7 @@
 """Smoke tests of the command-line scripts in scripts/: each runs in its own
 process from a scratch working directory, exits 0 and prints its table."""
 
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +60,28 @@ def test_run_benchmark(tmp_path):
     for prefix in ("ball3d", "gauss2d", "empty1d"):
         assert (tmp_path / "out" / f"{prefix}_counts.csv").is_file()
         assert (tmp_path / "out" / f"{prefix}_bounds.json").is_file()
+
+
+def test_shift_order_ladder(tmp_path):
+    """At 9^3, with this tree on both sides: both runs read the same counts,
+    and each level orders its pinned block and its full pencil once, plus
+    one box operator for the scenario."""
+    src = str(Path(wellspectra.__file__).resolve().parents[1])
+    lines = run_script(
+        "shift_order_ladder.py", "--before", src, "--rungs", "ball3d-9", cwd=tmp_path
+    )
+    assert lines[0].split() == [
+        "rung", "tree", "scenario_s", "split_s", "factors", "mmd", "rss_mb", "digest"
+    ]
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["ball3d-9", "before"], ["ball3d-9", "after"]
+    ]
+    rung = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]["ball3d-9"]
+    assert rung["digest_equal"] and rung["reports_equal"]
+    levels = 3
+    for side in ("before", "after"):
+        run = rung[side]
+        assert run["violations"] == 0
+        assert run["layers"]["splitting_counts"]["calls"] >= 6 * levels
+        assert run["layers"]["assembly"]["calls"] == levels
+        assert run["mmd_orderings"] == 2 * levels + 1
