@@ -15,7 +15,10 @@ At each shift (K - lam*M)_II is factored once: the factor that shows lam is
 off the pinned spectrum is the one that solves for the Poisson matrix, and
 the lam = 0 Poisson matrix P0 can be handed to every consumer of the level.
 Every shift of the pinned block, and every shift of the full pencil, is
-factored through the pencil's shift family, at one fill-reducing order.
+factored through the pencil's shift family, at one fill-reducing order, and
+held only by the caller that asked for it.  A pinned solve at lam <= 0
+checks that K_II is positive definite, also for a pencil that was loaded
+or built without ``assemble_pencil``.
 The boundary count n_minus(S(lam)) still comes from an explicitly formed
 S(lam), so the splitting identity is checked, not assumed.
 """
@@ -28,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .errors import OnEigenvalue, ResolventViolation
+from .errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
 from .eigcount import Factorization, inertia, strict_count
 from .model import AssembledPencil, SpectralSummary
 
@@ -73,28 +76,28 @@ class BoundaryMeasures:
         return self.nu / self.mu
 
 
-def _pinned_factor(p: AssembledPencil, lam: float) -> Factorization:
-    """The one factorization of (K - lam*M)_II; its inertia shows whether
-    lam is on the pinned spectrum, and it solves for that shift.  At
-    lam = 0 it is the K_II factor that assembly already computed; other
-    shifts come from the pinned shift family, ordered as that factor."""
-    if lam == 0.0 and p.K_II_factor is not None:
-        return p.K_II_factor
-    return p.pinned_shifts.factor(lam)
-
-
 def _interior_solve(
     p: AssembledPencil, lam: float, rhs: np.ndarray, factor: Factorization | None = None
 ) -> np.ndarray:
     """Solve (K - lam*M)_II X = rhs after verifying lam is off the pinned
     spectrum (by inertia, so the check is exact up to pivot tolerance).
-    ``factor`` is _pinned_factor(p, lam) if the caller already has it."""
+    ``factor`` is p.pinned_shifts.factor(lam) if the caller already has it.
+
+    At lam <= 0, K_II + |lam| M_II is positive definite when K_II is, so a
+    negative or zero pivot there is SingularDirichletBlock.  This is the
+    pencil's one positive-definiteness check (P0 passes through it), read
+    off the factor that solves."""
     if factor is None:
-        factor = _pinned_factor(p, lam)
-    n_zero = factor.inertia.n_zero
-    if n_zero:
+        factor = p.pinned_shifts.factor(lam)
+    inert = factor.inertia
+    if lam <= 0.0 and (inert.n_minus or inert.n_zero):
+        raise SingularDirichletBlock(
+            f"pinned stiffness block is not positive definite: "
+            f"(n_minus, n_zero, n_plus) = {(inert.n_minus, inert.n_zero, inert.n_plus)}"
+        )
+    if inert.n_zero:
         raise ResolventViolation(
-            f"shift {lam!r} lies on the pinned spectrum (n_zero={n_zero})"
+            f"shift {lam!r} lies on the pinned spectrum (n_zero={inert.n_zero})"
         )
     return factor.solve(rhs)
 
@@ -107,7 +110,7 @@ def poisson_matrix(
 
     At lam = 0 each row is the exit distribution of the lattice walk started
     at that interior node (nonnegative, sums to 1): the discrete harmonic
-    measure.  ``factor`` is _pinned_factor(p, lam) if the caller has it.
+    measure.  ``factor`` is p.pinned_shifts.factor(lam) if the caller has it.
     """
     rhs = -p.K_IB.toarray()
     return _interior_solve(p, lam, rhs, factor)
@@ -226,7 +229,7 @@ def splitting_counts(p: AssembledPencil, lam: float):
     objects (the caller perturbs lam and retries).
     """
     n_full = strict_count(p.full_shifts.factor(lam).inertia, "full pencil")
-    factor = _pinned_factor(p, lam)
+    factor = p.pinned_shifts.factor(lam)
     n_dir = strict_count(factor.inertia, "pinned")
     S = schur_form(p, lam, poisson_matrix(p, lam, factor))
     n_bnd = strict_count(inertia(S), "boundary form")

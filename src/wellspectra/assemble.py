@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.spatial.distance import cdist
 
-from .errors import DetachedComponent, EmptySublevel, SingularDirichletBlock
+from .errors import DetachedComponent, EmptySublevel
 from .model import AssembledPencil, GridSpec, PotentialField, SublevelDecomposition
 
 # above this many nodes, reduce to convex-hull vertices before the
@@ -133,9 +133,9 @@ def assemble_pencil(
     (edges between two boundary nodes carry no energy and are absent by
     construction, so K_BB is diagonal).  M_ii = (V(x_i) - e)_- * h^n on the
     interior and 0 on the boundary; sigma_b counts interface faces, each
-    weighted h^(n-1).  The pinned block K_II is verified positive definite,
-    and the factorization that showed it is kept as ``K_II_factor``; the
-    pinned shift family is ordered by it.
+    weighted h^(n-1).  Nothing is factored here: the pinned block K_II is
+    checked for positive definiteness by the first pinned solve at
+    lam <= 0 (see ``a2r``).
     """
     if abs(dec.level - e) > 1e-12 * max(1.0, abs(e)):
         raise ValueError(f"decomposition level {dec.level} does not match e={e}")
@@ -172,16 +172,4 @@ def assemble_pencil(
     counts = np.bincount(bnd_side - ni, minlength=order - ni)
     sigma = counts.astype(float) * h ** (n - 1)
 
-    pencil = AssembledPencil(grid=grid, dec=dec, K=K, M=M, sigma=sigma)
-
-    from .eigcount import Factorization, ShiftFamily
-
-    pencil.K_II_factor = Factorization(pencil.K_II)
-    pinned = pencil.K_II_factor.inertia
-    if pinned.n_minus or pinned.n_zero:
-        raise SingularDirichletBlock(
-            f"pinned stiffness block is not positive definite: "
-            f"(n_minus, n_zero, n_plus) = {(pinned.n_minus, pinned.n_zero, pinned.n_plus)}"
-        )
-    pencil.pinned_shifts = ShiftFamily(pencil.K_II, pencil.M_interior, first=pencil.K_II_factor)
-    return pencil
+    return AssembledPencil(grid=grid, dec=dec, K=K, M=M, sigma=sigma)

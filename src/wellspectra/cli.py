@@ -49,7 +49,7 @@ from . import a2r, model
 from .assemble import assemble_pencil, classify_nodes
 from .eigcount import count_below, pencil_eigs
 from .errors import ConfigError, EmptySublevel, WellSpectraError
-from .scenario import _nudged, lambda_grid, load_config, run_scenario
+from .scenario import SCHEMA_VERSION, _nudged, lambda_grid, load_config, run_scenario
 from .schrodinger import box_exact_count
 
 
@@ -151,7 +151,7 @@ def _cmd_bounds(args) -> int:
     V = model.build_potential(cfg.family, cfg.grid)
     level = _LevelRun(cfg, V, 0, args.level).run()
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "scenario_id": level.scenario_id,
         "level": args.level,
         "reports": [rep.to_dict() for rep in level.reports],

@@ -19,7 +19,8 @@ normwise backward error.
 fill-reducing order (order once, factor per shift): only the first sparse
 factor of a family runs SuperLU's minimum-degree ordering, and every later
 shift writes its diagonal into a permuted copy of K's data.  The pinned
-block, the full pencil and the box operator each get one family.
+block, the full pencil and the box operator each get one family, which
+keeps that order and no factor.
 
 ``pencil_eigs`` is the dense pinned spectrum (and the oracle of the tests):
 eigenvalues from dsyevr, and eigenvectors, when a caller reads them, from
@@ -299,11 +300,10 @@ class ShiftFamily:
 
     Until that order is known, ``factor`` forms K - lam*diag(m) and factors
     it as any sparse Factorization does, ordered by SuperLU's
-    MMD_AT_PLUS_A.  ``first``, if given, is a Factorization of a member of
-    the family that the caller already holds, and it plays that part.  If
-    the first factor took the sparse path, the family keeps its column order
-    perm = argsort(perm_c), the CSC pattern of K (with its whole diagonal)
-    permuted into that order, and the positions of the diagonal entries.  A
+    MMD_AT_PLUS_A.  If the first factor took the sparse path, the family
+    keeps its column order perm = argsort(perm_c), the CSC pattern of K
+    (with its whole diagonal) permuted into that order, and the positions of
+    the diagonal entries.  A
     later shift writes K_ii - lam*m_i into a copy of the permuted data and
     factors it with ``Factorization(A, perm)``.  Each permuted column keeps
     its rows in the sequence the unpermuted matrix stores them, because
@@ -313,20 +313,15 @@ class ShiftFamily:
     matrix is flagged canonical; it has no duplicate entries.)  A family
     whose first factor did not take the sparse path never reuses an order.
     The guard, the dense fallback and OnEigenvalue apply to every factor.
+    The family keeps an order, never a factor: each Factorization belongs to
+    the caller of ``factor``.
     """
 
-    def __init__(self, K, m, first: Factorization | None = None):
+    def __init__(self, K, m):
         self._K = K
         self._m = np.asarray(m, dtype=float)
         self._decided = False
         self._perm_c = self._perm = None
-        if first is not None:
-            self._learn(first)
-
-    def _learn(self, factor: Factorization):
-        self._decided = True
-        if factor.path == "sparse":
-            self._perm_c = np.array(factor._lu.perm_c)  # a copy: the view pins the factor
 
     def _permute(self):
         """Lay out K's pattern, with its whole diagonal, in the learnt order
@@ -355,7 +350,9 @@ class ShiftFamily:
         if self._perm_c is None:
             factor = Factorization(_shift(self._K, self._m, lam))
             if not self._decided:
-                self._learn(factor)
+                self._decided = True
+                if factor.path == "sparse":
+                    self._perm_c = np.array(factor._lu.perm_c)  # a copy: the view pins the factor
             return factor
         if self._perm is None:
             self._permute()

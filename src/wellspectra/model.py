@@ -312,15 +312,9 @@ class AssembledPencil:
     (``(V - e)_- * h^n`` on interior, zero on boundary), ``sigma`` the
     per-boundary-node surface weights (#interior neighbors * h^(n-1)).
     ``K_II``, ``K_IB`` and ``K_BB`` are sliced from K once per pencil.
-    ``K_II_factor`` is the eigcount.Factorization of ``K_II`` that
-    ``assemble_pencil`` checked for positive definiteness (None when the
-    pencil was built some other way); it solves the lam = 0 problems, and
-    the scenario runner drops it once P0 is computed.  ``pinned_shifts``
-    and ``full_shifts`` are the eigcount.ShiftFamily of (K - lam*M)_II and
-    of K - lam*M.  ``assemble_pencil`` sets the pinned one, ordered by
-    ``K_II_factor``; otherwise each is built on first use and ordered by its
-    own first factor.  ``release_factors`` drops the factor and both
-    families, as the scenario runner does when a level ends.
+    ``pinned_shifts`` and ``full_shifts`` are the eigcount.ShiftFamily of
+    (K - lam*M)_II and of K - lam*M, built on first use and ordered by
+    their own first factor.  A pencil holds no factorization.
     """
 
     grid: GridSpec
@@ -328,7 +322,6 @@ class AssembledPencil:
     K: sp.csr_matrix
     M: np.ndarray
     sigma: np.ndarray
-    K_II_factor: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)
@@ -387,13 +380,6 @@ class AssembledPencil:
         from .eigcount import ShiftFamily
 
         return ShiftFamily(self.K, self.M)
-
-    def release_factors(self):
-        """Drop ``K_II_factor`` and the shift families; a later use builds
-        the families again."""
-        self.K_II_factor = None
-        self.__dict__.pop("pinned_shifts", None)
-        self.__dict__.pop("full_shifts", None)
 
     def to_dict(self) -> dict:
         coo = self.K.tocoo()

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import a2r, bounds
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import heat_trace, inertia, pencil_eigs, strict_count, two_infinity_norm
+from .eigcount import count_below, heat_trace, pencil_eigs, two_infinity_norm
+from .eigcount import inertia  # noqa: F401  (unused; perfbench's tracer test wraps it here)
 from .errors import ConfigError, EmptySublevel, OnEigenvalue
 from .model import (
     HOLDS,
@@ -358,7 +359,6 @@ class _LevelRun:
             pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3
         )
         self.P0 = a2r.poisson_matrix(pencil, 0.0)
-        pencil.K_II_factor = None  # it served P0; pinned_shifts keeps its order
         self.bm = a2r.boundary_measures(pencil, self.P0)
         self.S0 = a2r.schur_form(pencil, 0.0, self.P0)
         self.consts = self._derive_constants()
@@ -387,7 +387,6 @@ class _LevelRun:
                 )
         self._reduction_report()
         self._kernel_constant_report()
-        pencil.release_factors()
         return self
 
     # -- constants ---------------------------------------------------------
@@ -450,7 +449,7 @@ class _LevelRun:
         )
 
         def boundary_count(g):
-            return strict_count(inertia(self.S0 - g * np.diag(self.bm.mu)), "boundary form")
+            return count_below(self.S0, self.bm.mu, g)
 
         gamma, n_gamma = _nudged(boundary_count, gamma0, "gamma")
         counting_ok = n_full <= n_dir + n_gamma

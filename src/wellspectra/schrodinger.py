@@ -16,8 +16,9 @@ every theta_i + r lies below the top shift, those k eigenvalues are the
 bound states, and a lower level's count is #{theta_i < s} whenever every
 theta_i lies farther than r + tau0 from s.  A level that is not certified
 this way is factored on its own, exactly as a direct count would be, so
-OnEigenvalue keeps its meaning; those factors share the fill-reducing order
-of the top-level factor through one ShiftFamily.
+OnEigenvalue keeps its meaning.  The top-level factor is the first factor
+of the box's one ShiftFamily, and those later factors share its
+fill-reducing order.
 """
 
 from __future__ import annotations
@@ -127,8 +128,7 @@ class BoxOperator:
         A, m = self._A, self._m
         top = self.levels[-1]
         try:
-            factor = Factorization(A - top * sp.diags(m))
-            self._shifts = ShiftFamily(A, m, first=factor)
+            factor = self._shifts.factor(top)
             k = self._counts[top] = strict_count(factor.inertia, "box operator")
         except OnEigenvalue as exc:
             self._counts[top] = exc

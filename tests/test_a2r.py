@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_pencil
 from wellspectra.a2r import (
     RESIDUAL_TOL,
     a_lambda_norm,
@@ -17,8 +18,8 @@ from wellspectra.a2r import (
     verify_isomorphism,
 )
 from wellspectra.eigcount import count_below, inertia, pencil_eigs
-from wellspectra.errors import OnEigenvalue, ResolventViolation
-from wellspectra.model import SpectralSummary
+from wellspectra.errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
+from wellspectra.model import AssembledPencil, SpectralSummary
 
 
 def dirichlet_eigs(p):
@@ -134,6 +135,25 @@ def test_extension_on_pinned_eigenvalue_rejected(disk2d):
     mu1 = dirichlet_eigs(p)[0]
     with pytest.raises(ResolventViolation):
         harmonic_extension(p, mu1, np.ones(p.n_boundary))
+
+
+def test_pinned_solves_refuse_a_block_that_is_not_positive_definite():
+    """A pencil built directly, not by assemble_pencil, whose K_II is not
+    positive definite (10*I subtracted on the interior): every lam = 0
+    pinned solve raises SingularDirichletBlock and returns no Poisson
+    matrix."""
+    ball = {"name": "ball_well", "center": [0.0, 0.0], "radius": 1.0, "depth": 12.0}
+    _, p = make_pencil(2, 21, ball, -0.5)
+    lowered = sp.diags(np.r_[np.full(p.n_interior, 10.0), np.zeros(p.n_boundary)])
+    bad = AssembledPencil(grid=p.grid, dec=p.dec, K=(p.K - lowered).tocsr(), M=p.M, sigma=p.sigma)
+    phi = np.ones(p.n_boundary)
+    for solve in (
+        lambda: poisson_matrix(bad, 0.0),
+        lambda: boundary_measures(bad),
+        lambda: harmonic_extension(bad, 0.0, phi),
+    ):
+        with pytest.raises(SingularDirichletBlock, match="not positive definite"):
+            solve()
 
 
 # -------------------------------------------------------------- Schur form

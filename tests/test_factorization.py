@@ -283,15 +283,16 @@ def record_orderings(monkeypatch):
     "dim, case", [(2, SPARSE_CASES_2D[1]), (3, SPARSE_CASES[0]), (3, SPARSE_CASES[2])]
 )
 def test_shift_family_factors_equal_fresh_factors(dim, case, monkeypatch):
-    """Pinned (seeded, as assembly seeds it) and full families at seeded
-    shifts: after the first factor no shift is ordered again, and every
-    family factor has the inertia, the pivots and the solves of a fresh
-    factor of K - lam*diag(m), bit for bit."""
+    """Pinned (seeded at lam = 0, as a level's P0 seeds it) and full
+    families at seeded shifts: after the first factor no shift is ordered
+    again, and every family factor has the inertia, the pivots and the
+    solves of a fresh factor of K - lam*diag(m), bit for bit."""
     family, res, e = case
     _, p = make_pencil(dim, res, family, e)
     rng = np.random.default_rng(22 + dim)
     specs = record_orderings(monkeypatch)
-    seeded = ShiftFamily(p.K_II, p.M_interior, first=Factorization(p.K_II))
+    seeded = ShiftFamily(p.K_II, p.M_interior)
+    seeded.factor(0.0)
     blocks = (
         (seeded, p.K_II, p.M_interior, "NATURAL"),
         (ShiftFamily(p.K, p.M), p.K, p.M, "MMD_AT_PLUS_A"),
@@ -353,14 +354,14 @@ def test_shift_family_on_the_spectrum_raises_like_a_fresh_factor(n):
 
 def test_shift_family_whose_first_factor_fell_back_never_reuses_an_order(monkeypatch):
     """With the guard refusing the first factor, which the dense fallback
-    then answers, every later shift is ordered afresh, seeded or not."""
+    then answers, every later shift is ordered afresh."""
     _, p = make_pencil(2, 57, THREE_WELLS, -1.0)
     K, m = p.K_II, p.M_interior
     real = eigcount._backward_error
     refused = []
 
     def refuse_first(*args):
-        """Refuse the first guard solve since ``refused`` was cleared."""
+        """Refuse the first guard solve."""
         if not refused:
             refused.append(True)
             return np.inf
@@ -368,16 +369,12 @@ def test_shift_family_whose_first_factor_fell_back_never_reuses_an_order(monkeyp
 
     monkeypatch.setattr(eigcount, "_backward_error", refuse_first)
     specs = record_orderings(monkeypatch)
-    first = Factorization((K - 0.5 * sp.diags(m)).tocsr())
-    seeded = ShiftFamily(K, m, first=first)
-    unseeded = ShiftFamily(K, m)
-    refused.clear()
-    assert first.path == unseeded.factor(0.5).path == "dense-fallback"
+    shifts = ShiftFamily(K, m)
+    assert shifts.factor(0.5).path == "dense-fallback"
     del specs[:]
     lams = (0.7, 1.3, 2.9)
     for lam in lams:
-        for shifts in (seeded, unseeded):
-            F = shifts.factor(lam)
-            assert F.path == "sparse" and F._perm is None
-            assert F.inertia == eigvalsh_inertia((K - lam * sp.diags(m)).tocsr())
-    assert specs == ["MMD_AT_PLUS_A"] * 2 * len(lams)
+        F = shifts.factor(lam)
+        assert F.path == "sparse" and F._perm is None
+        assert F.inertia == eigvalsh_inertia((K - lam * sp.diags(m)).tocsr())
+    assert specs == ["MMD_AT_PLUS_A"] * len(lams)

@@ -1,5 +1,7 @@
+import gc
 import json
 import textwrap
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -294,14 +296,23 @@ def _record_factorizations(monkeypatch):
 def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     """One level of a small 3D ball: each sweep shift factors
     (K - lam*M)_II exactly once, P0 and the Gram check run once, the pencil
-    is classified and assembled once, the K_II factor does not outlive P0
-    nor the shift families the level, S(lam) is still formed and factored
-    on its own, and each of the pinned block, the full pencil and the box
-    operator is ordered by minimum degree once."""
+    is classified and assembled once, K_II is factored once (for P0), no
+    factorization outlives the call that used it although the level keeps
+    its pencil, shift families and box operator, S(lam) is still formed and
+    factored on its own, and each of the pinned block, the full pencil and
+    the box operator is ordered by minimum degree once."""
     cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
     V = build_potential(cfg.family, cfg.grid)
 
     factored, orderings = _record_factorizations(monkeypatch)
+    made = []
+    recording_init = eigcount.Factorization.__init__
+
+    def referenced_init(self, A, perm=None):
+        made.append(weakref.ref(self))
+        recording_init(self, A, perm)
+
+    monkeypatch.setattr(eigcount.Factorization, "__init__", referenced_init)
     calls = Counter()
 
     def count_calls(module, name, key=lambda *args: ()):
@@ -333,9 +344,9 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     def times_factored(B):
         return sum(A.shape == B.shape and np.array_equal(A, B) for A in factored)
 
-    assert times_factored(p.K_II.toarray()) == 1  # assembly's check serves P0
-    assert p.K_II_factor is None  # and is dropped once P0 is computed
-    assert "pinned_shifts" not in vars(p) and "full_shifts" not in vars(p)
+    assert times_factored(p.K_II.toarray()) == 1  # the P0 factor, which checks K_II
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
     for row in level.rows:
         lam = row["lambda"]
         assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
@@ -390,14 +401,15 @@ def test_level_on_the_box_spectrum_is_skipped_not_nudged(tmp_path, monkeypatch):
     V = build_potential(cfg.family, cfg.grid)
     attempts = []
 
-    class Singular(eigcount.Factorization):
-        def __init__(self, A):
-            super().__init__(A)
-            attempts.append(A.shape)
-            inert = self.inertia
-            self.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+    class Singular(eigcount.ShiftFamily):
+        def factor(self, lam):
+            factor = super().factor(lam)
+            attempts.append((factor.order, factor.order))
+            inert = factor.inertia
+            factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+            return factor
 
-    monkeypatch.setattr(schrodinger, "Factorization", Singular)
+    monkeypatch.setattr(schrodinger, "ShiftFamily", Singular)
     level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
     assert attempts == [_box_shape(cfg)]
     (rep,) = [r for r in level.reports if r.name == "operator-reduction"]

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from wellspectra import schrodinger
+from wellspectra import eigcount, schrodinger
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.bounds import polya_weyl_report
 from wellspectra.eigcount import ShiftFamily, inertia, pencil_eigs
@@ -124,6 +124,26 @@ def test_reduction_check_reuses_a_given_pencil():
         reduction_check(V, -6.0, 1.0, box=BoxOperator(other, [-6.0]))
 
 
+def test_reduction_check_without_a_pencil_factors_no_pinned_block(monkeypatch):
+    """Without a pencil, reduction_check assembles one but factors no
+    pinned block: the box operator and the full pencil are its only
+    factorizations."""
+    grid = GridSpec(box=((-2.0, 2.0),) * 2, resolution=(21, 21))
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+    V = PotentialField(grid=grid, values=np.minimum(2.0 * (X**2 + Y**2) - 8.0, 0.0))
+    orders = []
+    real = eigcount.Factorization.__init__
+
+    def recording(self, A, perm=None):
+        orders.append(A.shape[0])
+        real(self, A, perm)
+
+    monkeypatch.setattr(eigcount.Factorization, "__init__", recording)
+    reduction_check(V, -2.0, 1.0)
+    pencil = assemble_pencil(classify_nodes(V, -2.0), V, -2.0)
+    assert orders == [assemble_schrodinger(V)[0].shape[0], pencil.order]
+
+
 # ------------------------------------------------ certified box-operator counts
 
 
@@ -169,14 +189,19 @@ def _landscape(dim, name):
 
 
 def _count_direct_calls(monkeypatch):
-    """Record the per-level factorizations BoxOperator falls back to: they
-    come from its shift family."""
+    """Record the per-level factorizations BoxOperator falls back to: every
+    factor of its shift family after the first one, which is the top-level
+    factor."""
     calls = []
+    families = []
     real = ShiftFamily.factor
 
     def recording(self, lam):
         factor = real(self, lam)
-        calls.append((factor.order, factor.order))
+        if any(family is self for family in families):
+            calls.append((factor.order, factor.order))
+        else:
+            families.append(self)
         return factor
 
     monkeypatch.setattr(ShiftFamily, "factor", recording)
@@ -219,9 +244,12 @@ def test_level_inside_a_ritz_interval_falls_back(monkeypatch):
     recording = ShiftFamily.factor
 
     def zero_pivot(self, lam):
+        """Give each fallback factor, not the top-level one, a zero pivot."""
+        before = len(fallbacks)
         factor = recording(self, lam)
-        inert = factor.inertia
-        factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+        if len(fallbacks) > before:
+            inert = factor.inertia
+            factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
         return factor
 
     monkeypatch.setattr(ShiftFamily, "factor", zero_pivot)
