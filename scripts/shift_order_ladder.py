@@ -3,7 +3,7 @@
 
     python3 scripts/shift_order_ladder.py [--before OLD/src] [--after src] \
         [--rungs levels-2d,ball3d-17,ball3d-25,ball3d-33] [--seed 7] \
-        [--repeats 1] [--out BENCH_shift_order.json]
+        [--repeats 5] [--out BENCH_shift_order.json]
 
 A rung is one scenario config of perfbench/workloads.py: ``levels-2d`` (the
 2D three-well landscape with 32 levels) or ``ball3d-R`` (the 3D ball well
@@ -20,8 +20,10 @@ calls and inclusive wall time; ``poisson_matrix`` also runs inside
 * the digest of the integer CSV columns (perfbench's ``rows_digest``);
 * a SHA-256 of the CSV and JSON report bytes.
 
-With ``--repeats N`` every time is the median of N runs; counts and digests
-come from the last run.
+With ``--repeats N`` (5 by default) every time and the peak RSS are the
+median of N runs, with their minimum and maximum beside them (``s_min``,
+``s_max`` per layer; ``scenario_s_min``, ``peak_rss_mb_max`` and so on per
+run); counts and digests come from the last run.
 """
 
 import argparse
@@ -135,13 +137,21 @@ def run_worker(tree: str, rung: str, seed: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _spread(into: dict, key: str, values: list) -> None:
+    """Write the median of ``values`` at ``key``, and their minimum and
+    maximum at ``key_min`` and ``key_max``."""
+    into[key] = statistics.median(values)
+    into[f"{key}_min"], into[f"{key}_max"] = min(values), max(values)
+
+
 def median_run(runs: list) -> dict:
-    """The last run, with every time replaced by the median over ``runs``."""
+    """The last run, with every time and the peak RSS replaced by the
+    median over ``runs``, and their minimum and maximum beside it."""
     out = json.loads(json.dumps(runs[-1]))
-    out["scenario_s"] = statistics.median(r["scenario_s"] for r in runs)
-    out["peak_rss_mb"] = statistics.median(r["peak_rss_mb"] for r in runs)
+    for key in ("scenario_s", "peak_rss_mb"):
+        _spread(out, key, [r[key] for r in runs])
     for label in LAYERS:
-        out["layers"][label]["s"] = statistics.median(r["layers"][label]["s"] for r in runs)
+        _spread(out["layers"][label], "s", [r["layers"][label]["s"] for r in runs])
     return out
 
 
@@ -151,7 +161,7 @@ def main(argv=None) -> int:
     ap.add_argument("--after", default=str(ROOT / "src"), help="src directory to measure")
     ap.add_argument("--rungs", default=DEFAULT_RUNGS)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--repeats", type=int, default=1)
+    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", default="BENCH_shift_order.json")
     ap.add_argument("--worker", nargs=2, metavar=("TREE", "RUNG"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

@@ -1,4 +1,4 @@
-"""Eigenvalue counting via symmetric-indefinite inertia, dense pencil
+"""Eigenvalue counting via symmetric-indefinite inertia, full pencil
 spectra (the brute-force oracle), heat traces and 2->infinity norms.
 
 Counting below a shift never computes eigenvalues: one symmetric
@@ -22,9 +22,13 @@ shift writes its diagonal into a permuted copy of K's data.  The pinned
 block, the full pencil and the box operator each get one family, which
 keeps that order and no factor.
 
-``pencil_eigs`` is the dense pinned spectrum (and the oracle of the tests):
-eigenvalues from dsyevr, and eigenvectors, when a caller reads them, from
-divide and conquer (dsyevd), whose O(n^2) workspace DENSE_CAP bounds.
+``pencil_eigs`` is the pinned spectrum (and the oracle of the tests), by
+one of three routes: eigenvalues alone of a sparse K with every mass
+positive come from band reduction (dsbevd) of its weighted lower band, in
+the given node order, so no order^2 array is formed; eigenvalues alone of
+a dense K, or of a pencil condensed onto its massive nodes, come from
+dsyevr; eigenvectors, when a caller reads them, come from divide and
+conquer (dsyevd), whose O(n^2) workspace DENSE_CAP bounds.
 """
 
 from __future__ import annotations
@@ -379,31 +383,54 @@ def count_below(K, M, lam: float) -> int:
     return strict_count(inertia(_shift(K, m, lam)), "pencil")
 
 
+def _band_eigvalsh(K, m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of D^{-1/2} K D^{-1/2} (D = diag m > 0) for a sparse K,
+    by band reduction (dsbevd) of its lower band in the given node order;
+    K's upper and lower triangles are averaged as in the dense route."""
+    lower = sp.tril((K + K.T) / 2.0, format="csr").tocoo()
+    d = 1.0 / np.sqrt(m)
+    offset = lower.row - lower.col
+    band = np.zeros((int(offset.max(initial=0)) + 1, m.size))
+    band[offset, lower.col] = d[lower.row] * lower.data * d[lower.col]
+    return sla.eig_banded(band, lower=True, eigvals_only=True, overwrite_a_band=True)
+
+
 def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     """All finite generalized eigenvalues of (K, diag M), sorted ascending;
-    dense solve, order capped at DENSE_CAP = 4000.
+    order capped at DENSE_CAP = 4000.
 
     Zero-mass nodes are eliminated exactly: with z the mass-free nodes and p
     the rest, the finite spectrum is that of the condensed pencil
     (K_pp - K_pz K_zz^{-1} K_zp, M_p), and eigenvectors are extended back by
     x_z = -K_zz^{-1} K_zp x_p.  Returned eigenvectors are M-orthonormal.
 
-    Eigenvectors come from LAPACK divide and conquer (dsyevd), which is the
-    fastest dense route for the clustered, degenerate spectra of symmetric
-    wells; its O(n^2) workspace (about 2n^2 doubles, 256 MB at the cap) is
-    what DENSE_CAP bounds.  Eigenvalues alone come from dsyevr.
+    Three routes, after the size cap:
+
+    * eigenvalues alone of a sparse K whose masses are all positive come
+      from band reduction (dsbevd, Schwarz's band tridiagonalization) of the
+      lower band of D^{-1/2} K D^{-1/2}, D = diag M, built from K's sparse
+      entries in the given node order: O(n b) memory for half-bandwidth b,
+      and no order^2 array;
+    * eigenvalues alone of a dense K, or of a pencil with mass-free nodes
+      (whose condensed matrix is dense), come from dsyevr;
+    * eigenvectors come from LAPACK divide and conquer (dsyevd), the
+      fastest dense route for the clustered, degenerate spectra of
+      symmetric wells; its O(n^2) workspace (about 2n^2 doubles, 256 MB at
+      the cap) is what DENSE_CAP bounds.
     """
     order = K.shape[0]
     if order > DENSE_CAP:
         raise SizeCap(f"dense eigensolver capped at order {DENSE_CAP}, got {order}")
     m = _as_mass_vector(M, order)
-    Kd = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
-    Kd = (Kd + Kd.T) / 2.0
-    zero_factor = _check_massless_block(Kd, m)
-
     pos = np.flatnonzero(m > 0.0)
     zero = np.flatnonzero(m == 0.0)
     meta = {"order": order, "mass_rank": int(pos.size)}
+    if not want_vectors and sp.issparse(K) and pos.size and not zero.size:
+        return SpectralSummary(eigenvalues=_band_eigvalsh(K, m), metadata=meta)
+
+    Kd = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
+    Kd = (Kd + Kd.T) / 2.0
+    zero_factor = _check_massless_block(Kd, m)
     if pos.size == 0:
         return SpectralSummary(
             eigenvalues=np.empty(0),

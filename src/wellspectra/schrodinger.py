@@ -93,9 +93,12 @@ class BoxOperator:
     the nonpositive levels of one scenario (see the module docstring).
 
     Nothing is assembled or factored until the first ``count_below``, which
-    certifies every level at once.  Counts and OnEigenvalue errors are kept
-    per level, so each level is counted once; a level outside ``levels``,
-    or one the certificate does not cover, is factored on its own.
+    certifies every level at once.  Counts, and the messages of
+    OnEigenvalue errors, are kept per level, so each level is counted once;
+    a level on the spectrum raises a fresh OnEigenvalue each time (a kept
+    exception's traceback would keep the frames, and the factor, that
+    raised it).  A level outside ``levels``, or one the certificate does not
+    cover, is factored on its own.
     """
 
     def __init__(self, V: PotentialField, levels):
@@ -116,10 +119,10 @@ class BoxOperator:
             try:
                 self._counts[e] = strict_count(self._shifts.factor(e).inertia, "box operator")
             except OnEigenvalue as exc:
-                self._counts[e] = exc
+                self._counts[e] = str(exc)
         count = self._counts[e]
-        if isinstance(count, OnEigenvalue):
-            raise count
+        if isinstance(count, str):
+            raise OnEigenvalue(count)
         return count
 
     def _certify(self):
@@ -131,7 +134,7 @@ class BoxOperator:
             factor = self._shifts.factor(top)
             k = self._counts[top] = strict_count(factor.inertia, "box operator")
         except OnEigenvalue as exc:
-            self._counts[top] = exc
+            self._counts[top] = str(exc)
             return
         lower = self.levels[:-1]
         if not lower:

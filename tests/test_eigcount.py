@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.eigcount import (
     ORTHONORMALITY_TOL,
     count_below,
@@ -20,7 +23,7 @@ from wellspectra.errors import (
     SingularDirichletBlock,
     SizeCap,
 )
-from wellspectra.model import Inertia, SpectralSummary
+from wellspectra.model import GridSpec, Inertia, SpectralSummary, build_potential
 
 
 def path_laplacian(n, dense=True):
@@ -222,6 +225,78 @@ def test_pencil_eigs_on_a_degenerate_ball(ball3d):
     assert np.abs(G - np.eye(X.shape[1])).max() <= ORTHONORMALITY_TOL
     R = K @ X - (m[:, None] * X) * s.eigenvalues
     assert np.abs(R).max() < 1e-10 * np.abs(K).max()
+
+
+#: the benchmark's 2D three-well landscape (57^2 in [-2, 2]^2) at its fixed,
+#: unjittered centres, and two of its 32 levels: one with three sublevel
+#: components and the top one, where the wells have merged
+THREE_WELLS = {
+    "name": "multi_well",
+    "wells": [
+        {"name": "gaussian_well", "center": c, "width": 0.3, "depth": d}
+        for c, d in zip(([-0.75, -0.7], [0.75, -0.7], [0.0, 0.75]), (4.0, 3.0, 2.5))
+    ],
+}
+THREE_COMPONENTS, MERGED = -1.0871, -0.1
+
+
+@pytest.fixture(scope="module")
+def three_wells():
+    grid = GridSpec(box=((-2.0, 2.0),) * 2, resolution=(57, 57))
+    V = build_potential(THREE_WELLS, grid)
+
+    def pinned_block(e):
+        dec = classify_nodes(V, e)
+        return len(dec.components), assemble_pencil(dec, V, e)
+
+    return pinned_block
+
+
+@pytest.mark.parametrize(
+    "case", ["three components", "merged", "diagonal", "order 1", "3D ball"]
+)
+def test_pencil_eigs_values_of_a_sparse_pencil_come_from_its_band(
+    case, three_wells, ball3d, monkeypatch
+):
+    """Eigenvalues alone of a sparse K with positive masses: band reduction
+    matches the dense generalized solver to rtol 1e-10, and no dense
+    eigensolver runs."""
+    rng = np.random.default_rng(7)
+    if case in ("three components", "merged"):
+        components, p = three_wells(THREE_COMPONENTS if case != "merged" else MERGED)
+        assert components == (3 if case != "merged" else 1)
+        K, m = p.K_II, p.M_interior
+    elif case == "diagonal":
+        K, m = sp.diags(rng.uniform(0.5, 5.0, 40)).tocsr(), rng.uniform(0.2, 2.0, 40)
+    elif case == "order 1":
+        K, m = sp.csr_matrix([[3.0]]), np.array([0.5])
+    else:
+        K, m = ball3d[1].K_II, ball3d[1].M_interior
+    ref = sla.eigvalsh(K.toarray(), np.diag(m))
+
+    def dense_solver(*args, **kwargs):
+        raise AssertionError("values-only sparse pencil reached a dense eigensolver")
+
+    monkeypatch.setattr(sla, "eigvalsh", dense_solver)
+    monkeypatch.setattr(sla, "eigh", dense_solver)
+    s = pencil_eigs(K, m)
+    assert s.metadata == {"order": K.shape[0], "mass_rank": K.shape[0]}
+    assert np.allclose(s.eigenvalues, ref, rtol=1e-10, atol=0.0)
+
+
+def test_pencil_eigs_values_need_no_order_squared_array(three_wells):
+    """The merged top-level pencil (order ~1160) costs far less memory than
+    one dense copy of it."""
+    _, p = three_wells(MERGED)
+    order = p.n_interior
+    assert order > 1100
+    tracemalloc.start()
+    try:
+        pencil_eigs(p.K_II, p.M_interior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * order**2 * 8
 
 
 def test_pencil_eigs_zero_mass_rank():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -257,6 +260,31 @@ def test_level_inside_a_ritz_interval_falls_back(monkeypatch):
     with pytest.raises(OnEigenvalue, match="box operator"):
         box.count_below(on)
     assert box.count_below(clear) == 5
+
+
+def test_top_level_on_the_box_spectrum_keeps_no_factor_alive(monkeypatch):
+    """A top level on the box spectrum raises OnEigenvalue at every count,
+    and what the box keeps of that error holds no frame: once the counts
+    have raised, the top-level factor is garbage."""
+    V = _ball_2d()
+    made = []
+    real = ShiftFamily.factor
+
+    def zero_pivot(self, lam):
+        factor = real(self, lam)
+        inert = factor.inertia
+        factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+        made.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(ShiftFamily, "factor", zero_pivot)
+    box = BoxOperator(V, [-30.0, -20.0])
+    for _ in range(2):
+        with pytest.raises(OnEigenvalue, match=r"box operator spectrum \(n_zero=1\)"):
+            box.count_below(-20.0)
+    gc.collect()
+    assert len(made) == 1
+    assert made[0]() is None
 
 
 def test_box_falls_back_when_lanczos_fails(monkeypatch):

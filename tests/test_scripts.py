@@ -63,12 +63,14 @@ def test_run_benchmark(tmp_path):
 
 
 def test_shift_order_ladder(tmp_path):
-    """At 9^3, with this tree on both sides: both runs read the same counts,
-    and each level orders its pinned block and its full pencil once, plus
-    one box operator for the scenario."""
+    """At 9^3, with this tree on both sides and two repeats: both runs read
+    the same counts, each level orders its pinned block and its full pencil
+    once, plus one box operator for the scenario, and every median lies
+    between its recorded minimum and maximum."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
     lines = run_script(
-        "shift_order_ladder.py", "--before", src, "--rungs", "ball3d-9", cwd=tmp_path
+        "shift_order_ladder.py", "--before", src, "--rungs", "ball3d-9", "--repeats", "2",
+        cwd=tmp_path,
     )
     assert lines[0].split() == [
         "rung", "tree", "scenario_s", "split_s", "factors", "mmd", "rss_mb", "digest"
@@ -85,3 +87,7 @@ def test_shift_order_ladder(tmp_path):
         assert run["layers"]["splitting_counts"]["calls"] >= 6 * levels
         assert run["layers"]["assembly"]["calls"] == levels
         assert run["mmd_orderings"] == 2 * levels + 1
+        for spread, key in [(run, "scenario_s"), (run, "peak_rss_mb")] + [
+            (layer, "s") for layer in run["layers"].values()
+        ]:
+            assert spread[f"{key}_min"] <= spread[key] <= spread[f"{key}_max"]
