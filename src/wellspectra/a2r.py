@@ -21,6 +21,19 @@ checks that K_II is positive definite, also for a pencil that was loaded
 or built without ``assemble_pencil``.
 The boundary count n_minus(S(lam)) still comes from an explicitly formed
 S(lam), so the splitting identity is checked, not assumed.
+
+A sweep point needs S(lam) alone, not the |I| x |B| Poisson matrix.  A
+caller that holds the full pinned eigenbasis (mu, X), X^T M_II X = I, hands
+it to ``splitting_counts`` as a ``PinnedEigenpairs``.  On the interior,
+(K - lam*M)_II^{-1} = X diag(1/(mu - lam)) X^T, and M vanishes on B, so
+S(lam) = K_BB - W diag(1/(mu - lam)) W^T with W = K_BI X formed once per
+pencil.  That is two rank-updates (dsyrk) in SciPy's BLAS per shift and no
+pinned solve.  numpy's matmul would run in numpy's own OpenBLAS, whose
+thread pool contends with SciPy's between SuperLU and LAPACK calls.  N_full
+and N_dir still come from their own factorizations, and n_minus(S) from its
+own Bunch-Kaufman factorization, so the identity stays an independent
+check.  Without eigenpairs (2D levels, P0, single counts) S(lam) comes from
+the Poisson matrix.
 """
 
 from __future__ import annotations
@@ -29,10 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
 from scipy.spatial import cKDTree
 
 from .errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
-from .eigcount import Factorization, inertia, strict_count
+from .eigcount import Eigenbasis, Factorization, inertia, strict_count
 from .model import AssembledPencil, SpectralSummary
 
 #: relative residual contract for harmonic extensions and form identities
@@ -158,6 +172,42 @@ def schur_form(
     return (S + S.T) / 2.0
 
 
+class PinnedEigenpairs:
+    """The full pinned eigenbasis of a pencil, held for its Schur forms.
+
+    ``basis`` holds all |I| eigenpairs (mu, X) of (K_II, M_II), checked
+    M_II-orthonormal when it was made.  The boundary coupling W = K_BI X is
+    formed once, Fortran-ordered, so that the BLAS reads it in place.
+    """
+
+    def __init__(self, p: AssembledPencil, basis: Eigenbasis):
+        X = basis.eigenvectors
+        if X.shape != (p.n_interior, p.n_interior):
+            raise ValueError("S(lam) from eigenpairs needs all pinned eigenpairs")
+        if not np.array_equal(basis.weights, p.M_interior):
+            raise ValueError("the eigenbasis was checked against other masses")
+        self.eigenvalues = basis.eigenvalues
+        self._W = np.asfortranarray(p.K_IB.T @ X)
+        self._K_BB = p.K_BB.toarray()
+
+    def schur_form(self, lam: float) -> np.ndarray:
+        """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense and exactly
+        symmetric: the eigenvalues below lam enter through one dsyrk and
+        those above through another, each on W's columns scaled by
+        |mu - lam|^(-1/2).  A shift equal to a pinned eigenvalue is
+        OnEigenvalue."""
+        mu, W = self.eigenvalues, self._W
+        below = int(np.searchsorted(mu, lam))
+        if below < mu.size and mu[below] == lam:
+            raise OnEigenvalue(f"shift {lam!r} coincides with a pinned eigenvalue")
+        scale = 1.0 / np.sqrt(np.abs(mu - lam))
+        S = np.array(self._K_BB, order="F")
+        for alpha, cols in ((-1.0, slice(below, mu.size)), (1.0, slice(0, below))):
+            if cols.start < cols.stop:
+                S = dsyrk(alpha, W[:, cols] * scale[cols], beta=1.0, c=S, lower=1, overwrite_c=1)
+        return np.tril(S) + np.tril(S, -1).T
+
+
 def boundary_measures(
     p: AssembledPencil, P0: np.ndarray | None = None
 ) -> BoundaryMeasures:
@@ -220,18 +270,27 @@ def verify_isomorphism(p: AssembledPencil, lam: float, phi: np.ndarray) -> float
     return float(np.linalg.norm(lhs - rhs) / scale)
 
 
-def splitting_counts(p: AssembledPencil, lam: float):
+def splitting_counts(
+    p: AssembledPencil, lam: float, eigenpairs: PinnedEigenpairs | None = None
+):
     """Counting functions of the full pencil, the pinned pencil and the
     boundary form at the same shift, plus the exact-identity flag
     N_full == N_dir + n_minus(S(lam)).
 
+    N_full and N_dir are read off factorizations of their own.  S(lam) is
+    formed from ``eigenpairs``, the pencil's PinnedEigenpairs, when the
+    caller holds them, and otherwise from the Poisson matrix solved with the
+    pinned factor; its count comes from its own Bunch-Kaufman factor.
     Raises OnEigenvalue if lam sits on the spectrum of any of the three
     objects (the caller perturbs lam and retries).
     """
     n_full = strict_count(p.full_shifts.factor(lam).inertia, "full pencil")
     factor = p.pinned_shifts.factor(lam)
     n_dir = strict_count(factor.inertia, "pinned")
-    S = schur_form(p, lam, poisson_matrix(p, lam, factor))
+    if eigenpairs is None:
+        S = schur_form(p, lam, poisson_matrix(p, lam, factor))
+    else:
+        S = eigenpairs.schur_form(lam)
     n_bnd = strict_count(inertia(S), "boundary form")
     return n_full, n_dir, n_bnd, (n_full == n_dir + n_bnd)
 

@@ -15,9 +15,10 @@ seeded from the config.  Sweep points run serially, in order.
 
 Each spectral object is computed once per scenario and only as far as a
 report reads it: pinned eigenvectors only in dimension >= 3, where the
-semigroup 2->infinity norm reads them, and the box operator's bound-state
-counts for all levels from one ``BoxOperator``, built by the first
-operator-reduction check.
+semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
+read them (checked w-orthonormal once per level), and the box operator's
+bound-state counts for all levels from one ``BoxOperator``, certified
+before the first level, while the resident set is smallest.
 
 Config schema::
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import a2r, bounds
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import count_below, heat_trace, pencil_eigs, two_infinity_norm
+from .eigcount import Eigenbasis, count_below, heat_trace, pencil_eigs, two_infinity_norm
 from .eigcount import inertia  # noqa: F401  (unused; perfbench's tracer test wraps it here)
 from .errors import ConfigError, EmptySublevel, OnEigenvalue
 from .model import (
@@ -354,10 +355,15 @@ class _LevelRun:
             "diameter": float(dec.diameter),
         }
 
-        # only the 2->infinity norm reads eigenvectors, and only for n >= 3
+        # eigenvectors only for n >= 3: the 2->infinity norm and the sweep
+        # points' S(lambda) read them, through one checked basis
         self.dir_spec = pencil_eigs(
             pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3
         )
+        basis = self.eigenpairs = None
+        if self.dir_spec.eigenvectors is not None:
+            basis = Eigenbasis(self.dir_spec, pencil.M_interior)
+            self.eigenpairs = a2r.PinnedEigenpairs(pencil, basis)
         self.P0 = a2r.poisson_matrix(pencil, 0.0)
         self.bm = a2r.boundary_measures(pencil, self.P0)
         self.S0 = a2r.schur_form(pencil, 0.0, self.P0)
@@ -369,8 +375,8 @@ class _LevelRun:
         )
         t_grid = np.geomspace(sweep.t_min, sweep.t_max, len(lam_grid))
         two_inf = [None] * len(t_grid)
-        if self.consts is not None and self.dir_spec.eigenvectors is not None:
-            two_inf = two_infinity_norm(self.dir_spec, pencil.M_interior, t_grid)
+        if self.consts is not None and basis is not None:
+            two_inf = two_infinity_norm(basis, pencil.M_interior, t_grid)
         for lam, t, two in zip(lam_grid, t_grid, two_inf):
             row, reports = self._sweep_point(lam, t, two)
             self.rows.append(row)
@@ -440,7 +446,9 @@ class _LevelRun:
 
     def _sweep_point(self, lam0: float, t: float, two_inf: float | None):
         def counting(lam):
-            n_full, n_dir, n_bnd, identity = a2r.splitting_counts(self.pencil, lam)
+            n_full, n_dir, n_bnd, identity = a2r.splitting_counts(
+                self.pencil, lam, self.eigenpairs
+            )
             gamma = a2r.a_lambda_norm(self.dir_spec, lam)
             return n_full, n_dir, n_bnd, identity, gamma
 
@@ -636,6 +644,7 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
     V = build_potential(cfg.family, cfg.grid)
 
     box = BoxOperator(V, cfg.levels)
+    box.certify()
     rows = []
     violations = []
     scenario_docs = []

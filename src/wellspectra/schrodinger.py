@@ -92,29 +92,44 @@ class BoxOperator:
     """Bound-state counts of the box operator -Laplacian + min(V, 0) below
     the nonpositive levels of one scenario (see the module docstring).
 
-    Nothing is assembled or factored until the first ``count_below``, which
-    certifies every level at once.  Counts, and the messages of
-    OnEigenvalue errors, are kept per level, so each level is counted once;
-    a level on the spectrum raises a fresh OnEigenvalue each time (a kept
-    exception's traceback would keep the frames, and the factor, that
-    raised it).  A level outside ``levels``, or one the certificate does not
+    Nothing is assembled or factored until ``certify``, or the first
+    ``count_below``, which certifies every level at once.  Counts, and the
+    messages of OnEigenvalue errors, are kept per level, so each level is
+    counted once; a level on the spectrum raises a fresh OnEigenvalue each
+    time (a kept exception's traceback would keep the frames, and the
+    factor, that raised it).  A level outside ``levels``, or one the certificate does not
     cover, is factored on its own.
     """
 
     def __init__(self, V: PotentialField, levels):
         self.potential = V
         self.levels = sorted({float(e) for e in levels if e <= 0})
-        self._A = self._m = self._shifts = None
+        self._A = self._m = self._shifts = self._error = None
         self._counts = {}
+
+    def certify(self):
+        """Assemble the operator and certify the levels' counts, once.  An
+        exception is kept, without its traceback, and raised by the next
+        ``count_below``, exactly as if that count had certified: a failed
+        assembly is retried by the count after it, a failed certificate is
+        not."""
+        if self._A is not None or self._error is not None:
+            return
+        try:
+            self._A, self._m = assemble_schrodinger(_clamped(self.potential))
+            self._shifts = ShiftFamily(self._A, self._m)
+            self._certify()
+        except Exception as exc:
+            self._error = exc.with_traceback(None)
 
     def count_below(self, e: float) -> int:
         """Number of box-operator eigenvalues strictly below e, or
         OnEigenvalue if e lies on that spectrum."""
         e = float(e)
-        if self._A is None:
-            self._A, self._m = assemble_schrodinger(_clamped(self.potential))
-            self._shifts = ShiftFamily(self._A, self._m)
-            self._certify()
+        self.certify()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
         if e not in self._counts:
             try:
                 self._counts[e] = strict_count(self._shifts.factor(e).inertia, "box operator")

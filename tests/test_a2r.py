@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import make_pencil
 from wellspectra.a2r import (
     RESIDUAL_TOL,
+    PinnedEigenpairs,
     a_lambda_norm,
     boundary_measures,
     estimate_poisson_constant,
@@ -17,9 +18,10 @@ from wellspectra.a2r import (
     splitting_counts,
     verify_isomorphism,
 )
-from wellspectra.eigcount import count_below, inertia, pencil_eigs
+from wellspectra.eigcount import Eigenbasis, count_below, inertia, pencil_eigs
 from wellspectra.errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
 from wellspectra.model import AssembledPencil, SpectralSummary
+from wellspectra.scenario import lambda_grid
 
 
 def dirichlet_eigs(p):
@@ -316,6 +318,55 @@ def test_splitting_identity_against_dense_oracle(disk2d):
         assert ok
         assert n_full == int((full < lam).sum())
         assert n_dir == int((mus < lam).sum())
+
+
+#: seeded 3D pencils for the two routes to S(lam): (resolution, family, level)
+SCHUR_CASES = [
+    (9, {"name": "ball_well", "center": [0.0, 0.0, 0.0], "radius": 1.0, "depth": 12.0}, -0.5),
+    (11, {"name": "gaussian_well", "center": [0.1, -0.2, 0.0], "width": 0.55, "depth": 8.0}, -1.5),
+    (13, {"name": "band_limited_random", "seed": 5, "cutoff": 3, "amplitude": 8.0}, -1.0),
+]
+
+#: the routes may differ, relative to max|S|, by this much times the
+#: condition number mu_max / min_k |mu_k - lam| of the shifted pinned pencil:
+#: the eigenpairs carry a backward error of order eps * mu_max, and a sparse
+#: pinned factor is admitted up to a backward error of 1e-10 (largest ratio
+#: seen on these cases: 3.6e-13, the Poisson route near a degenerate cluster)
+SCHUR_ROUTE_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("res, family, e", SCHUR_CASES)
+def test_spectral_schur_form_matches_the_poisson_route(res, family, e):
+    """S(lam) from the pinned eigenpairs against S(lam) from the Poisson
+    matrix, at the default shift grid and at shifts 1e-6 relative from
+    pinned eigenvalues: equal inertia, entries within the stated bound, and
+    equal splitting counts."""
+    _, p = make_pencil(3, res, family, e)
+    s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
+    pinned = PinnedEigenpairs(p, Eigenbasis(s, p.M_interior))
+    mus = s.eigenvalues
+    shifts = list(lambda_grid(mus, None, None, 6))
+    for k in (0, 1, 4, 9):
+        shifts += [mus[k] * (1.0 - 1e-6), mus[k] * (1.0 + 1e-6)]
+    for lam in shifts:
+        poisson, spectral = schur_form(p, lam), pinned.schur_form(lam)
+        assert np.array_equal(spectral, spectral.T)
+        assert inertia(spectral) == inertia(poisson)
+        cond = mus[-1] / np.abs(mus - lam).min()
+        scale = np.abs(poisson).max()
+        assert np.abs(spectral - poisson).max() <= SCHUR_ROUTE_RTOL * cond * scale
+        assert splitting_counts(p, lam, pinned) == splitting_counts(p, lam)
+
+
+def test_spectral_schur_form_needs_the_whole_checked_basis(ball3d):
+    _, p = ball3d
+    s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
+    head = SpectralSummary(eigenvalues=s.eigenvalues[:5], eigenvectors=s.eigenvectors[:, :5])
+    with pytest.raises(ValueError):
+        PinnedEigenpairs(p, Eigenbasis(head, p.M_interior))
+    pinned = PinnedEigenpairs(p, Eigenbasis(s, p.M_interior))
+    with pytest.raises(OnEigenvalue):
+        pinned.schur_form(float(s.eigenvalues[3]))
 
 
 def test_splitting_below_spectrum_is_zero(disk2d):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.eigcount import (
     ORTHONORMALITY_TOL,
+    Eigenbasis,
     count_below,
     heat_trace,
     inertia,
@@ -299,6 +300,37 @@ def test_pencil_eigs_values_need_no_order_squared_array(three_wells):
     assert peak < 0.25 * order**2 * 8
 
 
+def test_sparse_mass_matrix_needs_no_order_squared_array(three_wells):
+    """A sparse diagonal mass is read through its stored entries: on the
+    merged pencil (order ~1160) the spectrum and a count with M given as a
+    sparse matrix cost far less memory than one dense copy of M."""
+    _, p = three_wells(MERGED)
+    order = p.n_interior
+    M = sp.diags(p.M_interior).tocsr()
+    tracemalloc.start()
+    try:
+        values = pencil_eigs(p.K_II, M).eigenvalues
+        count = count_below(p.K_II, M, float(values[5] + values[6]) / 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * order**2 * 8
+    assert count == 6
+    assert np.array_equal(values, pencil_eigs(p.K_II, p.M_interior).eigenvalues)
+
+
+def test_sparse_mass_matrix_must_be_diagonal():
+    K = path_laplacian(4, dense=False)
+    off = sp.coo_matrix(([1.0, 1e-30], ([0, 1], [0, 2])), shape=(4, 4)) + sp.eye(4)
+    with pytest.raises(ValueError, match="diagonal"):
+        count_below(K, off, 1.0)
+    # entries that cancel are no entry, as in the dense check
+    cancel = sp.coo_matrix(([1.0, 1.0, -1.0], ([0, 1, 1], [0, 2, 2])), shape=(4, 4))
+    assert count_below(K, cancel + sp.eye(4), 0.7) == count_below(K, np.r_[2.0, 1, 1, 1], 0.7)
+    with pytest.raises(ValueError):
+        count_below(K, sp.eye(5), 1.0)
+
+
 def test_pencil_eigs_zero_mass_rank():
     s = pencil_eigs(np.eye(3), np.zeros(3), want_vectors=True)
     assert s.count == 0
@@ -381,6 +413,20 @@ def test_two_infinity_t_to_zero_completeness(rng):
     assert two_infinity_norm(s, w, 1e-9) == pytest.approx(
         1.0 / np.sqrt(w.min()), rel=1e-6
     )
+
+
+def test_two_infinity_reads_a_checked_basis_without_checking_again(rng, monkeypatch):
+    n = 9
+    B = rng.normal(size=(n, n))
+    w = rng.uniform(0.5, 2.0, size=n)
+    s = pencil_eigs(B @ B.T + np.eye(n), w, want_vectors=True)
+    basis = Eigenbasis(s, w)
+    ts = np.array([0.2, 1.0])
+    expected = two_infinity_norm(s, w, ts)
+    monkeypatch.setattr(Eigenbasis, "__init__", None)  # no second check
+    assert np.array_equal(two_infinity_norm(basis, w, ts), expected)
+    with pytest.raises(ValueError):
+        two_infinity_norm(basis, 2.0 * w, ts)
 
 
 def test_two_infinity_requires_vectors_and_normalization(rng):

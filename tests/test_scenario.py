@@ -298,9 +298,10 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     (K - lam*M)_II exactly once, P0 and the Gram check run once, the pencil
     is classified and assembled once, K_II is factored once (for P0), no
     factorization outlives the call that used it although the level keeps
-    its pencil, shift families and box operator, S(lam) is still formed and
-    factored on its own, and each of the pinned block, the full pencil and
-    the box operator is ordered by minimum degree once."""
+    its pencil, shift families and box operator, S(lam) is still formed (from
+    the level's pinned eigenpairs) and factored on its own, and each of the
+    pinned block, the full pencil and the box operator is ordered by minimum
+    degree once."""
     cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
     V = build_potential(cfg.family, cfg.grid)
 
@@ -350,7 +351,7 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     for row in level.rows:
         lam = row["lambda"]
         assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
-        assert times_factored(a2r.schur_form(p, lam)) == 1
+        assert times_factored(level.eigenpairs.schur_form(lam)) == 1
         assert times_factored((p.K - lam * sp.diags(p.M)).toarray()) == 1
     assert orderings == {p.n_interior: 1, p.order: 1, _box_shape(cfg)[0]: 1}
 
@@ -416,3 +417,68 @@ def test_level_on_the_box_spectrum_is_skipped_not_nudged(tmp_path, monkeypatch):
     assert rep.verdict == NOT_APPLICABLE and rep.lhs is None
     assert rep.notes == "skipped: shift lies on the box operator spectrum (n_zero=1)"
     assert level.violations == []
+
+
+def test_3d_level_makes_one_multi_column_pinned_solve(tmp_path, monkeypatch):
+    """A 3D level solves the pinned block for a block of right-hand sides
+    once, for P0; every sweep point reads S(lam) off the level's eigenpairs."""
+    cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
+    V = build_potential(cfg.family, cfg.grid)
+    block_solves = []
+    real_solve = eigcount.Factorization.solve
+
+    def recording_solve(self, rhs):
+        if np.ndim(rhs) == 2:
+            block_solves.append((self.order, np.shape(rhs)[1]))
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(eigcount.Factorization, "solve", recording_solve)
+    level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
+    p = level.pencil
+    assert len(level.rows) == 4 and level.violations == []
+    assert level.eigenpairs is not None
+    assert block_solves == [(p.n_interior, p.n_boundary)]
+
+
+def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeypatch):
+    """The box operator is factored and certified before any level computes
+    its pinned spectrum, so its factor never sits on top of one."""
+    events = []
+    real_certify = schrodinger.BoxOperator._certify
+    real_eigs = scenario.pencil_eigs
+
+    def certify(self):
+        events.append("box")
+        return real_certify(self)
+
+    def eigs(*args, **kwargs):
+        events.append("pencil_eigs")
+        return real_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(schrodinger.BoxOperator, "_certify", certify)
+    monkeypatch.setattr(scenario, "pencil_eigs", eigs)
+    result = run_scenario(_write(tmp_path, SMALL_3D), out_dir=tmp_path / "out")
+    assert result.exit_code == 0
+    assert events == ["box", "pencil_eigs"]
+
+
+def test_a_failed_box_certificate_is_reported_by_the_first_level_that_counts(
+    tmp_path, monkeypatch
+):
+    """An exception raised while certifying the box before the levels run is
+    kept and raised by the first box count, whose report is skipped with its
+    message; the next level counts its own shift, as it would had the
+    certificate been made inside the first count."""
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("Lanczos broke down")
+
+    monkeypatch.setattr(schrodinger, "_bound_states", failing)
+    result = run_scenario(_write(tmp_path, SMALL_2D), out_dir=tmp_path / "out")
+    notes = [
+        (rep["verdict"], rep["notes"])
+        for sc in result.document["scenarios"]
+        for rep in sc["reports"]
+        if rep["name"] == "operator-reduction"
+    ]
+    assert notes == [(NOT_APPLICABLE, "skipped: Lanczos broke down"), (HOLDS, "")]
