@@ -295,13 +295,13 @@ def _record_factorizations(monkeypatch):
 
 def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     """One level of a small 3D ball: each sweep shift factors
-    (K - lam*M)_II exactly once, P0 and the Gram check run once, the pencil
-    is classified and assembled once, K_II is factored once (for P0), no
-    factorization outlives the call that used it although the level keeps
-    its pencil, shift families and box operator, S(lam) is still formed (from
-    the level's pinned eigenpairs) and factored on its own, and each of the
-    pinned block, the full pencil and the box operator is ordered by minimum
-    degree once."""
+    (K - lam*M)_II exactly once, P0 and the Gram check (one Eigenbasis) run
+    once, the pencil is classified and assembled once, K_II is factored once
+    (for P0), no factorization outlives the call that used it although the
+    level keeps its pencil, shift families and box operator, S(lam) is still
+    formed (from the level's pinned eigenpairs) and factored on its own, and
+    each of the pinned block, the full pencil and the box operator is
+    ordered by minimum degree once."""
     cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
     V = build_potential(cfg.family, cfg.grid)
 
@@ -327,6 +327,7 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
 
     count_calls(a2r, "poisson_matrix", key=lambda p, lam, *rest: (float(lam),))
     count_calls(scenario, "two_infinity_norm")
+    count_calls(scenario, "Eigenbasis")
     for module in (scenario, schrodinger):
         count_calls(module, "classify_nodes")
         count_calls(module, "assemble_pencil")
@@ -338,6 +339,7 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     assert level.dir_spec.eigenvectors is not None  # the 2->inf norm reads them
     assert calls[("poisson_matrix", 0.0)] == 1
     assert calls[("two_infinity_norm",)] == 1
+    assert calls[("Eigenbasis",)] == 1  # the one w-orthonormality check
     assert calls[("classify_nodes",)] == 1
     assert calls[("assemble_pencil",)] == 1
     p = level.pencil
