@@ -8,7 +8,7 @@
 A rung is one scenario config of perfbench/workloads.py: ``levels-2d`` (the
 2D three-well landscape with 32 levels) or ``ball3d-R`` (the 3D ball well
 at R^3).  Each (tree, rung) run is a fresh process that imports wellspectra
-from the tree, wraps five layers at their import sites and runs the
+from the tree, wraps seven layers at their import sites and runs the
 scenario once.  The trees alternate, before first.  Per layer it records
 calls and inclusive wall time; ``poisson_matrix`` also runs inside
 ``splitting_counts``.  Per run it records:
@@ -49,11 +49,13 @@ from workloads import ball3d_config, levels2d_config, rows_digest  # noqa: E402
 
 #: layer label -> (wellspectra module, function)
 LAYERS = {
+    "classification": ("assemble", "classify_nodes"),
     "assembly": ("assemble", "assemble_pencil"),
     "pencil_eigs": ("eigcount", "pencil_eigs"),
     "poisson_matrix": ("a2r", "poisson_matrix"),
     "splitting_counts": ("a2r", "splitting_counts"),
     "reduction_check": ("schrodinger", "reduction_check"),
+    "poisson_constant": ("a2r", "estimate_poisson_constant"),
 }
 DEFAULT_RUNGS = "levels-2d,ball3d-17,ball3d-25,ball3d-33"
 

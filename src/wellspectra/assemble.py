@@ -16,29 +16,24 @@ from scipy.spatial.distance import cdist
 from .errors import DetachedComponent, EmptySublevel
 from .model import AssembledPencil, GridSpec, PotentialField, SublevelDecomposition
 
-# above this many nodes, reduce to convex-hull vertices before the
-# pairwise-distance scan
-_HULL_SWITCH = 1500
+def _diameter(grid: GridSpec, interior: np.ndarray, boundary: np.ndarray) -> float:
+    """Max Euclidean distance between two nodes of I union B.
 
-
-def _points_diameter(pts: np.ndarray) -> float:
-    """Max Euclidean distance between any two rows of ``pts``."""
-    if pts.shape[0] <= 1:
-        return 0.0
-    if pts.shape[1] == 1:
-        return float(pts.max() - pts.min())
-    if pts.shape[0] > _HULL_SWITCH:
-        try:
-            from scipy.spatial import ConvexHull
-
-            pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            # degenerate (collinear/coplanar) point sets: scan directly
-            pass
+    The maximum is attained at vertices of the convex hull, so only B and
+    the interior nodes on a face of the box are scanned: an interior node
+    off the faces is the midpoint of two lattice neighbours, which lie in
+    I union B, so it is no hull vertex.  The faces count because a sublevel
+    set may touch the box, where its extreme nodes can be interior.
+    """
+    face = np.zeros(grid.shape, dtype=bool)
+    for ax in range(grid.dimension):
+        ends = [slice(None)] * grid.dimension
+        ends[ax] = [0, -1]
+        face[tuple(ends)] = True
+    pts = grid.node_coords(np.concatenate([boundary, interior[face.ravel()[interior]]]))
     best = 0.0
     for start in range(0, pts.shape[0], 512):
-        block = pts[start : start + 512]
-        best = max(best, float(cdist(block, pts).max()))
+        best = max(best, float(cdist(pts[start : start + 512], pts).max()))
     return best
 
 
@@ -112,14 +107,13 @@ def classify_nodes(
                 "neighbor; the sublevel region must sit strictly inside the box"
             )
 
-    pts = grid.node_coords(np.concatenate([interior, boundary]))
     return SublevelDecomposition(
         level=float(e),
         interior=interior,
         boundary=boundary,
         edges=edges,
         components=components,
-        diameter=_points_diameter(pts),
+        diameter=_diameter(grid, interior, boundary),
     )
 
 

@@ -6,9 +6,9 @@ sides they induce for counting functions, heat traces and 2->infinity norms.
 Measured left-hand sides come from the other modules; pairing happens in
 BoundReports.
 
-Two constants the theory leaves unspecified — the trace-inequality offset
-``b`` and the kernel-comparison constant ``c_P`` — are configuration inputs;
-empirical estimators are provided and clearly flagged as such.  Every
+The trace-inequality offset ``b``, which the theory leaves unspecified, is a
+configuration input; an empirical estimator is provided and clearly flagged
+as such.  Every
 evaluator here requires dimension n >= 3: the bounds are false in low
 dimension.
 """

@@ -30,7 +30,7 @@ Config schema::
     [levels]     values = comma separated energies, or count/min/max
     [sweeps]     points (shared grid length), lambda_min, lambda_max,
                  t_min, t_max (all optional)
-    [constants]  p, L_n, b, c_P, omega_convention, b_samples, cp_samples
+    [constants]  p, L_n, b, omega_convention, b_samples
     [output]     directory, prefix
     [seed]       value
 """
@@ -104,10 +104,8 @@ class ConstantsSpec:
     p: float = 3.0
     L_n: float | None = None
     b: float | None = None
-    c_P: float | None = None
     omega_convention: str = bounds.SPHERE_AREA
     b_samples: int = 200
-    cp_samples: int = 2000
 
 
 @dataclass
@@ -216,7 +214,7 @@ def load_config(path) -> ScenarioConfig:
         consts = ConstantsSpec()
         if cp.has_section("constants"):
             consts.p = float(_get(cp, "constants", "p", consts.p))
-            for key in ("L_n", "b", "c_P"):
+            for key in ("L_n", "b"):
                 val = _get(cp, "constants", key)
                 if val is not None:
                     setattr(consts, key, float(val))
@@ -224,9 +222,6 @@ def load_config(path) -> ScenarioConfig:
                 cp, "constants", "omega_convention", consts.omega_convention
             )
             consts.b_samples = int(_get(cp, "constants", "b_samples", consts.b_samples))
-            consts.cp_samples = int(
-                _get(cp, "constants", "cp_samples", consts.cp_samples)
-            )
         if consts.omega_convention not in (bounds.SPHERE_AREA, bounds.BALL_VOLUME):
             raise ConfigError(
                 f"unknown omega_convention {consts.omega_convention!r}"
@@ -605,23 +600,15 @@ class _LevelRun:
             )
 
     def _kernel_constant_report(self):
-        cfg = self.cfg
-        if cfg.grid.dimension < 2:
+        if self.cfg.grid.dimension < 2:
             return
-        if cfg.constants.c_P is not None:
-            value, note = cfg.constants.c_P, "c_P supplied by configuration"
-        else:
-            value = a2r.estimate_poisson_constant(
-                self.pencil, cfg.constants.cp_samples, seed=cfg.seed, P0=self.P0
-            )
-            note = (
-                f"c_P estimated from {cfg.constants.cp_samples} sampled "
-                "interior/boundary pairs (EMPIRICAL)"
-            )
+        value = a2r.estimate_poisson_constant(self.pencil, P0=self.P0)
+        pairs = int(np.count_nonzero(self.P0 > 0))
+        note = f"c_P exact: maximum over all {pairs} interior/boundary pairs with P0 > 0"
         self.reports.append(
             BoundReport(
                 name="poisson-kernel-constant",
-                constants={"c_P": float(value)},
+                constants={"c_P": value},
                 point={"e": self.e},
                 rhs=None,
                 lhs=None,
@@ -662,6 +649,7 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
             "reports": [rep.to_dict() for rep in level.reports],
         }
         scenario_docs.append(doc)
+        del level  # its pencil, P0 and eigenpairs go before the next level's
 
     document = {
         "schema_version": SCHEMA_VERSION,

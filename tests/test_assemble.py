@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from wellspectra.assemble import _points_diameter, assemble_pencil, classify_nodes
+from scipy.spatial.distance import cdist
+
+from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.eigcount import pencil_eigs
 from wellspectra.errors import DetachedComponent, EmptySublevel
 from wellspectra.model import GridSpec, PotentialField, build_potential
@@ -167,17 +169,40 @@ def test_level_mismatch_rejected(path3):
         assemble_pencil(p.dec, V, -0.25)
 
 
-def test_diameter_hull_path_matches_direct_scan(rng):
-    pts = rng.normal(size=(2000, 3))
-    from scipy.spatial.distance import cdist
+@pytest.mark.parametrize("dim,res", [(1, 12), (2, 9), (3, 6)])
+def test_diameter_matches_brute_force(dim, res):
+    """The diameter scans B and the interior nodes on the box faces only, and
+    equals, bit for bit, the largest distance between any two nodes of
+    I union B, on random sublevel sets that often touch the box faces."""
+    rng = np.random.default_rng(dim)
+    grid = GridSpec(box=((-1.0, 1.0),) * dim, resolution=(res,) * dim)
+    face = np.zeros(grid.shape, dtype=bool)
+    for ax in range(dim):
+        ends = [slice(None)] * dim
+        ends[ax] = [0, -1]
+        face[tuple(ends)] = True
+    checked = touching = 0
+    for _ in range(40):
+        V = PotentialField(grid=grid, values=rng.uniform(-1.0, 1.0, size=grid.shape))
+        try:
+            dec = classify_nodes(V, float(rng.uniform(-0.9, 0.0)))
+        except (EmptySublevel, DetachedComponent):
+            continue
+        pts = grid.node_coords(np.concatenate([dec.interior, dec.boundary]))
+        assert dec.diameter == cdist(pts, pts).max()
+        checked += 1
+        touching += bool(face.ravel()[dec.interior].any())
+    assert checked >= 30 and touching >= 10
 
-    assert _points_diameter(pts) == pytest.approx(cdist(pts, pts).max())
 
-
-def test_diameter_degenerate_collinear():
-    t = np.linspace(0.0, 3.0, 1700)
-    pts = np.stack([t, 2.0 * t], axis=1)
-    assert _points_diameter(pts) == pytest.approx(3.0 * np.sqrt(5.0))
+def test_diameter_of_a_region_touching_the_box_reaches_its_interior_end():
+    """An interior run from the box edge has a single boundary node, so the
+    diameter comes from the interior node on the face."""
+    grid = GridSpec(box=((0.0, 1.0),), resolution=(11,))
+    values = np.where(np.arange(11) < 4, -2.0, 1.0)
+    dec = classify_nodes(PotentialField(grid=grid, values=values), -1.0)
+    assert dec.boundary.size == 1
+    assert dec.diameter == pytest.approx(0.4)
 
 
 def test_eigenvalues_stable_under_refinement():

@@ -99,6 +99,16 @@ def test_load_bundled_benchmark_config():
     assert cfg.seed == 7
 
 
+def test_load_config_ignores_retired_constants_keys(tmp_path):
+    """c_P and cp_samples are no longer read; a config that sets them loads
+    as before."""
+    text = SMALL_3D.replace("cp_samples = 100", "cp_samples = 100\n    c_P = 12.5")
+    cfg = load_config(_write(tmp_path, text))
+    assert cfg.constants.b_samples == 40 and cfg.constants.L_n == 0.1156
+    assert not hasattr(cfg.constants, "c_P")
+    assert not hasattr(cfg.constants, "cp_samples")
+
+
 def test_load_config_level_range(tmp_path):
     path = _write(
         tmp_path,
@@ -223,6 +233,11 @@ def test_run_scenario_3d_bounds(tmp_path):
     assert "EMPIRICAL" in sc["constants"]["b_provenance"]
     names = [rep["name"] for rep in sc["reports"]]
     assert "semigroup-2inf-bound" in names
+    (kernel,) = [rep for rep in sc["reports"] if rep["name"] == "poisson-kernel-constant"]
+    pairs = sc["n_interior"] * sc["n_boundary"]  # one component: P0 > 0 everywhere
+    assert kernel["notes"] == (
+        f"c_P exact: maximum over all {pairs} interior/boundary pairs with P0 > 0"
+    )
     assert "operator-count-bound" in names  # L_n was supplied
     for rep in sc["reports"]:
         assert rep["verdict"] in ("holds", "not-applicable"), rep
@@ -356,6 +371,31 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
         assert times_factored(level.eigenpairs.schur_form(lam)) == 1
         assert times_factored((p.K - lam * sp.diags(p.M)).toarray()) == 1
     assert orderings == {p.n_interior: 1, p.order: 1, _box_shape(cfg)[0]: 1}
+
+
+def test_each_level_is_released_before_the_next_starts(tmp_path, monkeypatch):
+    """run_scenario lets go of a level (its pencil, P0, eigenpairs and W)
+    before the next level classifies its nodes, so two levels never share
+    the peak."""
+    pencils = []
+    alive = []
+    real_classify, real_assemble = scenario.classify_nodes, scenario.assemble_pencil
+
+    def classify(*args, **kwargs):
+        alive.append([ref() is not None for ref in pencils])
+        return real_classify(*args, **kwargs)
+
+    def assemble(*args, **kwargs):
+        pencil = real_assemble(*args, **kwargs)
+        pencils.append(weakref.ref(pencil))
+        return pencil
+
+    monkeypatch.setattr(scenario, "classify_nodes", classify)
+    monkeypatch.setattr(scenario, "assemble_pencil", assemble)
+    text = SMALL_3D.replace("values = -0.5", "values = -0.5, -2.0, -6.0")
+    result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / "out")
+    assert result.exit_code == 0
+    assert alive == [[], [False], [False, False]]
 
 
 def test_2d_level_computes_no_eigenvectors(tmp_path, monkeypatch):

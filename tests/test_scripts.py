@@ -85,7 +85,9 @@ def test_shift_order_ladder(tmp_path):
         run = rung[side]
         assert run["violations"] == 0
         assert run["layers"]["splitting_counts"]["calls"] >= 6 * levels
+        assert run["layers"]["classification"]["calls"] == levels
         assert run["layers"]["assembly"]["calls"] == levels
+        assert run["layers"]["poisson_constant"]["calls"] == levels
         assert run["mmd_orderings"] == 2 * levels + 1
         for spread, key in [(run, "scenario_s"), (run, "peak_rss_mb")] + [
             (layer, "s") for layer in run["layers"].values()
