@@ -13,6 +13,8 @@ scenario once.  The trees alternate, before first.  Per layer it records
 calls and inclusive wall time; ``poisson_matrix`` also runs inside
 ``splitting_counts``.  Per run it records:
 
+* the wall time of the worker's ``from wellspectra import ...`` (numpy is
+  loaded by then);
 * the scenario wall time;
 * the factorizations by path (``Factorization.path``);
 * the SuperLU minimum-degree (MMD_AT_PLUS_A) orderings;
@@ -23,7 +25,7 @@ calls and inclusive wall time; ``poisson_matrix`` also runs inside
 With ``--repeats N`` (5 by default) every time and the peak RSS are the
 median of N runs, with their minimum and maximum beside them (``s_min``,
 ``s_max`` per layer; ``scenario_s_min``, ``peak_rss_mb_max`` and so on per
-run); counts and digests come from the last run.
+run; ``import_s`` likewise); counts and digests come from the last run.
 """
 
 import argparse
@@ -84,8 +86,10 @@ def _timed(fn, total):
 def measure(tree: str, rung: str, seed: int) -> dict:
     """One scenario run of ``rung`` with wellspectra imported from ``tree``."""
     sys.path.insert(0, tree)
+    start = time.perf_counter()
     from wellspectra import eigcount, scenario
 
+    imported = time.perf_counter() - start
     totals = {label: {"calls": 0, "s": 0.0} for label in LAYERS}
     for label, (module_name, attr) in LAYERS.items():
         original = getattr(importlib.import_module(f"wellspectra.{module_name}"), attr)
@@ -117,6 +121,7 @@ def measure(tree: str, rung: str, seed: int) -> dict:
         csv_text = result.csv_path.read_text()
         reports = result.csv_path.read_bytes() + result.json_path.read_bytes()
     return {
+        "import_s": imported,
         "scenario_s": wall,
         "layers": totals,
         "factorizations": dict(sorted(paths.items())),
@@ -150,7 +155,7 @@ def median_run(runs: list) -> dict:
     """The last run, with every time and the peak RSS replaced by the
     median over ``runs``, and their minimum and maximum beside it."""
     out = json.loads(json.dumps(runs[-1]))
-    for key in ("scenario_s", "peak_rss_mb"):
+    for key in ("import_s", "scenario_s", "peak_rss_mb"):
         _spread(out, key, [r[key] for r in runs])
     for label in LAYERS:
         _spread(out["layers"][label], "s", [r["layers"][label]["s"] for r in runs])
@@ -186,8 +191,9 @@ def main(argv=None) -> int:
             rungs[rung]["reports_equal"] = before["reports_sha256"] == after["reports_sha256"]
 
     doc = {
-        "what": "per-layer wall time (inclusive), factorizations by path, minimum-degree "
-        "orderings, peak RSS and integer digest of one scenario run per tree and rung",
+        "what": "import time, per-layer wall time (inclusive), factorizations by path, "
+        "minimum-degree orderings, peak RSS and integer digest of one scenario run per "
+        "tree and rung",
         "seed": args.seed,
         "repeats": args.repeats,
         "host": {

@@ -43,8 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
 from .eigcount import Eigenbasis, Factorization, inertia, strict_count
@@ -314,10 +312,10 @@ def estimate_poisson_constant(p: AssembledPencil, P0: np.ndarray | None = None) 
     distance from x to the nearest boundary node.  Pairs in different
     components (P0[x, y] = 0) compare nothing and are skipped.
 
-    The ratio is formed in place in one |I| x |B| array.  ``P0`` is the
-    lam = 0 Poisson matrix, computed if not given.  The name predates the
-    exhaustive maximum and is kept, since callers (the benchmark's tracer
-    among them) look it up by name.
+    The ratio is formed in place in one |I| x |B| array of the distances,
+    whose row minima are d(x).  ``P0`` is the lam = 0 Poisson matrix,
+    computed if not given.  The name predates the exhaustive maximum and is
+    kept, since callers (the benchmark's tracer among them) look it up.
     """
     n = p.grid.dimension
     if n < 2:
@@ -326,10 +324,11 @@ def estimate_poisson_constant(p: AssembledPencil, P0: np.ndarray | None = None) 
         P0 = poisson_matrix(p, 0.0)
     xi = p.grid.node_coords(p.dec.interior)
     yb = p.grid.node_coords(p.dec.boundary)
-    ratio = cdist(xi, yb)
+    ratio = p.grid.squared_distances(xi, yb, np.empty((len(xi), len(yb))))
+    d = np.sqrt(ratio, out=ratio).min(axis=1, keepdims=True)
     ratio **= n
     ratio *= P0
-    ratio /= cKDTree(yb).query(xi)[0][:, None]
+    ratio /= d
     ratio /= p.sigma
     positive = P0 > 0
     high = ratio.max(where=positive, initial=1.0)

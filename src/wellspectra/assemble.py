@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from scipy.spatial.distance import cdist
 
 from .errors import DetachedComponent, EmptySublevel
 from .model import AssembledPencil, GridSpec, PotentialField, SublevelDecomposition
@@ -31,10 +30,10 @@ def _diameter(grid: GridSpec, interior: np.ndarray, boundary: np.ndarray) -> flo
         ends[ax] = [0, -1]
         face[tuple(ends)] = True
     pts = grid.node_coords(np.concatenate([boundary, interior[face.ravel()[interior]]]))
-    best = 0.0
-    for start in range(0, pts.shape[0], 512):
-        best = max(best, float(cdist(pts[start : start + 512], pts).max()))
-    return best
+    out = np.empty((min(512, len(pts)), len(pts)))
+    blocks = (pts[start : start + 512] for start in range(0, len(pts), 512))
+    best = max((grid.squared_distances(a, pts, out[: len(a)]).max() for a in blocks), default=0.0)
+    return float(np.sqrt(best))
 
 
 def _lattice_edges(grid: GridSpec, keep_mask: np.ndarray) -> np.ndarray:

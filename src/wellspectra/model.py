@@ -90,6 +90,20 @@ class GridSpec:
         multi = np.unravel_index(np.asarray(indices, dtype=int), self.shape)
         return np.stack([ax[i] for ax, i in zip(self.axes(), multi)], axis=-1)
 
+    @staticmethod
+    def squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write |a_i - b_j|^2 into ``out[i, j]`` and return ``out``, summed
+        coordinate by coordinate in 64-row blocks as SciPy's ``cdist`` sums,
+        so ``np.sqrt(out)`` equals its Euclidean distances bit for bit."""
+        diff = np.empty((min(64, len(a)), len(b)))
+        for start in range(0, len(a), 64):
+            block = out[start : start + 64]
+            block.fill(0.0)
+            for ai, bi in zip(a[start : start + 64].T, b.T):
+                d = np.subtract.outer(ai, bi, out=diff[: len(block)])
+                block += np.multiply(d, d, out=d)
+        return out
+
     def to_dict(self) -> dict:
         return {
             "kind": "grid",

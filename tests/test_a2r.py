@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from conftest import make_pencil
 from wellspectra.a2r import (
@@ -360,6 +362,17 @@ def test_spectral_schur_form_matches_the_poisson_route(res, family, e):
         assert splitting_counts(p, lam, pinned) == splitting_counts(p, lam)
 
 
+def test_schur_cases_include_masses_that_span_decades():
+    """The 13^3 band-limited case is the pencil on which the eigenpair route
+    to S(lam) is least accurate (its error grows with eps * mu_max), so the
+    route comparison above keeps covering it only while it stays this badly
+    scaled: |I| = 240, |B| = 231, masses over four decades, mu_max > 2e5."""
+    _, p = make_pencil(3, *SCHUR_CASES[2])
+    assert (len(p.dec.interior), len(p.dec.boundary)) == (240, 231)
+    assert p.M_interior.max() / p.M_interior.min() > 2e4
+    assert pencil_eigs(p.K_II, p.M_interior).eigenvalues[-1] > 2e5
+
+
 def test_spectral_schur_form_needs_the_whole_checked_basis(ball3d):
     _, p = ball3d
     s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
@@ -493,6 +506,16 @@ def test_poisson_constant_matches_brute_force(shape, disk2d):
     c = estimate_poisson_constant(p, P0=P0)
     assert c > 1.0
     assert c == pytest.approx(_brute_poisson_constant(p, P0), rel=1e-13)
+    # scipy.spatial as the oracle, bit for bit: d(x), the row minimum of
+    # c_P's distance array, is the k-d tree's nearest boundary distance, and
+    # c_P is the value of the cdist/cKDTree formula
+    xi = p.grid.node_coords(p.dec.interior)
+    yb = p.grid.node_coords(p.dec.boundary)
+    d = cKDTree(yb).query(xi)[0]
+    dist = np.sqrt(p.grid.squared_distances(xi, yb, np.empty((len(xi), len(yb)))))
+    assert np.array_equal(dist.min(axis=1), d)
+    ratio = cdist(xi, yb) ** p.grid.dimension * P0 / d[:, None] / p.sigma
+    assert c == max(ratio.max(), 1.0 / ratio.min())
 
 
 def test_poisson_constant_skips_pairs_in_different_components():

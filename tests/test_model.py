@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from wellspectra import model
 from wellspectra.errors import UnknownFamily
@@ -35,6 +40,36 @@ def test_node_coords_match_the_meshgrid(resolution):
     assert np.array_equal(g.node_coords(idx), pts[idx])
     assert np.array_equal(g.node_coords(), pts)
     assert g.node_coords([]).shape == (0, len(resolution))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 64, 130])
+def test_squared_distances_match_cdist_bit_for_bit(dim, rows):
+    """The square root of the helper's output is SciPy's Euclidean cdist,
+    bit for bit, for one row, a full 64-row block and a ragged last block."""
+    rng = np.random.default_rng(100 * dim + rows)
+    a = rng.normal(scale=3.0, size=(rows, dim))
+    b = rng.uniform(-5.0, 5.0, size=(97, dim))
+    out = np.full((rows, 97), np.nan)
+    assert GridSpec.squared_distances(a, b, out) is out
+    assert np.array_equal(np.sqrt(out), cdist(a, b))
+
+
+def test_package_import_leaves_out_scipy_spatial():
+    """Importing the package and its CLI, in a fresh interpreter, loads none
+    of scipy.spatial and what it pulls in."""
+    code = (
+        "import sys, wellspectra, wellspectra.cli; "
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.special', 'scipy.constants') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_grid_rejects_bad_inputs():
