@@ -33,7 +33,7 @@ def measure(resolution, lams, ts, gammas):
     bm = a2r.boundary_measures(pencil, P0)
     S0 = a2r.schur_form(pencil, 0.0, P0)
 
-    dmu_p, _, dnu_dmu = a2r.radon_nikodym_report(bm, pencil.sigma, P)
+    dmu_p, _, dnu_dmu = a2r.radon_nikodym_report(bm, P)
     q, S_trace = bounds.trace_sobolev_constants(3)
     b = bounds.estimate_b(S0, bm, pencil.sigma, q, S_trace, 200, seed=7)
     c = bounds.BoundConstants.derive(

@@ -22,30 +22,31 @@ or built without ``assemble_pencil``.
 The boundary count n_minus(S(lam)) still comes from an explicitly formed
 S(lam), so the splitting identity is checked, not assumed.
 
-A sweep point needs S(lam) alone, not the |I| x |B| Poisson matrix.  A
-caller that holds the full pinned eigenbasis (mu, X), X^T M_II X = I, hands
-it to ``splitting_counts`` as a ``PinnedEigenpairs``.  On the interior,
+A level reads its pinned spectrum through one ``PinnedSpectrum``, built
+from the pinned eigenvalues, with the eigenvectors X (X^T M_II X = I) when
+the caller computed them.  A sweep point needs S(lam) alone, not the
+|I| x |B| Poisson matrix.  On the interior,
 (K - lam*M)_II^{-1} = X diag(1/(mu - lam)) X^T, and M vanishes on B, so
 S(lam) = K_BB - W diag(1/(mu - lam)) W^T with W = K_BI X formed once per
-pencil.  That is two rank-updates (dsyrk) in SciPy's BLAS per shift and no
-pinned solve.  numpy's matmul would run in numpy's own OpenBLAS, whose
-thread pool contends with SciPy's between SuperLU and LAPACK calls.  N_full
-and N_dir still come from their own factorizations, and n_minus(S) from its
-own Bunch-Kaufman factorization, so the identity stays an independent
-check.  Without eigenpairs (2D levels, P0, single counts) S(lam) comes from
-the Poisson matrix.
+pencil, after which X is let go.  That is two rank-updates (dsyrk) in
+SciPy's BLAS per shift and no pinned solve.  numpy's matmul would run in
+numpy's own OpenBLAS, whose thread pool contends with SciPy's between
+SuperLU and LAPACK calls.  N_full and N_dir still come from their own
+factorizations, and n_minus(S) from its own Bunch-Kaufman factorization,
+so the identity stays an independent check.  Without eigenvectors (2D
+levels, P0, single counts) S(lam) comes from the Poisson matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from .errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
-from .eigcount import Eigenbasis, Factorization, inertia, strict_count
+from .eigcount import Factorization, inertia, strict_count, two_infinity_norm
 from .model import AssembledPencil, SpectralSummary
 
 #: relative residual contract for harmonic extensions and form identities
@@ -171,31 +172,40 @@ def schur_form(
     return (S + S.T) / 2.0
 
 
-class PinnedEigenpairs:
-    """The full pinned eigenbasis of a pencil, held for its Schur forms.
+class PinnedSpectrum:
+    """The one holder of a level's pinned spectrum, built from all |I|
+    eigenvalues ``s = pencil_eigs(K_II, M_II)`` and the sweep's time grid
+    ``t``.
 
-    ``basis`` holds all |I| eigenpairs (mu, X) of (K_II, M_II), checked
-    M_II-orthonormal when it was made.  The boundary coupling W = K_BI X is
-    formed once, Fortran-ordered, so that the BLAS reads it in place.
+    ``summary`` holds the eigenvalues alone (the shift grid, a_lambda_norm
+    and the heat trace read them).  When ``s`` carries eigenvectors X,
+    ``two_infinity`` holds the semigroup's 2->infinity norms at the times
+    ``t`` (that call is the level's one M_II-orthonormality check of X), and
+    the boundary coupling W = K_BI X is formed once, Fortran-ordered, so
+    that the BLAS reads it in place; otherwise ``two_infinity`` is None.
+    Nothing keeps X, so the |I|^2 array is freed once the caller lets go of
+    ``s``.
     """
 
-    def __init__(self, p: AssembledPencil, basis: Eigenbasis):
-        X = basis.eigenvectors
-        if X.shape != (p.n_interior, p.n_interior):
-            raise ValueError("S(lam) from eigenpairs needs all pinned eigenpairs")
-        if not np.array_equal(basis.weights, p.M_interior):
-            raise ValueError("the eigenbasis was checked against other masses")
-        self.eigenvalues = basis.eigenvalues
-        self._W = np.asfortranarray(p.K_IB.T @ X)
-        self._K_BB = p.K_BB.toarray()
+    def __init__(self, p: AssembledPencil, s: SpectralSummary, t):
+        if s.count != p.n_interior:
+            raise ValueError("the pinned spectrum needs all |I| eigenvalues")
+        self.summary = replace(s, eigenvectors=None)
+        self.two_infinity = self._W = self._K_BB = None
+        if s.eigenvectors is not None:
+            self.two_infinity = two_infinity_norm(s, p.M_interior, t)
+            self._W = np.asfortranarray(p.K_IB.T @ s.eigenvectors)
+            self._K_BB = p.K_BB.toarray()
 
-    def schur_form(self, lam: float) -> np.ndarray:
+    def schur_form(self, lam: float) -> np.ndarray | None:
         """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense and exactly
-        symmetric: the eigenvalues below lam enter through one dsyrk and
-        those above through another, each on W's columns scaled by
-        |mu - lam|^(-1/2).  A shift equal to a pinned eigenvalue is
-        OnEigenvalue."""
-        mu, W = self.eigenvalues, self._W
+        symmetric, or None when the spectrum came without eigenvectors: the
+        eigenvalues below lam enter through one dsyrk and those above
+        through another, each on W's columns scaled by |mu - lam|^(-1/2).
+        A shift equal to a pinned eigenvalue is OnEigenvalue."""
+        if self._W is None:
+            return None
+        mu, W = self.summary.eigenvalues, self._W
         below = int(np.searchsorted(mu, lam))
         if below < mu.size and mu[below] == lam:
             raise OnEigenvalue(f"shift {lam!r} coincides with a pinned eigenvalue")
@@ -270,15 +280,15 @@ def verify_isomorphism(p: AssembledPencil, lam: float, phi: np.ndarray) -> float
 
 
 def splitting_counts(
-    p: AssembledPencil, lam: float, eigenpairs: PinnedEigenpairs | None = None
+    p: AssembledPencil, lam: float, spectrum: PinnedSpectrum | None = None
 ):
     """Counting functions of the full pencil, the pinned pencil and the
     boundary form at the same shift, plus the exact-identity flag
     N_full == N_dir + n_minus(S(lam)).
 
     N_full and N_dir are read off factorizations of their own.  S(lam) is
-    formed from ``eigenpairs``, the pencil's PinnedEigenpairs, when the
-    caller holds them, and otherwise from the Poisson matrix solved with the
+    formed from ``spectrum``, the pencil's PinnedSpectrum, when it holds
+    eigenvectors, and otherwise from the Poisson matrix solved with the
     pinned factor; its count comes from its own Bunch-Kaufman factor.
     Raises OnEigenvalue if lam sits on the spectrum of any of the three
     objects (the caller perturbs lam and retries).
@@ -286,23 +296,20 @@ def splitting_counts(
     n_full = strict_count(p.full_shifts.factor(lam).inertia, "full pencil")
     factor = p.pinned_shifts.factor(lam)
     n_dir = strict_count(factor.inertia, "pinned")
-    if eigenpairs is None:
+    S = None if spectrum is None else spectrum.schur_form(lam)
+    if S is None:
         S = schur_form(p, lam, poisson_matrix(p, lam, factor))
-    else:
-        S = eigenpairs.schur_form(lam)
     n_bnd = strict_count(inertia(S), "boundary form")
     return n_full, n_dir, n_bnd, (n_full == n_dir + n_bnd)
 
 
-def radon_nikodym_report(bm: BoundaryMeasures, sigma: np.ndarray, p: float):
+def radon_nikodym_report(bm: BoundaryMeasures, p: float):
     """Norms of the boundary density ratios:
     (|dmu/dsigma|_{L^p(sigma)}, |dnu/dsigma|_inf, |dnu/dmu|_inf)."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0:
+    if bm.sigma.size == 0:
         raise ValueError("empty boundary")
-    dmu = bm.mu / sigma
-    lp = float((np.sum(dmu**p * sigma)) ** (1.0 / p))
-    return lp, float(np.max(bm.nu / sigma)), float(np.max(bm.nu / bm.mu))
+    lp = float((np.sum(bm.dmu_dsigma**p * bm.sigma)) ** (1.0 / p))
+    return lp, float(np.max(bm.dnu_dsigma)), float(np.max(bm.dnu_dmu))
 
 
 def estimate_poisson_constant(p: AssembledPencil, P0: np.ndarray | None = None) -> float:

@@ -480,52 +480,33 @@ def heat_trace(s: SpectralSummary, t: float) -> float:
 ORTHONORMALITY_TOL = 1e-8
 
 
-class Eigenbasis:
-    """The eigenpairs (mu, X) of a SpectralSummary whose eigenvectors passed
-    the w-orthonormality check, made once at construction:
-    max |X^T diag(w) X - I| <= ORTHONORMALITY_TOL, else ValueError.  The
-    Gram matrix is one dsyrk of diag(sqrt w) X in SciPy's BLAS.  Every
-    consumer of the eigenvectors (``two_infinity_norm``, and the spectral
-    Schur forms of ``a2r.PinnedEigenpairs``) reads them through one basis,
-    so a level checks its eigenvectors once."""
-
-    def __init__(self, s: SpectralSummary, w):
-        if s.eigenvectors is None:
-            raise MissingVectors("an eigenbasis needs eigenvectors")
-        X = s.eigenvectors
-        w = np.asarray(w, dtype=float)
-        if w.shape != X.shape[:1]:
-            raise ValueError("one weight per eigenvector entry")
-        # the lower triangle of Y^T Y, Y = diag(sqrt w) X; Y.T is Fortran-ordered
-        # when X is C-ordered, so dsyrk reads it without a copy
-        gram = dsyrk(1.0, (np.sqrt(w)[:, None] * X).T, lower=1)
-        gram[np.diag_indices_from(gram)] -= 1.0
-        if not np.abs(np.tril(gram)).max(initial=0.0) <= ORTHONORMALITY_TOL:
-            raise ValueError("eigenvectors are not w-orthonormal")
-        self.eigenvalues = s.eigenvalues
-        self.eigenvectors = X
-        self.weights = w
-
-
-def two_infinity_norm(s, w, t):
+def two_infinity_norm(s: SpectralSummary, w, t):
     """Exact 2->infinity operator norm of the discrete semigroup exp(-tL) on
     the weighted space l2(w): max over nodes x of
     (sum_k exp(-2 t mu_k) u_k(x)^2)^(1/2).
 
     ``t`` is one time or a 1-D grid of times; a grid returns one norm per
-    time.  ``s`` is an Eigenbasis checked against the weights w, or a
-    SpectralSummary, whose eigenvectors are then checked here (one
-    w-orthonormality check per call); the weights enter only through that
-    normalization.
+    time.  The eigenvectors of ``s`` are checked w-orthonormal first,
+    max |X^T diag(w) X - I| <= ORTHONORMALITY_TOL, else ValueError; the
+    Gram matrix is one dsyrk of diag(sqrt w) X in SciPy's BLAS.  The weights
+    enter only through that normalization.
     """
-    if not isinstance(s, Eigenbasis):
-        s = Eigenbasis(s, w)
-    elif not np.array_equal(s.weights, w):
-        raise ValueError("the eigenbasis was checked against other weights")
+    if s.eigenvectors is None:
+        raise MissingVectors("the 2->infinity norm needs eigenvectors")
+    U = s.eigenvectors
+    w = np.asarray(w, dtype=float)
+    if w.shape != U.shape[:1]:
+        raise ValueError("one weight per eigenvector entry")
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("needs t > 0")
-    U = s.eigenvectors
+    # the lower triangle of Y^T Y, Y = diag(sqrt w) U; Y.T is Fortran-ordered
+    # when U is C-ordered, so dsyrk reads it without a copy
+    gram = dsyrk(1.0, (np.sqrt(w)[:, None] * U).T, lower=1)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if not np.abs(np.tril(gram)).max(initial=0.0) <= ORTHONORMALITY_TOL:
+        raise ValueError("eigenvectors are not w-orthonormal")
+    del gram
     decay = np.exp(-2.0 * np.multiply.outer(s.eigenvalues, ts.ravel()))
     norms = np.sqrt(np.max((U * U) @ decay, axis=0))
     return float(norms[0]) if ts.ndim == 0 else norms

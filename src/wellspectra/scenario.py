@@ -14,11 +14,16 @@ with ``repr``, rows are produced in sweep order, and every random draw is
 seeded from the config.  Sweep points run serially, in order.
 
 Each spectral object is computed once per scenario and only as far as a
-report reads it: pinned eigenvectors only in dimension >= 3, where the
+report reads it.  A level holds its pinned spectrum in one
+``a2r.PinnedSpectrum``: the eigenvalues, and in dimension >= 3, where the
 semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
-read them (checked w-orthonormal once per level), and the box operator's
-bound-state counts for all levels from one ``BoxOperator``, certified
-before the first level, while the resident set is smallest.
+read the eigenvectors, the norms over the time grid (whose computation
+checks the eigenvectors w-orthonormal, once per level) and W = K_BI X; the
+|I|^2 eigenvector array is freed before the first sweep point.  The
+boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
+P0, which no other object keeps.  The box operator's bound-state counts for all levels
+come from one ``BoxOperator``, certified before the first level, while the
+resident set is smallest.
 
 Config schema::
 
@@ -46,7 +51,7 @@ import numpy as np
 
 from . import a2r, bounds
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import Eigenbasis, count_below, heat_trace, pencil_eigs, two_infinity_norm
+from .eigcount import count_below, heat_trace, pencil_eigs
 from .eigcount import inertia  # noqa: F401  (unused; perfbench's tracer test wraps it here)
 from .errors import ConfigError, EmptySublevel, OnEigenvalue
 from .model import (
@@ -151,10 +156,9 @@ def _get(cp, section, key, default=None):
 
 def load_config(path) -> ScenarioConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
         dim = cp.getint("grid", "dimension")
         box_raw = cp.get("grid", "box")
         box = tuple(
@@ -210,6 +214,10 @@ def load_config(path) -> ScenarioConfig:
             sweep.t_max = float(_get(cp, "sweeps", "t_max", sweep.t_max))
         if sweep.points < 1:
             raise ConfigError("sweeps.points must be >= 1")
+        if not (sweep.t_min > 0 and sweep.t_max > 0):
+            raise ConfigError(
+                f"sweeps.t_min and t_max must be > 0, got {sweep.t_min} and {sweep.t_max}"
+            )
 
         consts = ConstantsSpec()
         if cp.has_section("constants"):
@@ -350,28 +358,30 @@ class _LevelRun:
             "diameter": float(dec.diameter),
         }
 
-        # eigenvectors only for n >= 3: the 2->infinity norm and the sweep
-        # points' S(lambda) read them, through one checked basis
-        self.dir_spec = pencil_eigs(
-            pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3
+        # eigenvectors only for n >= 3, where the 2->infinity norm and the
+        # sweep points' S(lambda) read them; the spectrum lets go of them
+        sweep = self.cfg.sweep
+        t_grid = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
+        self.spectrum = a2r.PinnedSpectrum(
+            pencil,
+            pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3),
+            t_grid,
         )
-        basis = self.eigenpairs = None
-        if self.dir_spec.eigenvectors is not None:
-            basis = Eigenbasis(self.dir_spec, pencil.M_interior)
-            self.eigenpairs = a2r.PinnedEigenpairs(pencil, basis)
-        self.P0 = a2r.poisson_matrix(pencil, 0.0)
-        self.bm = a2r.boundary_measures(pencil, self.P0)
-        self.S0 = a2r.schur_form(pencil, 0.0, self.P0)
+        # P0 stays a local until the level ends: dropped before the sweep, it
+        # doubled the minor page faults of a levels-2d run under glibc's
+        # malloc (15.6k to 31.4k), and the run took about 12 % longer
+        P0 = a2r.poisson_matrix(pencil, 0.0)
+        self.bm = a2r.boundary_measures(pencil, P0)
+        self.S0 = a2r.schur_form(pencil, 0.0, P0)
+        kernel_report = self._kernel_constant_report(P0)
         self.consts = self._derive_constants()
 
-        sweep = self.cfg.sweep
         lam_grid = lambda_grid(
-            self.dir_spec.eigenvalues, sweep.lambda_min, sweep.lambda_max, sweep.points
+            self.spectrum.summary.eigenvalues, sweep.lambda_min, sweep.lambda_max, sweep.points
         )
-        t_grid = np.geomspace(sweep.t_min, sweep.t_max, len(lam_grid))
-        two_inf = [None] * len(t_grid)
-        if self.consts is not None and basis is not None:
-            two_inf = two_infinity_norm(basis, pencil.M_interior, t_grid)
+        two_inf = self.spectrum.two_infinity
+        if two_inf is None:
+            two_inf = [None] * len(t_grid)
         for lam, t, two in zip(lam_grid, t_grid, two_inf):
             row, reports = self._sweep_point(lam, t, two)
             self.rows.append(row)
@@ -387,7 +397,8 @@ class _LevelRun:
                     f"lambda={row['lambda']!r}"
                 )
         self._reduction_report()
-        self._kernel_constant_report()
+        if kernel_report is not None:
+            self.reports.append(kernel_report)
         return self
 
     # -- constants ---------------------------------------------------------
@@ -400,9 +411,7 @@ class _LevelRun:
         p = cfg.constants.p
         normW1 = self.V.norm(self.e, 1.0)
         normWp = self.V.norm(self.e, p)
-        dmu_p, dnu_sig_inf, dnu_dmu_inf = a2r.radon_nikodym_report(
-            self.bm, self.pencil.sigma, p
-        )
+        dmu_p, dnu_sig_inf, dnu_dmu_inf = a2r.radon_nikodym_report(self.bm, p)
         b = cfg.constants.b
         b_note = "b supplied by configuration"
         if b is None and p > n - 1:
@@ -442,9 +451,9 @@ class _LevelRun:
     def _sweep_point(self, lam0: float, t: float, two_inf: float | None):
         def counting(lam):
             n_full, n_dir, n_bnd, identity = a2r.splitting_counts(
-                self.pencil, lam, self.eigenpairs
+                self.pencil, lam, self.spectrum
             )
-            gamma = a2r.a_lambda_norm(self.dir_spec, lam)
+            gamma = a2r.a_lambda_norm(self.spectrum.summary, lam)
             return n_full, n_dir, n_bnd, identity, gamma
 
         lam, (n_full, n_dir, n_bnd, identity, gamma0) = _nudged(
@@ -490,7 +499,7 @@ class _LevelRun:
                     )
                 )
 
-        trace_val = heat_trace(self.dir_spec, t)
+        trace_val = heat_trace(self.spectrum.summary, t)
         if consts is not None:
             two_inf_rhs, trace_rhs = bounds.ultracontractivity_and_trace_bounds(
                 consts.d, consts.S_r, consts.normW1, t
@@ -599,22 +608,22 @@ class _LevelRun:
                 )
             )
 
-    def _kernel_constant_report(self):
+    def _kernel_constant_report(self, P0: np.ndarray) -> BoundReport | None:
+        """The report of the exact kernel constant c_P from the level's P0
+        (None below dimension 2); the level lists it last."""
         if self.cfg.grid.dimension < 2:
-            return
-        value = a2r.estimate_poisson_constant(self.pencil, P0=self.P0)
-        pairs = int(np.count_nonzero(self.P0 > 0))
+            return None
+        value = a2r.estimate_poisson_constant(self.pencil, P0=P0)
+        pairs = int(np.count_nonzero(P0 > 0))
         note = f"c_P exact: maximum over all {pairs} interior/boundary pairs with P0 > 0"
-        self.reports.append(
-            BoundReport(
-                name="poisson-kernel-constant",
-                constants={"c_P": value},
-                point={"e": self.e},
-                rhs=None,
-                lhs=None,
-                verdict=NOT_APPLICABLE,
-                notes=note,
-            )
+        return BoundReport(
+            name="poisson-kernel-constant",
+            constants={"c_P": value},
+            point={"e": self.e},
+            rhs=None,
+            lhs=None,
+            verdict=NOT_APPLICABLE,
+            notes=note,
         )
 
 
@@ -649,7 +658,7 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
             "reports": [rep.to_dict() for rep in level.reports],
         }
         scenario_docs.append(doc)
-        del level  # its pencil, P0 and eigenpairs go before the next level's
+        del level  # its pencil, shift families and W go before the next level's
 
     document = {
         "schema_version": SCHEMA_VERSION,

@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from conftest import make_pencil
 from wellspectra.a2r import (
     RESIDUAL_TOL,
-    PinnedEigenpairs,
+    PinnedSpectrum,
     a_lambda_norm,
     boundary_measures,
     estimate_poisson_constant,
@@ -22,7 +22,7 @@ from wellspectra.a2r import (
     splitting_counts,
     verify_isomorphism,
 )
-from wellspectra.eigcount import Eigenbasis, count_below, inertia, pencil_eigs
+from wellspectra.eigcount import count_below, inertia, pencil_eigs, two_infinity_norm
 from wellspectra.errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
 from wellspectra.model import AssembledPencil, SpectralSummary
 from wellspectra.scenario import lambda_grid
@@ -226,7 +226,7 @@ def test_boundary_measure_totals(disk2d, ball3d):
 def test_radon_nikodym_matches_direct(disk2d):
     _, p = disk2d
     bm = boundary_measures(p)
-    lp, nu_inf, ratio_inf = radon_nikodym_report(bm, p.sigma, 3.0)
+    lp, nu_inf, ratio_inf = radon_nikodym_report(bm, 3.0)
     direct = (np.sum((bm.mu / p.sigma) ** 3 * p.sigma)) ** (1 / 3)
     assert lp == pytest.approx(direct)
     assert nu_inf == pytest.approx(np.max(bm.dnu_dsigma))
@@ -238,8 +238,8 @@ def test_radon_nikodym_holder_chain(disk2d):
     # |f|_{L^2(sigma)} <= |f|_{L^3(sigma)} sigma(total)^(1/6)
     _, p = disk2d
     bm = boundary_measures(p)
-    l2 = radon_nikodym_report(bm, p.sigma, 2.0)[0]
-    l3 = radon_nikodym_report(bm, p.sigma, 3.0)[0]
+    l2 = radon_nikodym_report(bm, 2.0)[0]
+    l3 = radon_nikodym_report(bm, 3.0)[0]
     assert l2 <= l3 * p.sigma.sum() ** (1.0 / 6.0) * (1 + 1e-12)
 
 
@@ -347,7 +347,7 @@ def test_spectral_schur_form_matches_the_poisson_route(res, family, e):
     equal splitting counts."""
     _, p = make_pencil(3, res, family, e)
     s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
-    pinned = PinnedEigenpairs(p, Eigenbasis(s, p.M_interior))
+    pinned = PinnedSpectrum(p, s, 1.0)
     mus = s.eigenvalues
     shifts = list(lambda_grid(mus, None, None, 6))
     for k in (0, 1, 4, 9):
@@ -374,14 +374,27 @@ def test_schur_cases_include_masses_that_span_decades():
 
 
 def test_spectral_schur_form_needs_the_whole_checked_basis(ball3d):
+    """A PinnedSpectrum takes all |I| eigenpairs, M_II-orthonormal; without
+    eigenvectors it has no 2->infinity norm and hands S(lam) to the Poisson
+    route.  Its summary is the same eigenvalue array, without vectors."""
     _, p = ball3d
     s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
     head = SpectralSummary(eigenvalues=s.eigenvalues[:5], eigenvectors=s.eigenvectors[:, :5])
     with pytest.raises(ValueError):
-        PinnedEigenpairs(p, Eigenbasis(head, p.M_interior))
-    pinned = PinnedEigenpairs(p, Eigenbasis(s, p.M_interior))
+        PinnedSpectrum(p, head, 1.0)
+    scaled = SpectralSummary(eigenvalues=s.eigenvalues, eigenvectors=2.0 * s.eigenvectors)
+    with pytest.raises(ValueError):
+        PinnedSpectrum(p, scaled, 1.0)
+    ts = np.array([0.5, 2.0])
+    pinned = PinnedSpectrum(p, s, ts)
+    assert pinned.summary.eigenvalues is s.eigenvalues and pinned.summary.eigenvectors is None
+    assert np.array_equal(pinned.two_infinity, two_infinity_norm(s, p.M_interior, ts))
     with pytest.raises(OnEigenvalue):
         pinned.schur_form(float(s.eigenvalues[3]))
+    values = PinnedSpectrum(p, pencil_eigs(p.K_II, p.M_interior), ts)
+    lam = 0.5 * float(s.eigenvalues[0] + s.eigenvalues[1])
+    assert values.two_infinity is None and values.schur_form(lam) is None
+    assert splitting_counts(p, lam, values) == splitting_counts(p, lam)
 
 
 def test_splitting_below_spectrum_is_zero(disk2d):

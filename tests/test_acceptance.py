@@ -295,7 +295,7 @@ def _benchmark_margins(res):
     bm = a2r.boundary_measures(p)
     S0 = a2r.schur_form(p, 0.0)
     pconst = 3.0
-    dmu_p, _, dnu_dmu_inf = a2r.radon_nikodym_report(bm, p.sigma, pconst)
+    dmu_p, _, dnu_dmu_inf = a2r.radon_nikodym_report(bm, pconst)
     q, S_trace = bounds.trace_sobolev_constants(3)
     b = bounds.estimate_b(S0, bm, p.sigma, q, S_trace, samples=200, seed=7)
     consts = bounds.BoundConstants.derive(

@@ -2,7 +2,7 @@ import json
 import textwrap
 import pytest
 
-from wellspectra import cli, model
+from wellspectra import cli, eigcount, model
 from wellspectra.scenario import CSV_COLUMNS
 
 from test_scenario import SMALL_2D, SMALL_3D
@@ -160,7 +160,19 @@ def test_report_flags_violations(tmp_path, capsys):
     assert "VIOLATION: synthetic" in captured.err
 
 
-def test_bad_config_exits_2(tmp_path, capsys):
+def test_bad_config_exits_2(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "nope.cfg"
     assert cli.main(["run", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
+    # a file configparser refuses, and a time grid outside t > 0, exit 2
+    # before anything is factored
+    factored = []
+    monkeypatch.setattr(eigcount.Factorization, "__init__", lambda *args: factored.append(args))
+    for k, sweeps in enumerate(["t_min = 0.1\n    t_min = 0.2", "t_min = 0"]):
+        path = tmp_path / f"bad{k}.cfg"
+        text = SMALL_3D.replace("points = 2", f"points = 2\n    {sweeps}")
+        path.write_text(textwrap.dedent(text))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert factored == []
+

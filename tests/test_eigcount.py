@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.eigcount import (
     ORTHONORMALITY_TOL,
-    Eigenbasis,
     count_below,
     heat_trace,
     inertia,
@@ -415,18 +414,22 @@ def test_two_infinity_t_to_zero_completeness(rng):
     )
 
 
-def test_two_infinity_reads_a_checked_basis_without_checking_again(rng, monkeypatch):
+def test_two_infinity_checks_the_vectors_against_the_given_weights(rng):
+    """Every call checks the eigenvectors against the weights it is given: a
+    basis orthonormal for w is refused for 2w and for weights of the wrong
+    length.  A grid of times gives the norm at each of its times."""
     n = 9
     B = rng.normal(size=(n, n))
     w = rng.uniform(0.5, 2.0, size=n)
     s = pencil_eigs(B @ B.T + np.eye(n), w, want_vectors=True)
-    basis = Eigenbasis(s, w)
     ts = np.array([0.2, 1.0])
-    expected = two_infinity_norm(s, w, ts)
-    monkeypatch.setattr(Eigenbasis, "__init__", None)  # no second check
-    assert np.array_equal(two_infinity_norm(basis, w, ts), expected)
-    with pytest.raises(ValueError):
-        two_infinity_norm(basis, 2.0 * w, ts)
+    norms = two_infinity_norm(s, w, ts)
+    assert norms.shape == ts.shape
+    assert norms == pytest.approx([two_infinity_norm(s, w, t) for t in ts], rel=1e-14)
+    with pytest.raises(ValueError, match="w-orthonormal"):
+        two_infinity_norm(s, 2.0 * w, ts)
+    with pytest.raises(ValueError, match="one weight"):
+        two_infinity_norm(s, w[:-1], ts)
 
 
 def test_two_infinity_requires_vectors_and_normalization(rng):

@@ -148,6 +148,26 @@ def test_load_config_errors(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_config(bad_points)
+    # configparser's own errors: a repeated option, no section header, a
+    # line that is not a key/value pair
+    malformed = [
+        SMALL_2D.replace("points = 3", "points = 3\n    t_min = 0.1\n    t_min = 0.2"),
+        "garbage line\n",
+        SMALL_2D.replace("dimension = 2", "dimension = 2\n    not a pair"),
+    ]
+    # a time grid that does not lie in t > 0
+    malformed += [
+        SMALL_2D.replace("points = 3", f"points = 3\n    {key} = {value}")
+        for key, value in (("t_min", "0"), ("t_min", "-1"), ("t_max", "0"), ("t_max", "-5"))
+    ]
+    for k, text in enumerate(malformed):
+        with pytest.raises(ConfigError):
+            load_config(_write(tmp_path, text, name=f"malformed{k}.cfg"))
+    descending = _write(
+        tmp_path, SMALL_2D.replace("points = 3", "points = 3\n    t_min = 5\n    t_max = 0.1")
+    )
+    sweep = load_config(descending).sweep  # a descending time grid stays allowed
+    assert (sweep.t_min, sweep.t_max) == (5.0, 0.1)
 
 
 def test_fmt_is_deterministic_text():
@@ -310,13 +330,14 @@ def _record_factorizations(monkeypatch):
 
 def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     """One level of a small 3D ball: each sweep shift factors
-    (K - lam*M)_II exactly once, P0 and the Gram check (one Eigenbasis) run
-    once, the pencil is classified and assembled once, K_II is factored once
-    (for P0), no factorization outlives the call that used it although the
-    level keeps its pencil, shift families and box operator, S(lam) is still
-    formed (from the level's pinned eigenpairs) and factored on its own, and
-    each of the pinned block, the full pencil and the box operator is
-    ordered by minimum degree once."""
+    (K - lam*M)_II exactly once, P0 and the Gram check (one
+    two_infinity_norm call) run once, the pencil is classified and
+    assembled once, K_II is factored once (for P0), no factorization
+    outlives the call that used it although the level keeps its pencil,
+    shift families and box operator, S(lam) is still formed (from the
+    level's pinned spectrum) and factored on its own, and each of the pinned
+    block, the full pencil and the box operator is ordered by minimum degree
+    once."""
     cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
     V = build_potential(cfg.family, cfg.grid)
 
@@ -341,8 +362,7 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     count_calls(a2r, "poisson_matrix", key=lambda p, lam, *rest: (float(lam),))
-    count_calls(scenario, "two_infinity_norm")
-    count_calls(scenario, "Eigenbasis")
+    count_calls(a2r, "two_infinity_norm")
     for module in (scenario, schrodinger):
         count_calls(module, "classify_nodes")
         count_calls(module, "assemble_pencil")
@@ -351,10 +371,8 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     assert len(level.rows) == 4 and level.violations == []
-    assert level.dir_spec.eigenvectors is not None  # the 2->inf norm reads them
     assert calls[("poisson_matrix", 0.0)] == 1
-    assert calls[("two_infinity_norm",)] == 1
-    assert calls[("Eigenbasis",)] == 1  # the one w-orthonormality check
+    assert calls[("two_infinity_norm",)] == 1  # the one w-orthonormality check
     assert calls[("classify_nodes",)] == 1
     assert calls[("assemble_pencil",)] == 1
     p = level.pencil
@@ -368,13 +386,13 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     for row in level.rows:
         lam = row["lambda"]
         assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
-        assert times_factored(level.eigenpairs.schur_form(lam)) == 1
+        assert times_factored(level.spectrum.schur_form(lam)) == 1
         assert times_factored((p.K - lam * sp.diags(p.M)).toarray()) == 1
     assert orderings == {p.n_interior: 1, p.order: 1, _box_shape(cfg)[0]: 1}
 
 
 def test_each_level_is_released_before_the_next_starts(tmp_path, monkeypatch):
-    """run_scenario lets go of a level (its pencil, P0, eigenpairs and W)
+    """run_scenario lets go of a level (its pencil, shift families and W)
     before the next level classifies its nodes, so two levels never share
     the peak."""
     pencils = []
@@ -411,7 +429,8 @@ def test_2d_level_computes_no_eigenvectors(tmp_path, monkeypatch):
     monkeypatch.setattr(scenario, "pencil_eigs", recording)
     level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
     assert asked == [False]
-    assert level.dir_spec.eigenvectors is None and level.violations == []
+    assert level.spectrum.two_infinity is None and level.violations == []
+    assert level.spectrum.schur_form(level.rows[0]["lambda"]) is None  # the Poisson route
 
 
 def _box_shape(cfg):
@@ -478,8 +497,36 @@ def test_3d_level_makes_one_multi_column_pinned_solve(tmp_path, monkeypatch):
     level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
     p = level.pencil
     assert len(level.rows) == 4 and level.violations == []
-    assert level.eigenpairs is not None
+    assert level.spectrum.schur_form(level.rows[0]["lambda"]) is not None
     assert block_solves == [(p.n_interior, p.n_boundary)]
+
+
+def test_3d_level_frees_its_eigenvectors_once_the_spectrum_is_built(tmp_path, monkeypatch):
+    """The |I|^2 pinned eigenvector array is gone by the first sweep point:
+    the level's PinnedSpectrum keeps the eigenvalues, the 2->infinity norms
+    and W = K_BI X, and nothing keeps X."""
+    cfg = load_config(_write(tmp_path, SMALL_3D))
+    V = build_potential(cfg.family, cfg.grid)
+    vectors = []
+    alive_at_sweep = []
+    real_eigs, real_split = scenario.pencil_eigs, a2r.splitting_counts
+
+    def eigs(*args, **kwargs):
+        s = real_eigs(*args, **kwargs)
+        vectors.append(weakref.ref(s.eigenvectors))
+        return s
+
+    def split(*args, **kwargs):
+        gc.collect()
+        alive_at_sweep.append(vectors[0]() is not None)
+        return real_split(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "pencil_eigs", eigs)
+    monkeypatch.setattr(a2r, "splitting_counts", split)
+    level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
+    assert len(vectors) == 1 and level.violations == []
+    assert alive_at_sweep and not any(alive_at_sweep)
+    assert level.spectrum.two_infinity is not None
 
 
 def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeypatch):
