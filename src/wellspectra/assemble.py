@@ -56,21 +56,18 @@ def _lattice_edges(grid: GridSpec, keep_mask: np.ndarray) -> np.ndarray:
     return np.concatenate(pieces, axis=0)
 
 
-def classify_nodes(
-    V: PotentialField, e: float, allow_positive_level: bool = False
-) -> SublevelDecomposition:
+def classify_nodes(V: PotentialField, e: float) -> SublevelDecomposition:
     """Split grid nodes at level ``e`` into interior {V < e} and boundary
     (exterior lattice neighbors of the interior).
 
-    Raises EmptySublevel when no node lies below the level (a legal signal:
-    every downstream count is zero), and DetachedComponent when an interior
-    component has no boundary neighbor (the region fills the grid, so the
-    pinned count problem would be ill-posed).
+    A positive level is a ValueError.  Raises EmptySublevel when no node
+    lies below the level (a legal signal: every downstream count is zero),
+    and DetachedComponent when an interior component has no boundary
+    neighbor (the region fills the grid, so the pinned count problem would
+    be ill-posed).
     """
-    if e > 0 and not allow_positive_level:
-        raise ValueError(
-            "level must be nonpositive; pass allow_positive_level=True to explore"
-        )
+    if e > 0:
+        raise ValueError(f"level must be nonpositive, got {e!r}")
     grid = V.grid
     mask = V.values < e
     if not mask.any():

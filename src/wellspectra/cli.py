@@ -13,25 +13,21 @@ report      summarize previously written CSV/JSON outputs
 Exit codes: 0 success, 1 a must-hold identity failed, 2 configuration or
 usage error.
 
-Serialization formats
----------------------
-All domain types serialize to JSON with a ``kind`` tag (see
-``wellspectra.model``):
+Pencil documents
+----------------
+``count --pencil`` reads a JSON document of one of two kinds:
 
-* ``grid``: box, resolution, node_cap
-* ``potential``: grid, node values (C order), family descriptor
-* ``decomposition``: level, interior/boundary node indices, edges,
-  components, diameter
-* ``assembled_pencil``: grid, decomposition, K in COO triplet form
-  (shape/row/col/data), mass diagonal M, surface weights sigma
-* ``spectral_summary``: eigenvalues, optional eigenvectors, metadata
-* ``inertia`` / ``bound_report``: plain field mappings
+* ``assembled_pencil``, as ``assemble --save`` writes it: the grid, the
+  decomposition (level, interior/boundary node indices, edges, components,
+  diameter), K in COO triplet form (shape/row/col/data), the mass diagonal
+  M and the surface weights sigma;
+* ``raw_pencil``: ``{"kind": "raw_pencil", "K": [[...], ...], "M": [...]}``
+  (dense symmetric K, mass diagonal M, no geometry).
 
-``count`` additionally accepts a bare pencil with no geometry:
-``{"kind": "raw_pencil", "K": [[...], ...], "M": [...]}`` (dense symmetric
-K, diagonal mass vector M).  Scenario CSV columns are documented in
-``wellspectra.scenario.CSV_COLUMNS``; the JSON report document carries
-``schema_version`` 1.
+Any other file, a K that is not square or an M that is not a nonnegative
+vector of K's order is a configuration error.  Scenario CSV columns are
+documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON report
+document carries ``schema_version`` 1.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ import numpy as np
 
 from . import a2r, model
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import count_below, pencil_eigs
+from .eigcount import _as_mass_vector, count_below, pencil_eigs
 from .errors import ConfigError, EmptySublevel, WellSpectraError
 from .scenario import SCHEMA_VERSION, _nudged, lambda_grid, load_config, run_scenario
 from .schrodinger import box_exact_count
@@ -89,27 +85,31 @@ def _cmd_assemble(args) -> int:
         f"surface total = {float(pencil.sigma.sum())!r}"
     )
     if args.save:
-        Path(args.save).write_text(model.dumps(pencil) + "\n")
+        Path(args.save).write_text(json.dumps(pencil.to_dict(), indent=1) + "\n")
         print(f"wrote {args.save}")
     return 0
 
 
 def _load_pencil_matrices(path):
-    if path is None:
-        text = (
-            resources.files("wellspectra").joinpath("data/diag_pencil.json").read_text()
-        )
-    else:
-        text = Path(path).read_text()
-    doc = json.loads(text)
-    if doc.get("kind") == "raw_pencil":
-        K = np.array(doc["K"], dtype=float)
-        M = np.array(doc["M"], dtype=float)
-        return K, M
-    obj = model.loads(text)
-    if not isinstance(obj, model.AssembledPencil):
-        raise ConfigError(f"{path}: expected an assembled_pencil or raw_pencil")
-    return obj.K, obj.M
+    """K and the mass vector M of a pencil document (the bundled example
+    when ``path`` is None); a file that is not one is a ConfigError."""
+    bundled = resources.files("wellspectra").joinpath("data/diag_pencil.json")
+    source = bundled if path is None else Path(path)
+    try:
+        doc = json.loads(source.read_text())
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind == "raw_pencil":
+            K, M = np.array(doc["K"], dtype=float), doc["M"]
+        elif kind == "assembled_pencil":
+            pencil = model.AssembledPencil.from_dict(doc)
+            K, M = pencil.K, pencil.M
+        else:
+            raise ConfigError(f"{path}: expected an assembled_pencil or raw_pencil")
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise ValueError(f"K must be square, got shape {K.shape}")
+        return K, _as_mass_vector(M, K.shape[0])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: not a pencil document: {exc}") from exc
 
 
 def _cmd_count(args) -> int:

@@ -254,26 +254,13 @@ def strict_count(inert: Inertia, what: str) -> int:
 
 
 def _as_mass_vector(M, order: int) -> np.ndarray:
-    """Normalize a diagonal mass (vector, dense diagonal matrix or sparse
-    diagonal matrix) to a 1-D nonnegative array.  A sparse M is read through
-    its stored entries, never densified."""
-    if sp.issparse(M):
-        coo = sp.coo_matrix(M)
-        coo.sum_duplicates()
-        if coo.shape != (order, order) or np.any(coo.data[coo.row != coo.col]):
-            raise ValueError("mass matrix must be diagonal, of the pencil's order")
-        dense = coo.diagonal().astype(float)
-    else:
-        dense = np.asarray(M, dtype=float)
-    if dense.ndim == 2:
-        if np.any(dense != np.diag(np.diag(dense))):
-            raise ValueError("mass matrix must be diagonal")
-        dense = np.diag(dense)
-    if dense.shape != (order,):
-        raise ValueError("mass diagonal has the wrong length")
-    if np.any(dense < 0):
+    """The mass diagonal as a 1-D nonnegative array of the pencil's order."""
+    m = np.asarray(M, dtype=float)
+    if m.shape != (order,):
+        raise ValueError(f"mass must be a vector of length {order}, got shape {m.shape}")
+    if np.any(m < 0):
         raise ValueError("mass diagonal must be nonnegative")
-    return dense
+    return m
 
 
 def _check_massless_block(K, m: np.ndarray):
@@ -378,7 +365,7 @@ def count_below(K, M, lam: float) -> int:
     """Number of finite pencil eigenvalues of (K, diag M) strictly below
     ``lam``, computed as n_minus(K - lam*diag(M)).
 
-    M may be a vector or a diagonal matrix, with zeros allowed (the pencil
+    M is the mass diagonal, a vector with zeros allowed (the pencil
     then has rank(M) finite eigenvalues); K must be positive definite on the
     mass-free nodes, which is checked.  If the shifted matrix is numerically
     singular the shift sits on an eigenvalue: OnEigenvalue is raised and the
@@ -430,9 +417,8 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     m = _as_mass_vector(M, order)
     pos = np.flatnonzero(m > 0.0)
     zero = np.flatnonzero(m == 0.0)
-    meta = {"order": order, "mass_rank": int(pos.size)}
     if not want_vectors and sp.issparse(K) and pos.size and not zero.size:
-        return SpectralSummary(eigenvalues=_band_eigvalsh(K, m), metadata=meta)
+        return SpectralSummary(eigenvalues=_band_eigvalsh(K, m))
 
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
     Kd = (Kd + Kd.T) / 2.0
@@ -441,7 +427,6 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
         return SpectralSummary(
             eigenvalues=np.empty(0),
             eigenvectors=np.empty((order, 0)) if want_vectors else None,
-            metadata=meta,
         )
 
     if zero.size:
@@ -462,9 +447,9 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
         X[pos] = d[:, None] * Y
         if zero.size:
             X[zero] = -back @ X[pos]
-        return SpectralSummary(eigenvalues=w, eigenvectors=X, metadata=meta)
+        return SpectralSummary(eigenvalues=w, eigenvectors=X)
     w = sla.eigvalsh(Aw)
-    return SpectralSummary(eigenvalues=w, metadata=meta)
+    return SpectralSummary(eigenvalues=w)
 
 
 def heat_trace(s: SpectralSummary, t: float) -> float:

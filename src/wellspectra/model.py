@@ -2,13 +2,15 @@
 decompositions, assembled pencils, inertia triples, spectral summaries and
 bound reports.
 
-All types are immutable after construction and JSON-serializable through
-``to_dict`` / ``from_dict`` (text schema documented in :mod:`wellspectra.cli`).
+All types are immutable after construction.  One document is stored: the
+assembled pencil, with its grid and decomposition nested, round-trips
+through ``AssembledPencil.to_dict`` / ``from_dict`` (schema in
+:mod:`wellspectra.cli`).  ``BoundReport.to_dict`` and ``GridSpec.to_dict``
+also feed the scenario report JSON.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -153,19 +155,6 @@ class PotentialField:
             self._norm_cache[key] = float((np.sum(w ** p) * hn) ** (1.0 / p))
         return self._norm_cache[key]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "potential",
-            "grid": self.grid.to_dict(),
-            "values": self.values.ravel().tolist(),
-            "family": self.family,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PotentialField":
-        grid = GridSpec.from_dict(d["grid"])
-        vals = np.array(d["values"], dtype=float).reshape(grid.shape)
-        return cls(grid=grid, values=vals, family=d.get("family", {}))
 
 
 def _radial2(grid: GridSpec, center) -> np.ndarray:
@@ -438,17 +427,6 @@ class Inertia:
     def order(self) -> int:
         return self.n_minus + self.n_zero + self.n_plus
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "inertia",
-            "n_minus": self.n_minus,
-            "n_zero": self.n_zero,
-            "n_plus": self.n_plus,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Inertia":
-        return cls(d["n_minus"], d["n_zero"], d["n_plus"])
 
 
 @dataclass
@@ -458,7 +436,6 @@ class SpectralSummary:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -475,24 +452,6 @@ class SpectralSummary:
     def count(self) -> int:
         return self.eigenvalues.size
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "spectral_summary",
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": None
-            if self.eigenvectors is None
-            else self.eigenvectors.tolist(),
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralSummary":
-        vecs = d.get("eigenvectors")
-        return cls(
-            eigenvalues=np.array(d["eigenvalues"], dtype=float),
-            eigenvectors=None if vecs is None else np.array(vecs, dtype=float),
-            metadata=d.get("metadata", {}),
-        )
 
 
 #: default relative tolerance for real-valued bound verdicts
@@ -547,40 +506,3 @@ class BoundReport:
             "verdict": self.verdict,
             "notes": self.notes,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundReport":
-        return cls(
-            name=d["name"],
-            constants=d["constants"],
-            point=d["point"],
-            rhs=d["rhs"],
-            lhs=d["lhs"],
-            verdict=d["verdict"],
-            notes=d.get("notes", ""),
-        )
-
-
-_KINDS = {
-    "grid": GridSpec,
-    "potential": PotentialField,
-    "decomposition": SublevelDecomposition,
-    "assembled_pencil": AssembledPencil,
-    "inertia": Inertia,
-    "spectral_summary": SpectralSummary,
-    "bound_report": BoundReport,
-}
-
-
-def dumps(obj) -> str:
-    """Serialize any domain type to JSON text."""
-    return json.dumps(obj.to_dict(), indent=1)
-
-
-def loads(text: str):
-    """Inverse of :func:`dumps`; dispatches on the ``kind`` tag."""
-    d = json.loads(text)
-    kind = d.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown serialized kind {kind!r}")
-    return _KINDS[kind].from_dict(d)

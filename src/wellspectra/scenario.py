@@ -32,10 +32,10 @@ Config schema::
     [potential]  family = ball_well | gaussian_well | multi_well |
                  band_limited_random, plus family parameters
                  (center/radius/depth/width/seed/cutoff/amplitude/wells)
-    [levels]     values = comma separated energies, or count/min/max
-    [sweeps]     points (shared grid length), lambda_min, lambda_max,
-                 t_min, t_max (all optional)
-    [constants]  p, L_n, b, omega_convention, b_samples
+    [levels]     values = comma separated energies, or count/min/max (all <= 0)
+    [sweeps]     points (shared grid length), lambda_min, lambda_max
+                 (each > 0, min <= max), t_min, t_max (all optional)
+    [constants]  p (> 0), L_n, b, omega_convention, b_samples
     [output]     directory, prefix
     [seed]       value
 """
@@ -202,6 +202,8 @@ def load_config(path) -> ScenarioConfig:
             levels = list(np.linspace(lo, hi, count))
         if not levels:
             raise ConfigError("no energy levels given")
+        if any(e > 0 for e in levels):
+            raise ConfigError(f"energy levels must be nonpositive, got {max(levels)!r}")
 
         sweep = SweepSpec()
         if cp.has_section("sweeps"):
@@ -214,6 +216,10 @@ def load_config(path) -> ScenarioConfig:
             sweep.t_max = float(_get(cp, "sweeps", "t_max", sweep.t_max))
         if sweep.points < 1:
             raise ConfigError("sweeps.points must be >= 1")
+        # a single given end can still cross a default one; lambda_grid checks that
+        given = [x for x in (sweep.lambda_min, sweep.lambda_max) if x is not None]
+        if not all(x > 0 for x in given) or given != sorted(given):
+            raise ConfigError(f"bad shift range [{sweep.lambda_min}, {sweep.lambda_max}]")
         if not (sweep.t_min > 0 and sweep.t_max > 0):
             raise ConfigError(
                 f"sweeps.t_min and t_max must be > 0, got {sweep.t_min} and {sweep.t_max}"
@@ -230,6 +236,8 @@ def load_config(path) -> ScenarioConfig:
                 cp, "constants", "omega_convention", consts.omega_convention
             )
             consts.b_samples = int(_get(cp, "constants", "b_samples", consts.b_samples))
+        if not consts.p > 0:
+            raise ConfigError(f"constants.p must be > 0, got {consts.p}")
         if consts.omega_convention not in (bounds.SPHERE_AREA, bounds.BALL_VOLUME):
             raise ConfigError(
                 f"unknown omega_convention {consts.omega_convention!r}"

@@ -145,10 +145,8 @@ def test_detached_component():
 def test_positive_level_needs_flag():
     grid = GridSpec(box=((0.0, 1.0),), resolution=(9,))
     V = PotentialField(grid=grid, values=np.linspace(-1, 1, 9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonpositive"):
         classify_nodes(V, 0.5)
-    dec = classify_nodes(V, 0.5, allow_positive_level=True)
-    assert dec.num_interior == np.count_nonzero(V.values < 0.5)
 
 
 def test_two_components_counted():

@@ -1,5 +1,7 @@
 import json
 import textwrap
+from pathlib import Path
+
 import pytest
 
 from wellspectra import cli, eigcount, model
@@ -40,8 +42,7 @@ def test_assemble_subcommand_and_save(cfg2d, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "|I| =" in captured.out and "|B| =" in captured.out
-    pencil = model.loads(save.read_text())
-    assert isinstance(pencil, model.AssembledPencil)
+    pencil = model.AssembledPencil.from_dict(json.loads(save.read_text()))
     assert pencil.level == -0.8
 
 
@@ -82,6 +83,70 @@ def test_count_rejects_wrong_kind(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"kind": "grid", "box": [[0, 1]], "resolution": [5]}))
     assert cli.main(["count", "--lambda", "1.0", "--pencil", str(path)]) == 2
+
+
+def _raw(K, M):
+    return json.dumps({"kind": "raw_pencil", "K": K, "M": M})
+
+
+#: pencil files that are not a pencil (None: no file at all)
+BAD_PENCILS = {
+    "not-json": "K = diag(1, 2)\n",
+    "missing": None,
+    "short-mass": _raw([[2.0, 0.0], [0.0, 3.0]], [1.0]),
+    "non-square": _raw([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]], [1.0, 1.0]),
+    "matrix-mass": _raw([[2.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PENCILS)
+def test_count_rejects_a_bad_pencil_file(tmp_path, monkeypatch, capsys, name):
+    """A pencil file that cannot be read, parsed or shaped into a pencil is
+    a configuration error: exit 2, no traceback, nothing factored."""
+    path = tmp_path / f"{name}.json"
+    if BAD_PENCILS[name] is not None:
+        path.write_text(BAD_PENCILS[name])
+    factored = []
+    monkeypatch.setattr(eigcount.Factorization, "__init__", lambda *args: factored.append(args))
+    assert cli.main(["count", "--lambda", "1.0", "--pencil", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert factored == []
+
+
+BALL_2D = """\
+    [grid]
+    dimension = 2
+    box = -2:2, -2:2
+    resolution = 9, 9
+
+    [potential]
+    family = ball_well
+    center = 0, 0
+    radius = 1.2
+    depth = 10.0
+
+    [levels]
+    values = -1.0
+    """
+
+
+def test_count_reads_a_previously_saved_pencil(tmp_path, capsys):
+    """``golden/ball2d_pencil.json`` was written by ``assemble --save`` on
+    BALL_2D at level -1 before the generic serializers were retired: it
+    still loads and counts as it did then (the counts are those recorded
+    with it), and saving today writes the same bytes."""
+    stored = Path(__file__).resolve().parent / "golden" / "ball2d_pencil.json"
+    recorded = {0.05: 1, 0.3: 3, 0.6: 4, 1.0: 6, 1.5: 11, 2.0: 15, 3.0: 20}
+    for lam, count in recorded.items():
+        assert cli.main(["count", "--lambda", str(lam), "--pencil", str(stored)]) == 0
+        assert capsys.readouterr().out == f"{count}\n"
+    cfg = tmp_path / "ball2d.cfg"
+    cfg.write_text(textwrap.dedent(BALL_2D))
+    save = tmp_path / "pencil.json"
+    assert cli.main(["assemble", str(cfg), "--level", "-1.0", "--save", str(save)]) == 0
+    assert save.read_bytes() == stored.read_bytes()
 
 
 def test_splitting_subcommand(cfg2d, capsys):
@@ -164,13 +229,24 @@ def test_bad_config_exits_2(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "nope.cfg"
     assert cli.main(["run", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
-    # a file configparser refuses, and a time grid outside t > 0, exit 2
-    # before anything is factored
+    # a file configparser refuses, a time grid outside t > 0, a positive
+    # level, p = 0 and a reversed shift range exit 2 before anything is factored
     factored = []
     monkeypatch.setattr(eigcount.Factorization, "__init__", lambda *args: factored.append(args))
-    for k, sweeps in enumerate(["t_min = 0.1\n    t_min = 0.2", "t_min = 0"]):
+    texts = [
+        SMALL_3D.replace("points = 2", f"points = 2\n    {sweeps}")
+        for sweeps in (
+            "t_min = 0.1\n    t_min = 0.2",
+            "t_min = 0",
+            "lambda_min = 5\n    lambda_max = 1",
+        )
+    ]
+    texts += [
+        SMALL_3D.replace("values = -0.5", "values = -0.5, 0.25"),
+        SMALL_3D.replace("p = 3.0", "p = 0"),
+    ]
+    for k, text in enumerate(texts):
         path = tmp_path / f"bad{k}.cfg"
-        text = SMALL_3D.replace("points = 2", f"points = 2\n    {sweeps}")
         path.write_text(textwrap.dedent(text))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from wellspectra.errors import UnknownFamily
 from wellspectra.model import (
     BoundReport,
     GridSpec,
-    Inertia,
     PotentialField,
     SpectralSummary,
     build_potential,
@@ -188,38 +187,27 @@ def test_potential_rejects_nonfinite():
 
 
 def test_serialization_roundtrips(disk2d):
-    V, pencil = disk2d
-    for obj in (pencil.grid, V, pencil.dec, pencil):
-        back = model.loads(model.dumps(obj))
-        assert type(back) is type(obj)
-    back = model.loads(model.dumps(pencil))
+    """The pencil document, with its grid and decomposition nested, survives
+    a trip through JSON text."""
+    _, pencil = disk2d
+    doc = pencil.to_dict()
+    assert (doc["kind"], doc["grid"]["kind"], doc["dec"]["kind"]) == (
+        "assembled_pencil",
+        "grid",
+        "decomposition",
+    )
+    back = model.AssembledPencil.from_dict(json.loads(json.dumps(doc)))
+    assert back.grid == pencil.grid
     assert np.array_equal(back.K.toarray(), pencil.K.toarray())
     assert np.array_equal(back.M, pencil.M)
     assert np.array_equal(back.sigma, pencil.sigma)
-    assert np.array_equal(back.dec.interior, pencil.dec.interior)
-
-    inert = Inertia(2, 1, 3)
-    assert model.loads(model.dumps(inert)) == inert
-
-    summ = SpectralSummary(
-        eigenvalues=np.array([0.5, 1.5]),
-        eigenvectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
-        metadata={"order": 2},
-    )
-    back = model.loads(model.dumps(summ))
-    assert np.array_equal(back.eigenvalues, summ.eigenvalues)
-    assert np.array_equal(back.eigenvectors, summ.eigenvectors)
-
-    rep = BoundReport(
-        name="demo", constants={"n": 3}, point={"lambda": 1.0}, rhs=2.0, lhs=1
-    )
-    back = model.loads(model.dumps(rep))
-    assert back.verdict == "holds" and back.lhs == 1
-
-
-def test_loads_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        model.loads(json.dumps({"kind": "sandwich"}))
+    for key in ("interior", "boundary", "edges"):
+        assert np.array_equal(getattr(back.dec, key), getattr(pencil.dec, key))
+    assert [c.tolist() for c in back.dec.components] == [
+        c.tolist() for c in pencil.dec.components
+    ]
+    assert (back.level, back.dec.diameter) == (pencil.level, pencil.dec.diameter)
+    assert back.to_dict() == doc
 
 
 def test_spectral_summary_validates():

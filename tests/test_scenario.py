@@ -160,9 +160,37 @@ def test_load_config_errors(tmp_path):
         SMALL_2D.replace("points = 3", f"points = 3\n    {key} = {value}")
         for key, value in (("t_min", "0"), ("t_min", "-1"), ("t_max", "0"), ("t_max", "-5"))
     ]
+    # a positive level, given or spanned
+    malformed += [
+        SMALL_2D.replace("values = -1.5, -0.8", levels)
+        for levels in ("values = -1.5, 0.25", "count = 3\n    min = -1\n    max = 0.5")
+    ]
+    # an exponent that is not p > 0
+    malformed += [SMALL_2D + f"\n[constants]\np = {p}\n" for p in ("0", "-1", "nan")]
+    # a shift range with a given end <= 0, or given ends out of order
+    malformed += [
+        SMALL_2D.replace("points = 3", f"points = 3\n    {ends}")
+        for ends in (
+            "lambda_min = 5\n    lambda_max = 1",
+            "lambda_min = 0",
+            "lambda_min = -2",
+            "lambda_max = -1",
+            "lambda_min = -2\n    lambda_max = 1",
+        )
+    ]
     for k, text in enumerate(malformed):
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, text, name=f"malformed{k}.cfg"))
+    # a level of 0 and a one-point shift range stay allowed; a single given
+    # end may still cross a default end, which lambda_grid checks per level
+    for k, text in enumerate(
+        [
+            SMALL_2D.replace("values = -1.5, -0.8", "values = -1.5, 0"),
+            SMALL_2D.replace("points = 3", "points = 3\n    lambda_min = 2\n    lambda_max = 2"),
+            SMALL_2D.replace("points = 3", "points = 3\n    lambda_min = 1e6"),
+        ]
+    ):
+        load_config(_write(tmp_path, text, name=f"allowed{k}.cfg"))
     descending = _write(
         tmp_path, SMALL_2D.replace("points = 3", "points = 3\n    t_min = 5\n    t_max = 0.1")
     )
