@@ -24,10 +24,11 @@ Pencil documents
 * ``raw_pencil``: ``{"kind": "raw_pencil", "K": [[...], ...], "M": [...]}``
   (dense symmetric K, mass diagonal M, no geometry).
 
-Any other file, a K that is not square or an M that is not a nonnegative
-vector of K's order is a configuration error.  Scenario CSV columns are
-documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON report
-document carries ``schema_version`` 1.
+Any other file, a K that is not square and exactly symmetric, an M that is
+not a nonnegative vector of K's order, or a K or M with an entry that is not
+finite is a configuration error.  So is a positive ``--level``.  Scenario
+CSV columns are documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON
+report document carries ``schema_version`` 1.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import a2r, model
 from .assemble import assemble_pencil, classify_nodes
@@ -49,7 +51,14 @@ from .scenario import SCHEMA_VERSION, _nudged, lambda_grid, load_config, run_sce
 from .schrodinger import box_exact_count
 
 
+def _check_level(level: float) -> None:
+    """A level that is not nonpositive is a ConfigError, raised before any work."""
+    if not level <= 0:
+        raise ConfigError(f"level must be nonpositive, got {level!r}")
+
+
 def _load_level(config_path: str, level: float):
+    _check_level(level)
     cfg = load_config(config_path)
     V = model.build_potential(cfg.family, cfg.grid)
     dec = classify_nodes(V, level)
@@ -107,7 +116,13 @@ def _load_pencil_matrices(path):
             raise ConfigError(f"{path}: expected an assembled_pencil or raw_pencil")
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError(f"K must be square, got shape {K.shape}")
-        return K, _as_mass_vector(M, K.shape[0])
+        M = _as_mass_vector(M, K.shape[0])
+        entries = K.data if sp.issparse(K) else K
+        if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(M))):
+            raise ValueError("K and M must have finite entries")
+        if sp.csr_matrix(K - K.T).count_nonzero():
+            raise ValueError("K must be symmetric")
+        return K, M
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: not a pencil document: {exc}") from exc
 
@@ -144,6 +159,7 @@ def _cmd_splitting(args) -> int:
 def _cmd_bounds(args) -> int:
     from .scenario import _LevelRun
 
+    _check_level(args.level)
     cfg = load_config(args.config)
     if cfg.grid.dimension < 3:
         print("bound suite needs dimension >= 3", file=sys.stderr)

@@ -25,6 +25,20 @@ P0, which no other object keeps.  The box operator's bound-state counts for all 
 come from one ``BoxOperator``, certified before the first level, while the
 resident set is smallest.
 
+Consecutive levels on one plateau of V share one sublevel problem.  A level
+is on a plateau when its set {V < e} is the previous level's set and V takes
+one value V0 on it; then the weight (V - e)_- is the constant e - V0 there,
+and K, P0 and the pinned eigenvectors do not depend on the level.  The first
+level of the run classifies the nodes and assembles K, solves for P0 and
+reads off it what needs no mass (nu, S(0) and the c_P report), and computes
+the unit-mass pinned eigenpairs (nu, Y) of K_II.  Every level of the run
+still takes its own mu = nu/m_e and X = Y/sqrt(m_e), with
+m_e = (e - V0) h^n, its own boundary mass P0^T M_I, PinnedSpectrum (Gram
+check and 2->infinity norms included), b, every sweep-point factorization,
+box count and reduction check; no count is copied between levels.  The last
+level of the run lets go of Y before its first sweep point.  Every other
+level runs on its own.
+
 Config schema::
 
     [grid]       dimension, box (lo:hi per axis, comma separated),
@@ -44,7 +58,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +72,11 @@ from .model import (
     HOLDS,
     NOT_APPLICABLE,
     VIOLATED,
+    AssembledPencil,
     BoundReport,
     GridSpec,
     PotentialField,
+    SpectralSummary,
     build_potential,
 )
 from .schrodinger import BoxOperator, reduction_check
@@ -323,11 +339,78 @@ def _empty_level_row(scenario_id: str, e: float) -> dict:
     }
 
 
+def _plateau_runs(V: PotentialField, levels) -> list:
+    """The level indices, in runs of consecutive levels that share one
+    sublevel problem: a level joins the previous level's run when its set
+    {V < e} is that level's set and V takes one value on it (a plateau).
+    Both tests read only the potential."""
+    runs = []
+    previous = None
+    for index, e in enumerate(levels):
+        mask = V.values < e
+        inside = V.values[mask]
+        if previous is not None and np.array_equal(mask, previous) and inside.size and (
+            inside.min() == inside.max()
+        ):
+            runs[-1].append(index)
+        else:
+            runs.append([index])
+        previous = mask
+    return runs
+
+
+class _Plateau:
+    """The sublevel problem of a run of ``levels`` levels on one plateau of
+    V (see ``_plateau_runs``), filled in by the run's first level.
+
+    It keeps the decomposition, K and sigma; P0 with its nu, S(0) and c_P
+    (value and pair count); and the unit-mass pinned eigenvalues, with the
+    eigenvectors Y until the run's last level has read them.
+    """
+
+    def __init__(self, levels: int):
+        self.levels_left = levels
+        self.dec = self.K = self.sigma = None
+        self.P0 = self.nu = self.S0 = self.kernel = None
+        self.unit_eigenvalues = self.Y = None
+
+    def pencil(self, V: PotentialField, e: float) -> AssembledPencil:
+        """The pencil of level e: the first level classifies and assembles,
+        every later one puts its mass (e - V0) h^n on the shared K."""
+        if self.dec is None:
+            pencil = assemble_pencil(classify_nodes(V, e), V, e)
+            self.dec, self.K, self.sigma = pencil.dec, pencil.K, pencil.sigma
+            return pencil
+        V0 = V.values.flat[self.dec.interior[0]]
+        M = np.zeros(self.K.shape[0])
+        M[: self.dec.num_interior] = (e - V0) * V.grid.spacing**V.grid.dimension
+        dec = replace(self.dec, level=float(e))
+        return AssembledPencil(grid=V.grid, dec=dec, K=self.K, M=M, sigma=self.sigma)
+
+    def pinned_eigs(self, pencil: AssembledPencil, want_vectors: bool) -> SpectralSummary:
+        """The pinned spectrum of ``pencil``, whose interior mass is the
+        constant m: nu/m, with the eigenvectors Y/sqrt(m) when asked for,
+        from the unit-mass eigenpairs of K_II, computed on the first call."""
+        if self.unit_eigenvalues is None:
+            s = pencil_eigs(pencil.K_II, np.ones(pencil.n_interior), want_vectors=want_vectors)
+            self.unit_eigenvalues, self.Y = s.eigenvalues, s.eigenvectors
+        Y = self.Y
+        self.levels_left -= 1
+        if not self.levels_left:
+            self.Y = None
+        m = float(pencil.M_interior[0])
+        return SpectralSummary(
+            eigenvalues=self.unit_eigenvalues / m,
+            eigenvectors=None if Y is None else Y / np.sqrt(m),
+        )
+
+
 class _LevelRun:
     """All computations for one energy level of one scenario.
 
     ``box`` is the scenario's BoxOperator of V; by default the level counts
-    the box operator on its own.
+    the box operator on its own.  ``plateau`` is the _Plateau that the level
+    shares with its neighbours on one plateau of V, if any.
     """
 
     def __init__(
@@ -337,11 +420,13 @@ class _LevelRun:
         index: int,
         e: float,
         box: BoxOperator | None = None,
+        plateau: _Plateau | None = None,
     ):
         self.cfg = cfg
         self.V = V
         self.e = float(e)
         self.box = box if box is not None else BoxOperator(V, [e])
+        self.plateau = plateau
         self.scenario_id = f"{cfg.prefix}-L{index:02d}"
         self.rows = []
         self.reports = []
@@ -350,38 +435,54 @@ class _LevelRun:
         self.pencil = None
 
     def run(self):
-        try:
-            dec = classify_nodes(self.V, self.e)
-        except EmptySublevel:
-            self.rows.append(_empty_level_row(self.scenario_id, self.e))
-            self.meta = {"empty": True, "n_interior": 0, "n_boundary": 0}
-            self._reduction_report()
-            return self
-        pencil = assemble_pencil(dec, self.V, self.e)
+        shared = self.plateau
+        if shared is None:
+            try:
+                dec = classify_nodes(self.V, self.e)
+            except EmptySublevel:
+                self.rows.append(_empty_level_row(self.scenario_id, self.e))
+                self.meta = {"empty": True, "n_interior": 0, "n_boundary": 0}
+                self._reduction_report()
+                return self
+            pencil = assemble_pencil(dec, self.V, self.e)
+        else:
+            pencil = shared.pencil(self.V, self.e)
         self.pencil = pencil
         self.meta = {
             "empty": False,
             "n_interior": pencil.n_interior,
             "n_boundary": pencil.n_boundary,
-            "diameter": float(dec.diameter),
+            "diameter": float(pencil.dec.diameter),
         }
 
         # eigenvectors only for n >= 3, where the 2->infinity norm and the
         # sweep points' S(lambda) read them; the spectrum lets go of them
         sweep = self.cfg.sweep
         t_grid = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
-        self.spectrum = a2r.PinnedSpectrum(
-            pencil,
-            pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=self.cfg.grid.dimension >= 3),
-            t_grid,
-        )
+        want_vectors = self.cfg.grid.dimension >= 3
+        if shared is None:
+            s = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
+        else:
+            s = shared.pinned_eigs(pencil, want_vectors)
+        self.spectrum = a2r.PinnedSpectrum(pencil, s, t_grid)
+        del s
         # P0 stays a local until the level ends: dropped before the sweep, it
         # doubled the minor page faults of a levels-2d run under glibc's
         # malloc (15.6k to 31.4k), and the run took about 12 % longer
-        P0 = a2r.poisson_matrix(pencil, 0.0)
-        self.bm = a2r.boundary_measures(pencil, P0)
-        self.S0 = a2r.schur_form(pencil, 0.0, P0)
-        kernel_report = self._kernel_constant_report(P0)
+        if shared is None or shared.P0 is None:
+            P0 = a2r.poisson_matrix(pencil, 0.0)
+            self.bm = a2r.boundary_measures(pencil, P0)
+            self.S0 = a2r.schur_form(pencil, 0.0, P0)
+            kernel = self._kernel_constant(P0)
+            if shared is not None:
+                shared.P0, shared.nu, shared.S0, shared.kernel = P0, self.bm.nu, self.S0, kernel
+        else:
+            # a later level of a plateau sweeps its own mass along the shared P0
+            P0, self.S0, kernel = shared.P0, shared.S0, shared.kernel
+            self.bm = a2r.BoundaryMeasures(
+                mu=P0.T @ pencil.M_interior, nu=shared.nu, sigma=pencil.sigma
+            )
+        kernel_report = self._kernel_constant_report(kernel)
         self.consts = self._derive_constants()
 
         lam_grid = lambda_grid(
@@ -616,13 +717,20 @@ class _LevelRun:
                 )
             )
 
-    def _kernel_constant_report(self, P0: np.ndarray) -> BoundReport | None:
-        """The report of the exact kernel constant c_P from the level's P0
-        (None below dimension 2); the level lists it last."""
+    def _kernel_constant(self, P0: np.ndarray):
+        """The exact kernel constant c_P of the level's P0 and the number of
+        pairs it is the maximum over (None below dimension 2)."""
         if self.cfg.grid.dimension < 2:
             return None
         value = a2r.estimate_poisson_constant(self.pencil, P0=P0)
-        pairs = int(np.count_nonzero(P0 > 0))
+        return value, int(np.count_nonzero(P0 > 0))
+
+    def _kernel_constant_report(self, kernel) -> BoundReport | None:
+        """The report of the kernel constant ``kernel`` = (c_P, pairs), or
+        None; the level lists it last."""
+        if kernel is None:
+            return None
+        value, pairs = kernel
         note = f"c_P exact: maximum over all {pairs} interior/boundary pairs with P0 > 0"
         return BoundReport(
             name="poisson-kernel-constant",
@@ -647,26 +755,31 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
         cfg.out_dir = str(out_dir)
     V = build_potential(cfg.family, cfg.grid)
 
+    runs = _plateau_runs(V, cfg.levels)
     box = BoxOperator(V, cfg.levels)
     box.certify()
     rows = []
     violations = []
     scenario_docs = []
-    for index, e in enumerate(cfg.levels):
-        level = _LevelRun(cfg, V, index, e, box=box).run()
-        rows.extend(level.rows)
-        violations.extend(level.violations)
-        doc = {
-            "scenario_id": level.scenario_id,
-            "level": float(e),
-            **level.meta,
-            "constants": level.consts.to_dict()
-            if getattr(level, "consts", None) is not None
-            else None,
-            "reports": [rep.to_dict() for rep in level.reports],
-        }
-        scenario_docs.append(doc)
-        del level  # its pencil, shift families and W go before the next level's
+    for run in runs:
+        plateau = _Plateau(len(run)) if len(run) > 1 else None
+        for index in run:
+            e = cfg.levels[index]
+            level = _LevelRun(cfg, V, index, e, box=box, plateau=plateau).run()
+            rows.extend(level.rows)
+            violations.extend(level.violations)
+            doc = {
+                "scenario_id": level.scenario_id,
+                "level": float(e),
+                **level.meta,
+                "constants": level.consts.to_dict()
+                if getattr(level, "consts", None) is not None
+                else None,
+                "reports": [rep.to_dict() for rep in level.reports],
+            }
+            scenario_docs.append(doc)
+            del level  # its pencil, shift families and W go before the next level's
+        del plateau  # and a plateau's P0, S(0) and K before the next run's
 
     document = {
         "schema_version": SCHEMA_VERSION,

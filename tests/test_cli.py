@@ -96,6 +96,9 @@ BAD_PENCILS = {
     "short-mass": _raw([[2.0, 0.0], [0.0, 3.0]], [1.0]),
     "non-square": _raw([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]], [1.0, 1.0]),
     "matrix-mass": _raw([[2.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    "asymmetric": _raw([[2.0, 5.0], [0.0, 3.0]], [1.0, 1.0]),
+    "nan-stiffness": _raw([[1.0, float("nan")], [float("nan"), 1.0]], [1.0, 1.0]),
+    "infinite-mass": _raw([[2.0, 0.0], [0.0, 3.0]], [1.0, float("inf")]),
 }
 
 
@@ -113,6 +116,19 @@ def test_count_rejects_a_bad_pencil_file(tmp_path, monkeypatch, capsys, name):
     assert captured.out == "" and captured.err.startswith("config error:")
     assert "Traceback" not in captured.err
     assert factored == []
+
+
+@pytest.mark.parametrize("command", ["assemble", "splitting", "bounds"])
+def test_a_positive_level_is_a_config_error(cfg2d, monkeypatch, capsys, command):
+    """A positive --level exits 2 with a config error before the config is
+    even read, not 1 (a failed identity) with a traceback."""
+    loaded = []
+    monkeypatch.setattr(cli, "load_config", lambda *args: loaded.append(args))
+    assert cli.main([command, str(cfg2d), "--level", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert loaded == []
 
 
 BALL_2D = """\

@@ -421,27 +421,28 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
 
 def test_each_level_is_released_before_the_next_starts(tmp_path, monkeypatch):
     """run_scenario lets go of a level (its pencil, shift families and W)
-    before the next level classifies its nodes, so two levels never share
-    the peak."""
+    before the next level starts, so two levels never share the peak; on a
+    plateau (the ball) as well as off one (a Gaussian well)."""
     pencils = []
     alive = []
-    real_classify, real_assemble = scenario.classify_nodes, scenario.assemble_pencil
+    real_run = _LevelRun.run
 
-    def classify(*args, **kwargs):
+    def run(self):
+        gc.collect()
         alive.append([ref() is not None for ref in pencils])
-        return real_classify(*args, **kwargs)
+        real_run(self)
+        pencils.append(weakref.ref(self.pencil))
+        return self
 
-    def assemble(*args, **kwargs):
-        pencil = real_assemble(*args, **kwargs)
-        pencils.append(weakref.ref(pencil))
-        return pencil
-
-    monkeypatch.setattr(scenario, "classify_nodes", classify)
-    monkeypatch.setattr(scenario, "assemble_pencil", assemble)
-    text = SMALL_3D.replace("values = -0.5", "values = -0.5, -2.0, -6.0")
-    result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / "out")
-    assert result.exit_code == 0
-    assert alive == [[], [False], [False, False]]
+    monkeypatch.setattr(_LevelRun, "run", run)
+    ball = SMALL_3D.replace("values = -0.5", "values = -0.5, -2.0, -6.0")
+    gaussian = ball.replace("ball_well", "gaussian_well").replace("radius = 1.0", "width = 0.6")
+    for name, text in (("ball.cfg", ball), ("gaussian.cfg", gaussian)):
+        pencils.clear()
+        alive.clear()
+        result = run_scenario(_write(tmp_path, text, name), out_dir=tmp_path / "out")
+        assert result.exit_code == 0
+        assert alive == [[], [False], [False, False]]
 
 
 def test_2d_level_computes_no_eigenvectors(tmp_path, monkeypatch):
@@ -599,3 +600,232 @@ def test_a_failed_box_certificate_is_reported_by_the_first_level_that_counts(
         if rep["name"] == "operator-reduction"
     ]
     assert notes == [(NOT_APPLICABLE, "skipped: Lanczos broke down"), (HOLDS, "")]
+
+
+# -- levels on one plateau of V -------------------------------------------
+
+BALL_PLATEAU_3D = SMALL_3D.replace("resolution = 9, 9, 9", "resolution = 13, 13, 13").replace(
+    "values = -0.5", "values = -0.5, -2.0, -6.0"
+)
+
+BALL_PLATEAU_2D = """\
+    [grid]
+    dimension = 2
+    box = -2:2, -2:2
+    resolution = 31, 31
+
+    [potential]
+    family = ball_well
+    center = 0, 0
+    radius = 1.0
+    depth = 12.0
+
+    [levels]
+    values = -0.5, -2.0, -6.0
+
+    [sweeps]
+    points = 3
+
+    [output]
+    prefix = ball2d
+
+    [seed]
+    value = 5
+    """
+
+# two concentric steps: V = -12 for r < 0.8, -4 for 0.8 < r < 1.5, else 0;
+# levels in (-12, -4] carve the inner plateau, levels above -4 the outer set
+NESTED_STEPS_3D = SMALL_3D.replace("resolution = 9, 9, 9", "resolution = 13, 13, 13").replace(
+    """family = ball_well
+    center = 0, 0, 0
+    radius = 1.0
+    depth = 12.0""",
+    """family = multi_well
+    wells = [{"name": "ball_well", "center": [0, 0, 0], "radius": 1.5, "depth": 4.0},
+        {"name": "ball_well", "center": [0, 0, 0], "radius": 0.8, "depth": 8.0}]""",
+).replace("values = -0.5", "values = -5.0, -6.0, -1.0, -7.0, -8.0")
+
+
+def _assert_close(a, b, where=""):
+    """Equal structure; ints, strings, flags and None equal; floats to rtol 1e-10."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_close(a[key], b[key], f"{where}/{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{where}[{i}]")
+    elif isinstance(a, float) and not isinstance(b, bool):
+        assert b == pytest.approx(a, rel=1e-10, abs=0.0), where
+    else:
+        assert type(a) is type(b) and a == b, where
+
+
+def _assert_levels_run_alone_alike(cfg, result):
+    """Every level of ``result`` reads, row for row and report for report,
+    what a standalone _LevelRun of it reads: integer columns equal, floats
+    to rtol 1e-10."""
+    V = build_potential(cfg.family, cfg.grid)
+    for index, e in enumerate(cfg.levels):
+        alone = _LevelRun(cfg, V, index, e).run()
+        rows = [r for r in result.rows if r["scenario_id"] == alone.scenario_id]
+        doc = result.document["scenarios"][index]
+        for row, lone in zip(rows, alone.rows, strict=True):
+            for col in ("N_full", "N_dir", "N_a2r_nonpos", "N_a2r_gamma", "identity_holds"):
+                assert row[col] == lone[col], (alone.scenario_id, col)
+        _assert_close(alone.rows, rows, alone.scenario_id)
+        _assert_close([rep.to_dict() for rep in alone.reports], doc["reports"], alone.scenario_id)
+        _assert_close({k: doc[k] for k in alone.meta}, alone.meta, alone.scenario_id)
+
+
+def _count_pinned_work(monkeypatch):
+    """Record the masses of every pinned pencil_eigs call of the runner, the
+    shifts of every Poisson matrix and the shape of every multi-column
+    solve."""
+    eigs, poisson, block_solves = [], [], []
+    real_eigs, real_poisson = scenario.pencil_eigs, a2r.poisson_matrix
+    real_solve = eigcount.Factorization.solve
+
+    def recording_eigs(K, M, want_vectors=False):
+        eigs.append(np.array(M))
+        return real_eigs(K, M, want_vectors=want_vectors)
+
+    def recording_poisson(p, lam, *args, **kwargs):
+        poisson.append(float(lam))
+        return real_poisson(p, lam, *args, **kwargs)
+
+    def recording_solve(self, rhs):
+        if np.ndim(rhs) == 2:
+            block_solves.append((self.order, np.shape(rhs)[1]))
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(scenario, "pencil_eigs", recording_eigs)
+    monkeypatch.setattr(a2r, "poisson_matrix", recording_poisson)
+    monkeypatch.setattr(eigcount.Factorization, "solve", recording_solve)
+    return eigs, poisson, block_solves
+
+
+def test_plateau_runs_need_one_set_and_one_value_of_v(tmp_path):
+    """A level joins the previous level's run only when both carve one set
+    on which V is constant: every level of the ball, no two levels of a
+    Gaussian well, and across the nested steps only the inner plateau."""
+    def runs(text):
+        cfg = load_config(_write(tmp_path, text))
+        return scenario._plateau_runs(build_potential(cfg.family, cfg.grid), cfg.levels)
+
+    assert runs(BALL_PLATEAU_3D) == [[0, 1, 2]]
+    gaussian = BALL_PLATEAU_3D.replace("ball_well", "gaussian_well").replace(
+        "radius = 1.0", "width = 0.6"
+    )
+    assert runs(gaussian) == [[0], [1], [2]]
+    assert runs(NESTED_STEPS_3D) == [[0, 1], [2], [3, 4]]
+    # an empty level is on no plateau, and one below it starts a new run
+    assert runs(BALL_PLATEAU_3D.replace("-2.0", "-13.0")) == [[0], [1], [2]]
+
+
+def test_3d_ball_plateau_makes_one_pinned_eigendecomposition_and_one_pinned_solve(
+    tmp_path, monkeypatch
+):
+    """The three levels of a 13^3 ball carve one set at one value of V: one
+    unit-mass pinned eigendecomposition and one multi-column pinned solve
+    (P0) serve all three, and each level reads what it would read alone."""
+    path = _write(tmp_path, BALL_PLATEAU_3D)
+    cfg = load_config(path)
+    eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    monkeypatch.undo()
+    assert result.exit_code == 0
+    ni, nb = (result.document["scenarios"][0][k] for k in ("n_interior", "n_boundary"))
+    assert len(eigs) == 1 and np.array_equal(eigs[0], np.ones(ni))
+    assert poisson == [0.0]
+    assert block_solves == [(ni, nb)]
+    _assert_levels_run_alone_alike(cfg, result)
+
+
+def test_2d_ball_plateau_shares_its_values_only_spectrum(tmp_path, monkeypatch):
+    """On a 31^2 ball the one shared pinned spectrum comes by the
+    values-only band route; every sweep point still solves for its own
+    Poisson matrix, and each level reads what it would read alone."""
+    path = _write(tmp_path, BALL_PLATEAU_2D)
+    cfg = load_config(path)
+    eigs, poisson, _ = _count_pinned_work(monkeypatch)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    monkeypatch.undo()
+    assert result.exit_code == 0
+    assert len(eigs) == 1 and np.all(eigs[0] == 1.0)
+    assert poisson.count(0.0) == 1
+    assert len(poisson) == 1 + len(result.rows)
+    _assert_levels_run_alone_alike(cfg, result)
+
+
+def test_gaussian_levels_each_make_their_own_eigendecomposition(tmp_path, monkeypatch):
+    """No two levels of a Gaussian well share a set at one value of V: each
+    computes its pinned spectrum with its own masses, and its own P0."""
+    text = BALL_PLATEAU_3D.replace("ball_well", "gaussian_well").replace(
+        "radius = 1.0", "width = 0.6"
+    )
+    eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
+    result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / "out")
+    monkeypatch.undo()
+    assert result.exit_code == 0
+    assert len(eigs) == 3 and not any(np.all(m == 1.0) for m in eigs)
+    assert poisson == [0.0] * 3 and len(block_solves) == 3
+
+
+def test_plateaus_share_nothing_across_a_level_on_another_set(tmp_path, monkeypatch):
+    """Levels -5, -6 and -7, -8 carve the inner step; -1 between them
+    carves the outer set.  Each plateau run computes its own sublevel
+    problem, the level between them its own, with its own masses, and every
+    level reads what it would read alone."""
+    path = _write(tmp_path, NESTED_STEPS_3D)
+    cfg = load_config(path)
+    classified = []
+    real_classify = scenario.classify_nodes
+
+    def classify(V, e):
+        classified.append(e)
+        return real_classify(V, e)
+
+    eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
+    monkeypatch.setattr(scenario, "classify_nodes", classify)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    monkeypatch.undo()
+    assert result.exit_code == 0
+    assert classified == [-5.0, -1.0, -7.0]
+    assert [bool(np.all(m == 1.0)) for m in eigs] == [True, False, True]
+    assert poisson == [0.0] * 3 and len(block_solves) == 3
+    _assert_levels_run_alone_alike(cfg, result)
+
+
+def test_plateau_eigenvectors_are_gone_by_the_last_levels_first_sweep_point(
+    tmp_path, monkeypatch
+):
+    """The plateau keeps the unit-mass eigenvectors Y for its later levels
+    and lets go of them once its last level has built its spectrum."""
+    vectors = []
+    alive_at_sweep = []
+    levels_started = []
+    real_eigs, real_split, real_run = scenario.pencil_eigs, a2r.splitting_counts, _LevelRun.run
+
+    def eigs(*args, **kwargs):
+        s = real_eigs(*args, **kwargs)
+        vectors.append(weakref.ref(s.eigenvectors))
+        return s
+
+    def split(*args, **kwargs):
+        gc.collect()
+        alive_at_sweep.append((len(levels_started), vectors[0]() is not None))
+        return real_split(*args, **kwargs)
+
+    def run(self):
+        levels_started.append(self.e)
+        return real_run(self)
+
+    monkeypatch.setattr(scenario, "pencil_eigs", eigs)
+    monkeypatch.setattr(a2r, "splitting_counts", split)
+    monkeypatch.setattr(_LevelRun, "run", run)
+    result = run_scenario(_write(tmp_path, BALL_PLATEAU_3D), out_dir=tmp_path / "out")
+    assert result.exit_code == 0 and len(vectors) == 1
+    alive = {level: {flag for lv, flag in alive_at_sweep if lv == level} for level in (1, 2, 3)}
+    assert alive == {1: {True}, 2: {True}, 3: {False}}
