@@ -100,9 +100,9 @@ def _interior_solve(
     At lam <= 0, K_II + |lam| M_II is positive definite when K_II is, so a
     negative or zero pivot there is SingularDirichletBlock.  This is the
     pencil's one positive-definiteness check (P0 passes through it), read
-    off the factor that solves.  Levels on one plateau of V share K_II and
-    P0 (see ``scenario``), so the first level's P0 solve is the check for
-    all of them."""
+    off the factor that solves.  Levels on one plateau of V have equal K_II
+    and share P0 (see ``scenario``), so the first level's P0 solve is the
+    check for all of them."""
     if factor is None:
         factor = p.pinned_shifts.factor(lam)
     inert = factor.inertia

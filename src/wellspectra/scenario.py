@@ -29,15 +29,16 @@ Consecutive levels on one plateau of V share one sublevel problem.  A level
 is on a plateau when its set {V < e} is the previous level's set and V takes
 one value V0 on it; then the weight (V - e)_- is the constant e - V0 there,
 and K, P0 and the pinned eigenvectors do not depend on the level.  The first
-level of the run classifies the nodes and assembles K, solves for P0 and
-reads off it what needs no mass (nu, S(0) and the c_P report), and computes
-the unit-mass pinned eigenpairs (nu, Y) of K_II.  Every level of the run
-still takes its own mu = nu/m_e and X = Y/sqrt(m_e), with
-m_e = (e - V0) h^n, its own boundary mass P0^T M_I, PinnedSpectrum (Gram
-check and 2->infinity norms included), b, every sweep-point factorization,
-box count and reduction check; no count is copied between levels.  The last
-level of the run lets go of Y before its first sweep point.  Every other
-level runs on its own.
+level of the run solves for P0 and reads off it what needs no mass (S(0) and
+the c_P report), and computes the unit-mass pinned eigenpairs (nu, Y) of
+K_II.  Every level of the run still classifies its nodes and assembles its
+own pencil (the same nodes in the same order, so the shared P0 fits it),
+takes its own mu = nu/m_e and X = Y/sqrt(m_e), with m_e = (e - V0) h^n, its
+own boundary measures off P0, PinnedSpectrum (Gram check and 2->infinity
+norms included), b, every sweep-point factorization, box count and
+reduction check; no count is copied between levels.  The last level of the
+run lets go of Y before its first sweep point.  Every other level runs on
+its own.
 
 Config schema::
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -359,33 +360,41 @@ def _plateau_runs(V: PotentialField, levels) -> list:
     return runs
 
 
+def _poisson_zero(pencil: AssembledPencil):
+    """The lam = 0 Poisson matrix P0 of ``pencil``, S(0), and the exact
+    kernel constant c_P with the number of pairs it is the maximum over
+    (None below dimension 2)."""
+    P0 = a2r.poisson_matrix(pencil, 0.0)
+    S0 = a2r.schur_form(pencil, 0.0, P0)
+    kernel = None
+    if pencil.grid.dimension >= 2:
+        kernel = (
+            a2r.estimate_poisson_constant(pencil, P0=P0),
+            int(np.count_nonzero(P0 > 0)),
+        )
+    return P0, S0, kernel
+
+
 class _Plateau:
     """The sublevel problem of a run of ``levels`` levels on one plateau of
-    V (see ``_plateau_runs``), filled in by the run's first level.
+    V (see ``_plateau_runs``), computed from the run's first level.
 
-    It keeps the decomposition, K and sigma; P0 with its nu, S(0) and c_P
-    (value and pair count); and the unit-mass pinned eigenvalues, with the
-    eigenvectors Y until the run's last level has read them.
+    It keeps P0 with S(0) and c_P (value and pair count), and the unit-mass
+    pinned eigenvalues, with the eigenvectors Y until the run's last level
+    has read them.
     """
 
     def __init__(self, levels: int):
         self.levels_left = levels
-        self.dec = self.K = self.sigma = None
-        self.P0 = self.nu = self.S0 = self.kernel = None
+        self.zero = None
         self.unit_eigenvalues = self.Y = None
 
-    def pencil(self, V: PotentialField, e: float) -> AssembledPencil:
-        """The pencil of level e: the first level classifies and assembles,
-        every later one puts its mass (e - V0) h^n on the shared K."""
-        if self.dec is None:
-            pencil = assemble_pencil(classify_nodes(V, e), V, e)
-            self.dec, self.K, self.sigma = pencil.dec, pencil.K, pencil.sigma
-            return pencil
-        V0 = V.values.flat[self.dec.interior[0]]
-        M = np.zeros(self.K.shape[0])
-        M[: self.dec.num_interior] = (e - V0) * V.grid.spacing**V.grid.dimension
-        dec = replace(self.dec, level=float(e))
-        return AssembledPencil(grid=V.grid, dec=dec, K=self.K, M=M, sigma=self.sigma)
+    def poisson_zero(self, pencil: AssembledPencil):
+        """``_poisson_zero`` of the run's first pencil, computed on the
+        first call."""
+        if self.zero is None:
+            self.zero = _poisson_zero(pencil)
+        return self.zero
 
     def pinned_eigs(self, pencil: AssembledPencil, want_vectors: bool) -> SpectralSummary:
         """The pinned spectrum of ``pencil``, whose interior mass is the
@@ -435,24 +444,20 @@ class _LevelRun:
         self.pencil = None
 
     def run(self):
-        shared = self.plateau
-        if shared is None:
-            try:
-                dec = classify_nodes(self.V, self.e)
-            except EmptySublevel:
-                self.rows.append(_empty_level_row(self.scenario_id, self.e))
-                self.meta = {"empty": True, "n_interior": 0, "n_boundary": 0}
-                self._reduction_report()
-                return self
-            pencil = assemble_pencil(dec, self.V, self.e)
-        else:
-            pencil = shared.pencil(self.V, self.e)
+        try:
+            dec = classify_nodes(self.V, self.e)
+        except EmptySublevel:
+            self.rows.append(_empty_level_row(self.scenario_id, self.e))
+            self.meta = {"empty": True, "n_interior": 0, "n_boundary": 0}
+            self._reduction_report()
+            return self
+        pencil = assemble_pencil(dec, self.V, self.e)
         self.pencil = pencil
         self.meta = {
             "empty": False,
             "n_interior": pencil.n_interior,
             "n_boundary": pencil.n_boundary,
-            "diameter": float(pencil.dec.diameter),
+            "diameter": float(dec.diameter),
         }
 
         # eigenvectors only for n >= 3, where the 2->infinity norm and the
@@ -460,28 +465,21 @@ class _LevelRun:
         sweep = self.cfg.sweep
         t_grid = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
         want_vectors = self.cfg.grid.dimension >= 3
-        if shared is None:
+        plateau = self.plateau
+        if plateau is None:
             s = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
         else:
-            s = shared.pinned_eigs(pencil, want_vectors)
+            s = plateau.pinned_eigs(pencil, want_vectors)
         self.spectrum = a2r.PinnedSpectrum(pencil, s, t_grid)
         del s
         # P0 stays a local until the level ends: dropped before the sweep, it
         # doubled the minor page faults of a levels-2d run under glibc's
         # malloc (15.6k to 31.4k), and the run took about 12 % longer
-        if shared is None or shared.P0 is None:
-            P0 = a2r.poisson_matrix(pencil, 0.0)
-            self.bm = a2r.boundary_measures(pencil, P0)
-            self.S0 = a2r.schur_form(pencil, 0.0, P0)
-            kernel = self._kernel_constant(P0)
-            if shared is not None:
-                shared.P0, shared.nu, shared.S0, shared.kernel = P0, self.bm.nu, self.S0, kernel
+        if plateau is None:
+            P0, self.S0, kernel = _poisson_zero(pencil)
         else:
-            # a later level of a plateau sweeps its own mass along the shared P0
-            P0, self.S0, kernel = shared.P0, shared.S0, shared.kernel
-            self.bm = a2r.BoundaryMeasures(
-                mu=P0.T @ pencil.M_interior, nu=shared.nu, sigma=pencil.sigma
-            )
+            P0, self.S0, kernel = plateau.poisson_zero(pencil)
+        self.bm = a2r.boundary_measures(pencil, P0)
         kernel_report = self._kernel_constant_report(kernel)
         self.consts = self._derive_constants()
 
@@ -717,17 +715,9 @@ class _LevelRun:
                 )
             )
 
-    def _kernel_constant(self, P0: np.ndarray):
-        """The exact kernel constant c_P of the level's P0 and the number of
-        pairs it is the maximum over (None below dimension 2)."""
-        if self.cfg.grid.dimension < 2:
-            return None
-        value = a2r.estimate_poisson_constant(self.pencil, P0=P0)
-        return value, int(np.count_nonzero(P0 > 0))
-
     def _kernel_constant_report(self, kernel) -> BoundReport | None:
-        """The report of the kernel constant ``kernel`` = (c_P, pairs), or
-        None; the level lists it last."""
+        """The report of the kernel constant ``kernel`` = (c_P, pairs) from
+        ``_poisson_zero``, or None; the level lists it last."""
         if kernel is None:
             return None
         value, pairs = kernel
@@ -779,7 +769,7 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
             }
             scenario_docs.append(doc)
             del level  # its pencil, shift families and W go before the next level's
-        del plateau  # and a plateau's P0, S(0) and K before the next run's
+        del plateau  # and a plateau's P0 and S(0) before the next run's
 
     document = {
         "schema_version": SCHEMA_VERSION,

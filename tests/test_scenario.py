@@ -421,28 +421,27 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
 
 def test_each_level_is_released_before_the_next_starts(tmp_path, monkeypatch):
     """run_scenario lets go of a level (its pencil, shift families and W)
-    before the next level starts, so two levels never share the peak; on a
-    plateau (the ball) as well as off one (a Gaussian well)."""
+    before the next level classifies its nodes, so two levels never share
+    the peak."""
     pencils = []
     alive = []
-    real_run = _LevelRun.run
+    real_classify, real_assemble = scenario.classify_nodes, scenario.assemble_pencil
 
-    def run(self):
-        gc.collect()
+    def classify(*args, **kwargs):
         alive.append([ref() is not None for ref in pencils])
-        real_run(self)
-        pencils.append(weakref.ref(self.pencil))
-        return self
+        return real_classify(*args, **kwargs)
 
-    monkeypatch.setattr(_LevelRun, "run", run)
-    ball = SMALL_3D.replace("values = -0.5", "values = -0.5, -2.0, -6.0")
-    gaussian = ball.replace("ball_well", "gaussian_well").replace("radius = 1.0", "width = 0.6")
-    for name, text in (("ball.cfg", ball), ("gaussian.cfg", gaussian)):
-        pencils.clear()
-        alive.clear()
-        result = run_scenario(_write(tmp_path, text, name), out_dir=tmp_path / "out")
-        assert result.exit_code == 0
-        assert alive == [[], [False], [False, False]]
+    def assemble(*args, **kwargs):
+        pencil = real_assemble(*args, **kwargs)
+        pencils.append(weakref.ref(pencil))
+        return pencil
+
+    monkeypatch.setattr(scenario, "classify_nodes", classify)
+    monkeypatch.setattr(scenario, "assemble_pencil", assemble)
+    text = SMALL_3D.replace("values = -0.5", "values = -0.5, -2.0, -6.0")
+    result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / "out")
+    assert result.exit_code == 0
+    assert alive == [[], [False], [False, False]]
 
 
 def test_2d_level_computes_no_eigenvectors(tmp_path, monkeypatch):
@@ -780,19 +779,10 @@ def test_plateaus_share_nothing_across_a_level_on_another_set(tmp_path, monkeypa
     level reads what it would read alone."""
     path = _write(tmp_path, NESTED_STEPS_3D)
     cfg = load_config(path)
-    classified = []
-    real_classify = scenario.classify_nodes
-
-    def classify(V, e):
-        classified.append(e)
-        return real_classify(V, e)
-
     eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
-    monkeypatch.setattr(scenario, "classify_nodes", classify)
     result = run_scenario(path, out_dir=tmp_path / "out")
     monkeypatch.undo()
     assert result.exit_code == 0
-    assert classified == [-5.0, -1.0, -7.0]
     assert [bool(np.all(m == 1.0)) for m in eigs] == [True, False, True]
     assert poisson == [0.0] * 3 and len(block_solves) == 3
     _assert_levels_run_alone_alike(cfg, result)
@@ -814,7 +804,6 @@ def test_plateau_eigenvectors_are_gone_by_the_last_levels_first_sweep_point(
         return s
 
     def split(*args, **kwargs):
-        gc.collect()
         alive_at_sweep.append((len(levels_started), vectors[0]() is not None))
         return real_split(*args, **kwargs)
 
