@@ -5,13 +5,16 @@
         [--rungs levels-2d,ball3d-17,ball3d-25,ball3d-33] [--seed 7] \
         [--repeats 5] [--out BENCH_shift_order.json]
 
-A rung is one scenario config of perfbench/workloads.py: ``levels-2d`` (the
-2D three-well landscape with 32 levels) or ``ball3d-R`` (the 3D ball well
-at R^3).  Each (tree, rung) run is a fresh process that imports wellspectra
-from the tree, wraps seven layers at their import sites and runs the
-scenario once.  The trees alternate, before first.  Per layer it records
-calls and inclusive wall time; ``poisson_matrix`` also runs inside
-``splitting_counts``.  Per run it records:
+A rung is one scenario config built from perfbench/workloads.py:
+``levels-2d`` (the 2D three-well landscape with 32 levels), ``ball3d-R``
+(the 3D ball well at R^3, whose three levels share one plateau) or
+``gauss3d-R`` (the ball3d-R config edited to a Gaussian well of width 0.8
+at levels -4, -7 and -10, on which no two levels share a plateau).  Each
+(tree, rung) run is a fresh process that imports wellspectra from the tree,
+wraps seven layers at their import sites and runs the scenario once.  The
+trees alternate, before first.  Per layer it records calls and inclusive
+wall time; ``poisson_matrix`` also runs inside ``splitting_counts``.  Per
+run it records:
 
 * the wall time of the worker's ``from wellspectra import ...`` (numpy is
   loaded by then);
@@ -62,13 +65,28 @@ LAYERS = {
 DEFAULT_RUNGS = "levels-2d,ball3d-17,ball3d-25,ball3d-33"
 
 
+#: ball3d -> gauss3d: a 3D well on which no two levels share a plateau
+GAUSS3D_EDITS = {
+    "family = ball_well": "family = gaussian_well",
+    "radius = 1.0": "width = 0.8",
+    "values = -0.5, -2.0, -6.0": "values = -4.0, -7.0, -10.0",
+    "prefix = ball3d": "prefix = gauss3d",
+}
+
+
 def rung_config(rung: str, seed: int) -> str:
     if rung == "levels-2d":
         return levels2d_config(seed)
     kind, _, resolution = rung.partition("-")
-    if kind != "ball3d" or not resolution.isdigit():
-        raise SystemExit(f"unknown rung {rung!r}: use levels-2d or ball3d-R")
-    return ball3d_config(seed, resolution=int(resolution))
+    if kind not in ("ball3d", "gauss3d") or not resolution.isdigit():
+        raise SystemExit(f"unknown rung {rung!r}: use levels-2d, ball3d-R or gauss3d-R")
+    text = ball3d_config(seed, resolution=int(resolution))
+    if kind == "gauss3d":
+        for old, new in GAUSS3D_EDITS.items():
+            if old not in text:
+                raise SystemExit(f"ball3d config has no {old!r} to edit into gauss3d")
+            text = text.replace(old, new)
+    return text
 
 
 def _timed(fn, total):

@@ -26,9 +26,14 @@ Pencil documents
 
 Any other file, a K that is not square and exactly symmetric, an M that is
 not a nonnegative vector of K's order, or a K or M with an entry that is not
-finite is a configuration error.  So is a positive ``--level``.  Scenario
-CSV columns are documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON
-report document carries ``schema_version`` 1.
+finite is a configuration error.  So are a positive ``--level``, a
+``--lambda`` that is not finite, a ``--lambda-grid`` below 1, a
+``--lambda-min``/``--lambda-max`` that is not finite and > 0, ``oracle
+box-count`` arguments outside n in {1, 2, 3}, side > 0 and mu >= 0 (all
+finite), and ``report`` files that cannot be read or are not scenario
+reports; each is refused before any work.  Scenario CSV columns are
+documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON report document
+carries ``schema_version`` 1.
 """
 
 from __future__ import annotations
@@ -47,7 +52,15 @@ from . import a2r, model
 from .assemble import assemble_pencil, classify_nodes
 from .eigcount import _as_mass_vector, count_below, pencil_eigs
 from .errors import ConfigError, EmptySublevel, WellSpectraError
-from .scenario import SCHEMA_VERSION, _nudged, lambda_grid, load_config, run_scenario
+from .scenario import (
+    CSV_COLUMNS,
+    SCHEMA_VERSION,
+    _nudged,
+    check_shift_range,
+    lambda_grid,
+    load_config,
+    run_scenario,
+)
 from .schrodinger import box_exact_count
 
 
@@ -128,6 +141,8 @@ def _load_pencil_matrices(path):
 
 
 def _cmd_count(args) -> int:
+    if not np.isfinite(args.lam):
+        raise ConfigError(f"--lambda must be finite, got {args.lam!r}")
     K, M = _load_pencil_matrices(args.pencil)
     lam, n = _nudged(lambda x: count_below(K, M, x), args.lam, "lambda")
     print(n)
@@ -135,6 +150,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_splitting(args) -> int:
+    if args.lambda_grid < 1:
+        raise ConfigError(f"--lambda-grid must be >= 1, got {args.lambda_grid}")
+    check_shift_range(args.lambda_min, args.lambda_max)
     try:
         cfg, V, pencil = _load_level(args.config, args.level)
     except EmptySublevel:
@@ -178,23 +196,38 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.oracle_command == "box-count":
+        if args.n not in (1, 2, 3):
+            raise ConfigError(f"--n must be 1, 2 or 3, got {args.n}")
+        if not (np.isfinite(args.side) and args.side > 0):
+            raise ConfigError(f"--side must be finite and > 0, got {args.side!r}")
+        if not (np.isfinite(args.mu) and args.mu >= 0):
+            raise ConfigError(f"--mu must be finite and >= 0, got {args.mu!r}")
         print(box_exact_count(args.n, args.side, args.mu))
         return 0
     raise ConfigError(f"unknown oracle {args.oracle_command!r}")
 
 
 def _cmd_report(args) -> int:
-    rows = list(csv.DictReader(Path(args.csv).open()))
-    doc = json.loads(Path(args.json).read_text())
+    try:
+        with Path(args.csv).open() as f:
+            reader = csv.DictReader(f)
+            missing = [col for col in CSV_COLUMNS if col not in (reader.fieldnames or [])]
+            rows = list(reader)
+        doc = json.loads(Path(args.json).read_text())
+        verdicts = {}
+        for sc in doc.get("scenarios", []):
+            for rep in sc.get("reports", []):
+                verdicts.setdefault(rep["name"], []).append(rep["verdict"])
+        violations = list(doc.get("violations", []))
+    except (OSError, ValueError, csv.Error, AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read the reports: {type(exc).__name__}: {exc}") from exc
+    if missing:
+        raise ConfigError(f"{args.csv}: not a scenario CSV, missing columns {missing}")
     identity_bad = sum(1 for r in rows if r["identity_holds"] != "true")
     ineq_bad = sum(1 for r in rows if r["verdict_counting"] == "violated")
     print(f"rows: {len(rows)}")
     print(f"splitting identity: {len(rows) - identity_bad}/{len(rows)} hold")
     print(f"counting inequality: {'all hold' if not ineq_bad else f'{ineq_bad} violated'}")
-    verdicts = {}
-    for sc in doc.get("scenarios", []):
-        for rep in sc.get("reports", []):
-            verdicts.setdefault(rep["name"], []).append(rep["verdict"])
     for name in sorted(verdicts):
         vs = verdicts[name]
         summary = ", ".join(
@@ -203,7 +236,6 @@ def _cmd_report(args) -> int:
             if vs.count(kind)
         )
         print(f"{name}: {summary}")
-    violations = doc.get("violations", [])
     for bad in violations:
         print(f"VIOLATION: {bad}", file=sys.stderr)
     return 1 if (identity_bad or ineq_bad or violations) else 0

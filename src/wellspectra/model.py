@@ -125,7 +125,7 @@ class GridSpec:
 
 @dataclass
 class PotentialField:
-    """Potential sampled at grid nodes, with cached sublevel norms.
+    """Potential sampled at grid nodes, with its sublevel norms.
 
     ``norm(e, p)`` returns the lattice quadrature of ``((V - e)_-)^p``:
     ``(sum_i ((V(x_i) - e)_-)^p * h^n)^(1/p)``.
@@ -140,7 +140,6 @@ class PotentialField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("potential values must be finite at every node")
         self.values.setflags(write=False)
-        self._norm_cache = {}
 
     def negative_part(self, e: float) -> np.ndarray:
         """(V - e)_- sampled at every node (nonnegative array)."""
@@ -148,13 +147,9 @@ class PotentialField:
 
     def norm(self, e: float, p: float) -> float:
         """Lattice L^p norm of (V - e)_- over the box."""
-        key = (float(e), float(p))
-        if key not in self._norm_cache:
-            w = self.negative_part(e)
-            hn = self.grid.spacing ** self.grid.dimension
-            self._norm_cache[key] = float((np.sum(w ** p) * hn) ** (1.0 / p))
-        return self._norm_cache[key]
-
+        w = self.negative_part(e)
+        hn = self.grid.spacing ** self.grid.dimension
+        return float((np.sum(w ** p) * hn) ** (1.0 / p))
 
 
 def _radial2(grid: GridSpec, center) -> np.ndarray:

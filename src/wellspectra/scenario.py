@@ -19,26 +19,26 @@ report reads it.  A level holds its pinned spectrum in one
 semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
 read the eigenvectors, the norms over the time grid (whose computation
 checks the eigenvectors w-orthonormal, once per level) and W = K_BI X; the
-|I|^2 eigenvector array is freed before the first sweep point.  The
-boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
-P0, which no other object keeps.  The box operator's bound-state counts for all levels
-come from one ``BoxOperator``, certified before the first level, while the
-resident set is smallest.
+level lets go of its |I|^2 eigenvector array before its first sweep point.
+The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
+P0.  The box operator's bound-state counts for all levels come from one
+``BoxOperator``, certified before the first level, while the resident set is
+smallest.
 
-Consecutive levels on one plateau of V share one sublevel problem.  A level
-is on a plateau when its set {V < e} is the previous level's set and V takes
-one value V0 on it; then the weight (V - e)_- is the constant e - V0 there,
-and K, P0 and the pinned eigenvectors do not depend on the level.  The first
-level of the run solves for P0 and reads off it what needs no mass (S(0) and
-the c_P report), and computes the unit-mass pinned eigenpairs (nu, Y) of
-K_II.  Every level of the run still classifies its nodes and assembles its
-own pencil (the same nodes in the same order, so the shared P0 fits it),
-takes its own mu = nu/m_e and X = Y/sqrt(m_e), with m_e = (e - V0) h^n, its
-own boundary measures off P0, PinnedSpectrum (Gram check and 2->infinity
-norms included), b, every sweep-point factorization, box count and
-reduction check; no count is copied between levels.  The last level of the
-run lets go of Y before its first sweep point.  Every other level runs on
-its own.
+Every level takes P0 (with S(0) and c_P), its pinned spectrum and b from its
+run: a run of consecutive levels whose sets {V < e} are equal and on which V
+takes one value V0 (a plateau), or else a run of one.  On a plateau the
+weight (V - e)_- is the constant e - V0, so K, P0 and the pinned
+eigenvectors do not depend on the level.  The run computes P0, S(0), c_P and
+the pinned spectrum (mu, X) from its first level's pencil, exactly as that
+level would alone; a later level, whose interior mass is m_e = (e - V0) h^n,
+takes mu r and X sqrt(r) with r = m_1/m_e.  The run estimates b once, from its
+first level: b does not change with the mass.  Every level still classifies
+its nodes and assembles its own pencil (the same nodes in the same order, so
+the shared P0 fits it), and takes its own boundary measures off P0,
+PinnedSpectrum (Gram check and 2->infinity norms included), sweep-point
+factorizations, box count and reduction check; no count is copied between
+levels.  The run lets go of X once its last level has built its spectrum.
 
 Config schema::
 
@@ -49,7 +49,7 @@ Config schema::
                  (center/radius/depth/width/seed/cutoff/amplitude/wells)
     [levels]     values = comma separated energies, or count/min/max (all <= 0)
     [sweeps]     points (shared grid length), lambda_min, lambda_max
-                 (each > 0, min <= max), t_min, t_max (all optional)
+                 (each finite and > 0, min <= max), t_min, t_max (all optional)
     [constants]  p (> 0), L_n, b, omega_convention, b_samples
     [output]     directory, prefix
     [seed]       value
@@ -171,6 +171,15 @@ def _get(cp, section, key, default=None):
     return default
 
 
+def check_shift_range(lo: float | None, hi: float | None) -> None:
+    """A given end of a shift range (None: the default end) that is not
+    finite and > 0, or lo > hi, is a ConfigError.  A single given end can
+    still cross a default one; ``lambda_grid`` checks that."""
+    given = [x for x in (lo, hi) if x is not None]
+    if not all(0 < x < np.inf for x in given) or given != sorted(given):
+        raise ConfigError(f"bad shift range [{lo}, {hi}]")
+
+
 def load_config(path) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     try:
@@ -233,10 +242,7 @@ def load_config(path) -> ScenarioConfig:
             sweep.t_max = float(_get(cp, "sweeps", "t_max", sweep.t_max))
         if sweep.points < 1:
             raise ConfigError("sweeps.points must be >= 1")
-        # a single given end can still cross a default one; lambda_grid checks that
-        given = [x for x in (sweep.lambda_min, sweep.lambda_max) if x is not None]
-        if not all(x > 0 for x in given) or given != sorted(given):
-            raise ConfigError(f"bad shift range [{sweep.lambda_min}, {sweep.lambda_max}]")
+        check_shift_range(sweep.lambda_min, sweep.lambda_max)
         if not (sweep.t_min > 0 and sweep.t_max > 0):
             raise ConfigError(
                 f"sweeps.t_min and t_max must be > 0, got {sweep.t_min} and {sweep.t_max}"
@@ -294,12 +300,12 @@ def _nudged(fn, x0: float, what: str):
 def lambda_grid(mus, lo: float | None, hi: float | None, points: int) -> np.ndarray:
     """Geometric shift grid of ``points`` values from lo to hi; by default
     from 0.5*mu_1 to 1.02*mu_min(10, N) of the ascending pinned spectrum
-    ``mus``.  A range that is not 0 < lo <= hi is a ConfigError."""
+    ``mus``.  A range that is not 0 < lo <= hi < inf is a ConfigError."""
     if lo is None:
         lo = 0.5 * mus[0]
     if hi is None:
         hi = 1.02 * mus[min(10, len(mus)) - 1]
-    if not (0 < lo <= hi):
+    if not (0 < lo <= hi < np.inf):
         raise ConfigError(f"bad shift range [{lo}, {hi}]")
     return np.geomspace(lo, hi, points)
 
@@ -360,66 +366,80 @@ def _plateau_runs(V: PotentialField, levels) -> list:
     return runs
 
 
-def _poisson_zero(pencil: AssembledPencil):
-    """The lam = 0 Poisson matrix P0 of ``pencil``, S(0), and the exact
-    kernel constant c_P with the number of pairs it is the maximum over
-    (None below dimension 2)."""
-    P0 = a2r.poisson_matrix(pencil, 0.0)
-    S0 = a2r.schur_form(pencil, 0.0, P0)
-    kernel = None
-    if pencil.grid.dimension >= 2:
-        kernel = (
-            a2r.estimate_poisson_constant(pencil, P0=P0),
-            int(np.count_nonzero(P0 > 0)),
-        )
-    return P0, S0, kernel
+class _Run:
+    """The sublevel problem of a run of consecutive levels (see
+    ``_plateau_runs``), computed from the run's first level; a level that
+    shares its set with no neighbour is a run of one.
 
-
-class _Plateau:
-    """The sublevel problem of a run of ``levels`` levels on one plateau of
-    V (see ``_plateau_runs``), computed from the run's first level.
-
-    It keeps P0 with S(0) and c_P (value and pair count), and the unit-mass
-    pinned eigenvalues, with the eigenvectors Y until the run's last level
-    has read them.
+    It keeps P0 with S(0) and c_P (value and pair count), the first level's
+    pinned spectrum, with its eigenvectors until the run's last level has
+    read them, and b.
     """
 
-    def __init__(self, levels: int):
+    def __init__(self, levels: int = 1):
         self.levels_left = levels
-        self.zero = None
-        self.unit_eigenvalues = self.Y = None
+        self.zero = self.spectrum = self.mass = self.b = None
 
     def poisson_zero(self, pencil: AssembledPencil):
-        """``_poisson_zero`` of the run's first pencil, computed on the
-        first call."""
+        """The lam = 0 Poisson matrix P0 of the run's first pencil, S(0), and
+        the exact kernel constant c_P with the number of pairs it is the
+        maximum over (None below dimension 2), computed on the first call."""
         if self.zero is None:
-            self.zero = _poisson_zero(pencil)
+            P0 = a2r.poisson_matrix(pencil, 0.0)
+            S0 = a2r.schur_form(pencil, 0.0, P0)
+            kernel = None
+            if pencil.grid.dimension >= 2:
+                kernel = (
+                    a2r.estimate_poisson_constant(pencil, P0=P0),
+                    int(np.count_nonzero(P0 > 0)),
+                )
+            self.zero = P0, S0, kernel
         return self.zero
 
     def pinned_eigs(self, pencil: AssembledPencil, want_vectors: bool) -> SpectralSummary:
-        """The pinned spectrum of ``pencil``, whose interior mass is the
-        constant m: nu/m, with the eigenvectors Y/sqrt(m) when asked for,
-        from the unit-mass eigenpairs of K_II, computed on the first call."""
-        if self.unit_eigenvalues is None:
-            s = pencil_eigs(pencil.K_II, np.ones(pencil.n_interior), want_vectors=want_vectors)
-            self.unit_eigenvalues, self.Y = s.eigenvalues, s.eigenvectors
-        Y = self.Y
+        """The pinned spectrum of ``pencil``, with the eigenvectors when
+        asked for.  The first call computes that of the run's first pencil;
+        a later level's interior mass is the constant m_e, so its spectrum
+        is the first one rescaled by r = m_1/m_e: mu r, with X sqrt(r)."""
+        first = self.spectrum
+        if first is None:
+            s = first = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
+            self.mass = pencil.M_interior[0]
+        else:
+            r = float(self.mass / pencil.M_interior[0])
+            X = first.eigenvectors
+            s = SpectralSummary(
+                eigenvalues=first.eigenvalues * r,
+                eigenvectors=None if X is None else X * np.sqrt(r),
+            )
         self.levels_left -= 1
-        if not self.levels_left:
-            self.Y = None
-        m = float(pencil.M_interior[0])
-        return SpectralSummary(
-            eigenvalues=self.unit_eigenvalues / m,
-            eigenvectors=None if Y is None else Y / np.sqrt(m),
-        )
+        self.spectrum = first if self.levels_left else None
+        return s
+
+    def estimate_b(self, cfg: ScenarioConfig, bm: a2r.BoundaryMeasures, sigma) -> float:
+        """The EMPIRICAL trace offset b of ``bounds.estimate_b`` from S(0) and
+        the first caller's boundary measures ``bm`` and surface weights
+        ``sigma``, computed on the first call.  It is every level's b: mu_B =
+        m_e P0' 1 only rescales, the ratio that estimate_b maximizes is
+        homogeneous of degree 0 in phi, and its draws share the seed."""
+        if self.b is None:
+            consts = cfg.constants
+            q, S_trace = bounds.trace_sobolev_constants(
+                cfg.grid.dimension, consts.omega_convention
+            )
+            self.b = bounds.estimate_b(
+                self.zero[1], bm, sigma, q, S_trace, consts.b_samples, seed=cfg.seed
+            )
+        return self.b
 
 
 class _LevelRun:
     """All computations for one energy level of one scenario.
 
     ``box`` is the scenario's BoxOperator of V; by default the level counts
-    the box operator on its own.  ``plateau`` is the _Plateau that the level
-    shares with its neighbours on one plateau of V, if any.
+    the box operator on its own.  ``shared`` is the _Run of levels whose
+    sublevel problem (P0, the pinned spectrum and b) the level reads; by
+    default the level is a run of one.
     """
 
     def __init__(
@@ -429,13 +449,13 @@ class _LevelRun:
         index: int,
         e: float,
         box: BoxOperator | None = None,
-        plateau: _Plateau | None = None,
+        shared: _Run | None = None,
     ):
         self.cfg = cfg
         self.V = V
         self.e = float(e)
         self.box = box if box is not None else BoxOperator(V, [e])
-        self.plateau = plateau
+        self.shared = shared if shared is not None else _Run()
         self.scenario_id = f"{cfg.prefix}-L{index:02d}"
         self.rows = []
         self.reports = []
@@ -461,24 +481,17 @@ class _LevelRun:
         }
 
         # eigenvectors only for n >= 3, where the 2->infinity norm and the
-        # sweep points' S(lambda) read them; the spectrum lets go of them
+        # sweep points' S(lambda) read them; the spectrum lets go of them,
+        # and the run does once its last level has read them
         sweep = self.cfg.sweep
         t_grid = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
-        want_vectors = self.cfg.grid.dimension >= 3
-        plateau = self.plateau
-        if plateau is None:
-            s = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
-        else:
-            s = plateau.pinned_eigs(pencil, want_vectors)
+        s = self.shared.pinned_eigs(pencil, self.cfg.grid.dimension >= 3)
         self.spectrum = a2r.PinnedSpectrum(pencil, s, t_grid)
         del s
-        # P0 stays a local until the level ends: dropped before the sweep, it
-        # doubled the minor page faults of a levels-2d run under glibc's
-        # malloc (15.6k to 31.4k), and the run took about 12 % longer
-        if plateau is None:
-            P0, self.S0, kernel = _poisson_zero(pencil)
-        else:
-            P0, self.S0, kernel = plateau.poisson_zero(pencil)
+        # P0 lives as long as the run: dropped before the sweep, it doubled
+        # the minor page faults of a levels-2d run under glibc's malloc
+        # (15.6k to 31.4k), and the run took about 12 % longer
+        P0, self.S0, kernel = self.shared.poisson_zero(pencil)
         self.bm = a2r.boundary_measures(pencil, P0)
         kernel_report = self._kernel_constant_report(kernel)
         self.consts = self._derive_constants()
@@ -522,18 +535,7 @@ class _LevelRun:
         b = cfg.constants.b
         b_note = "b supplied by configuration"
         if b is None and p > n - 1:
-            q, S_trace = bounds.trace_sobolev_constants(
-                n, cfg.constants.omega_convention
-            )
-            b = bounds.estimate_b(
-                self.S0,
-                self.bm,
-                self.pencil.sigma,
-                q,
-                S_trace,
-                cfg.constants.b_samples,
-                seed=cfg.seed,
-            )
+            b = self.shared.estimate_b(cfg, self.bm, self.pencil.sigma)
             b_note = f"b estimated from {cfg.constants.b_samples} sampled traces (EMPIRICAL)"
         try:
             consts = bounds.BoundConstants.derive(
@@ -717,7 +719,7 @@ class _LevelRun:
 
     def _kernel_constant_report(self, kernel) -> BoundReport | None:
         """The report of the kernel constant ``kernel`` = (c_P, pairs) from
-        ``_poisson_zero``, or None; the level lists it last."""
+        ``_Run.poisson_zero``, or None; the level lists it last."""
         if kernel is None:
             return None
         value, pairs = kernel
@@ -752,10 +754,10 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
     violations = []
     scenario_docs = []
     for run in runs:
-        plateau = _Plateau(len(run)) if len(run) > 1 else None
+        shared = _Run(len(run))
         for index in run:
             e = cfg.levels[index]
-            level = _LevelRun(cfg, V, index, e, box=box, plateau=plateau).run()
+            level = _LevelRun(cfg, V, index, e, box=box, shared=shared).run()
             rows.extend(level.rows)
             violations.extend(level.violations)
             doc = {
@@ -769,7 +771,7 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
             }
             scenario_docs.append(doc)
             del level  # its pencil, shift families and W go before the next level's
-        del plateau  # and a plateau's P0 and S(0) before the next run's
+        del shared  # and the run's P0 and S(0) before the next run's
 
     document = {
         "schema_version": SCHEMA_VERSION,

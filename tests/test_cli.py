@@ -131,6 +131,43 @@ def test_a_positive_level_is_a_config_error(cfg2d, monkeypatch, capsys, command)
     assert loaded == []
 
 
+#: command lines whose arguments are out of range or whose files are not
+#: scenario reports; "{cfg}" is a 2D config and "{tmp}" a scratch directory
+BAD_ARGUMENTS = {
+    "count-nan-lambda": ["count", "--lambda", "nan"],
+    "count-infinite-lambda": ["count", "--lambda", "inf"],
+    "splitting-negative-grid": ["splitting", "{cfg}", "--level", "-0.8", "--lambda-grid", "-2"],
+    "splitting-empty-grid": ["splitting", "{cfg}", "--level", "-0.8", "--lambda-grid", "0"],
+    "splitting-infinite-shift": ["splitting", "{cfg}", "--level", "-0.8", "--lambda-max", "inf"],
+    "oracle-negative-mu": ["oracle", "box-count", "--mu", "-1"],
+    "oracle-nan-mu": ["oracle", "box-count", "--mu", "nan"],
+    "oracle-dimension-4": ["oracle", "box-count", "--mu", "10", "--n", "4"],
+    "oracle-zero-side": ["oracle", "box-count", "--mu", "10", "--side", "0"],
+    "report-missing-files": ["report", "{tmp}/none.csv", "{tmp}/none.json"],
+    "report-foreign-csv": ["report", "{tmp}/foreign.csv", "{tmp}/doc.json"],
+    "report-foreign-json": ["report", "{tmp}/counts.csv", "{tmp}/foreign.json"],
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_a_bad_argument_is_a_config_error(cfg2d, tmp_path, monkeypatch, capsys, name):
+    """An argument outside its subcommand's domain, or a report file that is
+    missing or not a scenario CSV, exits 2 with a config error before any
+    work, not 1 (a failed identity) with a traceback."""
+    (tmp_path / "foreign.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "counts.csv").write_text(",".join(CSV_COLUMNS) + "\n")
+    (tmp_path / "doc.json").write_text(json.dumps({"scenarios": [], "violations": []}))
+    (tmp_path / "foreign.json").write_text(json.dumps({"scenarios": [{"reports": [{}]}]}))
+    argv = [arg.format(cfg=cfg2d, tmp=tmp_path) for arg in BAD_ARGUMENTS[name]]
+    loaded = []
+    monkeypatch.setattr(cli, "load_config", lambda *args: loaded.append(args))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert loaded == []
+
+
 BALL_2D = """\
     [grid]
     dimension = 2
@@ -255,6 +292,7 @@ def test_bad_config_exits_2(tmp_path, monkeypatch, capsys):
             "t_min = 0.1\n    t_min = 0.2",
             "t_min = 0",
             "lambda_min = 5\n    lambda_max = 1",
+            "lambda_max = inf",
         )
     ]
     texts += [

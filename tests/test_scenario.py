@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wellspectra import a2r, eigcount, scenario, schrodinger
+from wellspectra import a2r, bounds, eigcount, scenario, schrodinger
+from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.errors import ConfigError, OnEigenvalue
 from wellspectra.model import HOLDS, NOT_APPLICABLE, Inertia, build_potential
 from wellspectra.scenario import (
@@ -705,6 +706,15 @@ def _count_pinned_work(monkeypatch):
     return eigs, poisson, block_solves
 
 
+def _first_masses(cfg, indices):
+    """The interior masses of the pencils of the levels ``indices``."""
+    V = build_potential(cfg.family, cfg.grid)
+    return [
+        assemble_pencil(classify_nodes(V, cfg.levels[i]), V, cfg.levels[i]).M_interior
+        for i in indices
+    ]
+
+
 def test_plateau_runs_need_one_set_and_one_value_of_v(tmp_path):
     """A level joins the previous level's run only when both carve one set
     on which V is constant: every level of the ball, no two levels of a
@@ -727,8 +737,9 @@ def test_3d_ball_plateau_makes_one_pinned_eigendecomposition_and_one_pinned_solv
     tmp_path, monkeypatch
 ):
     """The three levels of a 13^3 ball carve one set at one value of V: one
-    unit-mass pinned eigendecomposition and one multi-column pinned solve
-    (P0) serve all three, and each level reads what it would read alone."""
+    pinned eigendecomposition, with the first level's masses, and one
+    multi-column pinned solve (P0) serve all three, and each level reads
+    what it would read alone."""
     path = _write(tmp_path, BALL_PLATEAU_3D)
     cfg = load_config(path)
     eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
@@ -736,7 +747,8 @@ def test_3d_ball_plateau_makes_one_pinned_eigendecomposition_and_one_pinned_solv
     monkeypatch.undo()
     assert result.exit_code == 0
     ni, nb = (result.document["scenarios"][0][k] for k in ("n_interior", "n_boundary"))
-    assert len(eigs) == 1 and np.array_equal(eigs[0], np.ones(ni))
+    (first,) = _first_masses(cfg, [0])
+    assert len(eigs) == 1 and np.array_equal(eigs[0], first)
     assert poisson == [0.0]
     assert block_solves == [(ni, nb)]
     _assert_levels_run_alone_alike(cfg, result)
@@ -752,7 +764,7 @@ def test_2d_ball_plateau_shares_its_values_only_spectrum(tmp_path, monkeypatch):
     result = run_scenario(path, out_dir=tmp_path / "out")
     monkeypatch.undo()
     assert result.exit_code == 0
-    assert len(eigs) == 1 and np.all(eigs[0] == 1.0)
+    assert len(eigs) == 1 and np.array_equal(eigs[0], _first_masses(cfg, [0])[0])
     assert poisson.count(0.0) == 1
     assert len(poisson) == 1 + len(result.rows)
     _assert_levels_run_alone_alike(cfg, result)
@@ -774,16 +786,17 @@ def test_gaussian_levels_each_make_their_own_eigendecomposition(tmp_path, monkey
 
 def test_plateaus_share_nothing_across_a_level_on_another_set(tmp_path, monkeypatch):
     """Levels -5, -6 and -7, -8 carve the inner step; -1 between them
-    carves the outer set.  Each plateau run computes its own sublevel
-    problem, the level between them its own, with its own masses, and every
-    level reads what it would read alone."""
+    carves the outer set.  Each run computes its own sublevel problem with
+    the masses of its first level (-5, -1 and -7), and every level reads
+    what it would read alone."""
     path = _write(tmp_path, NESTED_STEPS_3D)
     cfg = load_config(path)
     eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
     result = run_scenario(path, out_dir=tmp_path / "out")
     monkeypatch.undo()
     assert result.exit_code == 0
-    assert [bool(np.all(m == 1.0)) for m in eigs] == [True, False, True]
+    first = _first_masses(cfg, [0, 2, 3])
+    assert len(eigs) == 3 and all(np.array_equal(m, f) for m, f in zip(eigs, first))
     assert poisson == [0.0] * 3 and len(block_solves) == 3
     _assert_levels_run_alone_alike(cfg, result)
 
@@ -791,7 +804,7 @@ def test_plateaus_share_nothing_across_a_level_on_another_set(tmp_path, monkeypa
 def test_plateau_eigenvectors_are_gone_by_the_last_levels_first_sweep_point(
     tmp_path, monkeypatch
 ):
-    """The plateau keeps the unit-mass eigenvectors Y for its later levels
+    """The run keeps its first level's eigenvectors X for its later levels
     and lets go of them once its last level has built its spectrum."""
     vectors = []
     alive_at_sweep = []
@@ -818,3 +831,42 @@ def test_plateau_eigenvectors_are_gone_by_the_last_levels_first_sweep_point(
     assert result.exit_code == 0 and len(vectors) == 1
     alive = {level: {flag for lv, flag in alive_at_sweep if lv == level} for level in (1, 2, 3)}
     assert alive == {1: {True}, 2: {True}, 3: {False}}
+
+
+def test_a_plateau_estimates_b_once(tmp_path, monkeypatch):
+    """The three levels of a 13^3 ball report one b, estimated once; the
+    three levels of a Gaussian well, runs of one, estimate it each."""
+    calls = []
+    real = bounds.estimate_b
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "estimate_b", recording)
+    gaussian = BALL_PLATEAU_3D.replace("ball_well", "gaussian_well").replace(
+        "radius = 1.0", "width = 0.6"
+    )
+    estimates, bs = {}, {}
+    for name, text in [("ball", BALL_PLATEAU_3D), ("gauss", gaussian)]:
+        calls.clear()
+        result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / name)
+        assert result.exit_code == 0
+        estimates[name] = len(calls)
+        bs[name] = [doc["constants"]["b"] for doc in result.document["scenarios"]]
+    assert estimates == {"ball": 1, "gauss": 3}
+    assert len(bs["ball"]) == 3 and bs["ball"][0] is not None and len(set(bs["ball"])) == 1
+    assert len(bs["gauss"]) == 3 and None not in bs["gauss"]
+
+
+@pytest.mark.parametrize("text", [BALL_PLATEAU_3D, BALL_PLATEAU_2D], ids=["3d", "2d"])
+def test_a_plateaus_first_level_is_the_level_run_alone(tmp_path, text):
+    """The first level of a plateau computes its sublevel problem exactly as
+    a standalone _LevelRun does: equal rows and reports, float for float."""
+    path = _write(tmp_path, text)
+    cfg = load_config(path)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    alone = _LevelRun(cfg, build_potential(cfg.family, cfg.grid), 0, cfg.levels[0]).run()
+    rows = [r for r in result.rows if r["scenario_id"] == alone.scenario_id]
+    assert rows == alone.rows
+    assert result.document["scenarios"][0]["reports"] == [rep.to_dict() for rep in alone.reports]

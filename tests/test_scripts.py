@@ -50,25 +50,22 @@ def test_weyl_ratio(tmp_path):
     assert ratios == sorted(ratios) and ratios[-1] < 1.0
 
 
-def test_shift_order_ladder(tmp_path):
-    """At 9^3, with this tree on both sides and two repeats: both runs read
-    the same counts, the three levels (one plateau of the ball) compute the
-    pinned spectrum and c_P once, each level classifies, assembles, orders
-    its pinned block and its full pencil once, plus one box operator for the
-    scenario, and every median (the import time among them) lies between
-    its recorded minimum and maximum."""
+def _check_ladder(tmp_path, rung_name, eigs, kernels):
+    """Run the ladder on ``rung_name`` (three levels) with this tree on both
+    sides and two repeats, and check each run's layer counts: ``eigs``
+    pencil_eigs calls and ``kernels`` c_P computations."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
     lines = run_script(
-        "shift_order_ladder.py", "--before", src, "--rungs", "ball3d-9", "--repeats", "2",
+        "shift_order_ladder.py", "--before", src, "--rungs", rung_name, "--repeats", "2",
         cwd=tmp_path,
     )
     assert lines[0].split() == [
         "rung", "tree", "scenario_s", "split_s", "factors", "mmd", "rss_mb", "digest"
     ]
     assert [line.split()[:2] for line in lines[1:]] == [
-        ["ball3d-9", "before"], ["ball3d-9", "after"]
+        [rung_name, "before"], [rung_name, "after"]
     ]
-    rung = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]["ball3d-9"]
+    rung = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"][rung_name]
     assert rung["digest_equal"] and rung["reports_equal"]
     levels = 3
     for side in ("before", "after"):
@@ -77,11 +74,27 @@ def test_shift_order_ladder(tmp_path):
         assert run["layers"]["splitting_counts"]["calls"] >= 6 * levels
         assert run["layers"]["classification"]["calls"] == levels
         assert run["layers"]["assembly"]["calls"] == levels
-        assert run["layers"]["poisson_constant"]["calls"] == 1
-        assert run["layers"]["pencil_eigs"]["calls"] == 1 + levels  # one pinned, one in b per level
+        assert run["layers"]["poisson_constant"]["calls"] == kernels
+        assert run["layers"]["pencil_eigs"]["calls"] == eigs
         assert run["mmd_orderings"] == 2 * levels + 1
         assert run["import_s"] > 0
         for spread, key in [(run, "import_s"), (run, "scenario_s"), (run, "peak_rss_mb")] + [
             (layer, "s") for layer in run["layers"].values()
         ]:
             assert spread[f"{key}_min"] <= spread[key] <= spread[f"{key}_max"]
+
+
+def test_shift_order_ladder(tmp_path):
+    """At 9^3 both runs read the same counts and reports; the three levels
+    (one plateau of the ball) compute the pinned spectrum, b and c_P once
+    (two pencil_eigs calls: the pinned one and the one in b), each level
+    classifies, assembles, orders its pinned block and its full pencil once,
+    plus one box operator for the scenario, and every median (the import
+    time among them) lies between its recorded minimum and maximum."""
+    _check_ladder(tmp_path, "ball3d-9", eigs=2, kernels=1)
+
+
+def test_shift_order_ladder_gauss3d(tmp_path):
+    """The same on the 9^3 Gaussian well, whose levels share no plateau:
+    each level is a run of one with its own pinned spectrum, b and c_P."""
+    _check_ladder(tmp_path, "gauss3d-9", eigs=6, kernels=3)
