@@ -27,7 +27,8 @@ Pencil documents
 Any other file, a K that is not square and exactly symmetric, an M that is
 not a nonnegative vector of K's order, or a K or M with an entry that is not
 finite is a configuration error.  So are a positive ``--level``, a
-``--lambda`` that is not finite, a ``--lambda-grid`` below 1, a
+``--lambda`` that is not finite or whose shifted pencil K - lambda*M is
+not, a ``--lambda-grid`` below 1, a
 ``--lambda-min``/``--lambda-max`` that is not finite and > 0, ``oracle
 box-count`` arguments outside n in {1, 2, 3}, side > 0 and mu >= 0 (all
 finite), and ``report`` files that cannot be read or are not scenario
@@ -144,6 +145,10 @@ def _cmd_count(args) -> int:
     if not np.isfinite(args.lam):
         raise ConfigError(f"--lambda must be finite, got {args.lam!r}")
     K, M = _load_pencil_matrices(args.pencil)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = K.diagonal() - args.lam * M
+    if not np.all(np.isfinite(shifted)):
+        raise ConfigError(f"--lambda {args.lam!r} overflows the shifted pencil K - lambda*M")
     lam, n = _nudged(lambda x: count_below(K, M, x), args.lam, "lambda")
     print(n)
     return 0

@@ -118,6 +118,29 @@ def test_count_rejects_a_bad_pencil_file(tmp_path, monkeypatch, capsys, name):
     assert factored == []
 
 
+def test_count_refuses_a_shift_whose_pencil_overflows(tmp_path, monkeypatch, capsys):
+    """A finite --lambda for which K - lambda*M overflows (K = I, M = [4, 4],
+    lambda = 1e308) exits 2 with a config error before any factorization; a
+    large shift that stays finite is counted."""
+    path = tmp_path / "big.json"
+    path.write_text(_raw([[1.0, 0.0], [0.0, 1.0]], [4.0, 4.0]))
+    factored = []
+    real_init = eigcount.Factorization.__init__
+
+    def recording(self, *args):
+        factored.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(eigcount.Factorization, "__init__", recording)
+    assert cli.main(["count", "--lambda", "1e308", "--pencil", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert factored == []
+    assert cli.main(["count", "--lambda", "1e300", "--pencil", str(path)]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 @pytest.mark.parametrize("command", ["assemble", "splitting", "bounds"])
 def test_a_positive_level_is_a_config_error(cfg2d, monkeypatch, capsys, command):
     """A positive --level exits 2 with a config error before the config is
@@ -282,8 +305,9 @@ def test_bad_config_exits_2(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "nope.cfg"
     assert cli.main(["run", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
-    # a file configparser refuses, a time grid outside t > 0, a positive
-    # level, p = 0 and a reversed shift range exit 2 before anything is factored
+    # a file configparser refuses, a time grid outside 0 < t < inf, a
+    # positive level, p = 0 and a reversed shift range exit 2 before anything
+    # is factored
     factored = []
     monkeypatch.setattr(eigcount.Factorization, "__init__", lambda *args: factored.append(args))
     texts = [
@@ -291,6 +315,7 @@ def test_bad_config_exits_2(tmp_path, monkeypatch, capsys):
         for sweeps in (
             "t_min = 0.1\n    t_min = 0.2",
             "t_min = 0",
+            "t_max = inf",
             "lambda_min = 5\n    lambda_max = 1",
             "lambda_max = inf",
         )

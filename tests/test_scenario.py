@@ -156,10 +156,13 @@ def test_load_config_errors(tmp_path):
         "garbage line\n",
         SMALL_2D.replace("dimension = 2", "dimension = 2\n    not a pair"),
     ]
-    # a time grid that does not lie in t > 0
+    # a time grid that does not lie in 0 < t < inf
     malformed += [
         SMALL_2D.replace("points = 3", f"points = 3\n    {key} = {value}")
-        for key, value in (("t_min", "0"), ("t_min", "-1"), ("t_max", "0"), ("t_max", "-5"))
+        for key, value in (
+            ("t_min", "0"), ("t_min", "-1"), ("t_max", "0"), ("t_max", "-5"),
+            ("t_max", "inf"), ("t_min", "inf"), ("t_min", "nan"),
+        )
     ]
     # a positive level, given or spanned
     malformed += [
@@ -365,8 +368,9 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     outlives the call that used it although the level keeps its pencil,
     shift families and box operator, S(lam) is still formed (from the
     level's pinned spectrum) and factored on its own, and each of the pinned
-    block, the full pencil and the box operator is ordered by minimum degree
-    once."""
+    block and the full pencil is ordered by minimum degree once; the box
+    operator of the compact ball takes the Birman-Schwinger route, which
+    orders nothing."""
     cfg = load_config(_write(tmp_path, SMALL_3D.replace("points = 2", "points = 4")))
     V = build_potential(cfg.family, cfg.grid)
 
@@ -417,7 +421,8 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
         assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
         assert times_factored(level.spectrum.schur_form(lam)) == 1
         assert times_factored((p.K - lam * sp.diags(p.M)).toarray()) == 1
-    assert orderings == {p.n_interior: 1, p.order: 1, _box_shape(cfg)[0]: 1}
+    assert orderings == {p.n_interior: 1, p.order: 1}
+    assert level.box.route == "birman-schwinger"
 
 
 def test_each_level_is_released_before_the_next_starts(tmp_path, monkeypatch):

@@ -9,14 +9,17 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from wellspectra import eigcount, schrodinger
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.bounds import polya_weyl_report
-from wellspectra.eigcount import ShiftFamily, inertia, pencil_eigs
+from wellspectra.eigcount import Factorization, ShiftFamily, inertia, pencil_eigs
 from wellspectra.errors import EnumerationCap, OnEigenvalue
 from wellspectra.model import GridSpec, Inertia, PotentialField, build_potential
 from wellspectra.schrodinger import (
+    COMPACT_WELL_C,
     BoxOperator,
     assemble_schrodinger,
+    birman_schwinger_matrix,
     box_exact_count,
     box_interior_indices,
+    compact_well,
     reduction_check,
 )
 
@@ -320,6 +323,131 @@ def test_box_without_bound_states_or_with_one_level_needs_no_lanczos(monkeypatch
     box = BoxOperator(tiny, [-2.0, -1.0])
     assert box.count_below(-2.0) == _direct_box_count(tiny, -2.0)
     assert len(fallbacks) == 1
+
+
+# ------------------------------------------------ the Birman-Schwinger route
+
+
+def _bs_outcome(V, e):
+    """The count at e read off the Birman-Schwinger matrix of V alone."""
+    inert = inertia(birman_schwinger_matrix(V, e))
+    return "on-spectrum" if inert.n_zero else inert.n_minus
+
+
+def _ball_3d(radius, seed, res=17, depth=60.0):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(box=((-2.0, 2.0),) * 3, resolution=(res,) * 3)
+    centre = list(rng.uniform(-0.3, 0.3, 3))
+    family = {"name": "ball_well", "center": centre, "radius": radius, "depth": depth}
+    return build_potential(family, grid), sorted(rng.uniform(-0.97 * depth, -0.5, 4))
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.8, 1.1, 1.3])
+def test_compact_ball_counts_equal_direct_factorization(radius):
+    """Over a ladder of 3D ball wells the box takes the Birman-Schwinger
+    route, and its counts at its levels, and at a level outside them, equal
+    a direct factorization of the box operator."""
+    V, levels = _ball_3d(radius, seed=int(10 * radius))
+    box = BoxOperator(V, levels[:3])
+    box.certify()
+    assert box.route == "birman-schwinger"
+    direct = [_direct_box_count(V, e) for e in levels]
+    assert [_box_outcome(box, e) for e in levels] == direct
+    assert direct[-1] >= 1
+
+
+@pytest.mark.parametrize("seed", [3, 11, 19])
+def test_birman_schwinger_counts_a_clamped_random_landscape(seed):
+    """On band-limited random landscapes with their positive parts clamped,
+    the matrix's counts equal a direct factorization at every level."""
+    grid = GridSpec(box=((-2.0, 2.0),) * 3, resolution=(13,) * 3)
+    family = {"name": "band_limited_random", "seed": seed, "cutoff": 3, "amplitude": 300.0}
+    raw = build_potential(family, grid)
+    V = PotentialField(grid=grid, values=np.minimum(raw.values, 0.0))
+    levels = np.random.default_rng(seed).uniform(0.9 * V.values.min(), -0.05, 5)
+    direct = [_direct_box_count(V, e) for e in levels]
+    assert [_bs_outcome(V, e) for e in levels] == direct
+    assert max(direct) >= 1
+
+
+def test_birman_schwinger_scaling_on_the_multi_landscape():
+    """Called directly on the 3D multi-well landscape, whose Gaussian tails
+    take |V| h^n down by more than 20 decades, the route counts every level
+    as a direct factorization does.  The unscaled |D|^-1 - G_W has entries
+    up to about 1e30 there, which swamp every pivot: the scaling by
+    R = sqrt(|D|) keeps the matrix's entries of order one."""
+    V, levels = _landscape(3, "multi")
+    inner = -V.values[1:-1, 1:-1, 1:-1]
+    assert inner.min() > 0 and inner.max() / inner.min() > 1e20
+    assert np.abs(birman_schwinger_matrix(V, levels[0])).max() < 1e3
+    assert [_bs_outcome(V, e) for e in levels] == [_direct_box_count(V, e) for e in levels]
+
+
+def test_box_route_rule():
+    """The compact ball takes the Birman-Schwinger route; a well that fills
+    the box (the 3D Gaussian, V < 0 everywhere) and every 2D box, however
+    small its well, take the sparse route.  The rule is
+    levels * |W|^3 <= COMPACT_WELL_C * N^2 in 3D."""
+
+    def route(V, levels):
+        box = BoxOperator(V, levels)
+        box.certify()
+        return box.route
+
+    V, levels = _ball_3d(1.0, seed=0)
+    assert route(V, levels) == "birman-schwinger"
+    V, levels = _landscape(3, "gaussian")
+    assert np.all(V.values < 0) and route(V, levels) == "sparse"
+    for name in ("ball", "gaussian", "multi", "band"):
+        V, levels = _landscape(2, name)
+        assert route(V, levels) == "sparse"
+    values = np.zeros((31, 31))
+    values[15, 15] = -60.0
+    assert route(PotentialField(grid=_ball_2d().grid, values=values), [-1.0]) == "sparse"
+    grid = GridSpec(box=((-2.0, 2.0),) * 3, resolution=(17,) * 3)
+    for levels in (1, 3, 32):
+        edge = int(np.floor((COMPACT_WELL_C * 15.0**6 / levels) ** (1 / 3)))
+        assert compact_well(grid, edge, levels) and not compact_well(grid, edge + 1, levels)
+    assert compact_well(grid, 1, 0) == compact_well(grid, 1, 1)
+
+
+def test_birman_schwinger_levels_hold_one_matrix_at_a_time(monkeypatch):
+    """Each level's matrix and factor are let go before the next level's
+    matrix is formed.  A zero pivot is OnEigenvalue, raised afresh at every
+    count of that level while the other levels count; a positive level is
+    refused."""
+    V, _ = _ball_3d(1.0, seed=1, res=13)
+    levels = [-30.0, -10.0, -3.0]
+    made, alive = [], []
+    real_matrix = schrodinger.birman_schwinger_matrix
+
+    class Recording(Factorization):
+        def __init__(self, A, perm=None):
+            super().__init__(A, perm)
+            made.append(weakref.ref(self))
+            if len(made) == 2:
+                inert = self.inertia
+                self.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+
+    def matrix(V, e):
+        alive.append([ref() is not None for ref in made])
+        return real_matrix(V, e)
+
+    monkeypatch.setattr(schrodinger, "Factorization", Recording)
+    monkeypatch.setattr(schrodinger, "birman_schwinger_matrix", matrix)
+    box = BoxOperator(V, levels)
+    box.certify()
+    assert box.route == "birman-schwinger"
+    assert alive == [[], [False], [False, False]]
+    for _ in range(2):
+        with pytest.raises(OnEigenvalue, match=r"box operator spectrum \(n_zero=1\)"):
+            box.count_below(-10.0)
+    assert [box.count_below(e) for e in (-30.0, -3.0)] == [
+        _direct_box_count(V, -30.0), _direct_box_count(V, -3.0)
+    ]
+    assert len(made) == 3 and not any(ref() is not None for ref in made)
+    with pytest.raises(ValueError):
+        box.count_below(0.5)
 
 
 # --------------------------------------------------------------- box count

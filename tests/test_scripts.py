@@ -50,17 +50,19 @@ def test_weyl_ratio(tmp_path):
     assert ratios == sorted(ratios) and ratios[-1] < 1.0
 
 
-def _check_ladder(tmp_path, rung_name, eigs, kernels):
+def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
     """Run the ladder on ``rung_name`` (three levels) with this tree on both
     sides and two repeats, and check each run's layer counts: ``eigs``
-    pencil_eigs calls and ``kernels`` c_P computations."""
+    pencil_eigs calls, ``kernels`` c_P computations, and the box ``route``,
+    which orders the box by minimum degree on the sparse route only."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
     lines = run_script(
         "shift_order_ladder.py", "--before", src, "--rungs", rung_name, "--repeats", "2",
         cwd=tmp_path,
     )
     assert lines[0].split() == [
-        "rung", "tree", "scenario_s", "split_s", "factors", "mmd", "rss_mb", "digest"
+        "rung", "tree", "scenario_s", "split_s", "box_s", "factors", "mmd", "rss_mb",
+        "route", "digest",
     ]
     assert [line.split()[:2] for line in lines[1:]] == [
         [rung_name, "before"], [rung_name, "after"]
@@ -76,7 +78,9 @@ def _check_ladder(tmp_path, rung_name, eigs, kernels):
         assert run["layers"]["assembly"]["calls"] == levels
         assert run["layers"]["poisson_constant"]["calls"] == kernels
         assert run["layers"]["pencil_eigs"]["calls"] == eigs
-        assert run["mmd_orderings"] == 2 * levels + 1
+        assert run["box_route"] == route
+        assert run["layers"]["box"]["calls"] >= 1
+        assert run["mmd_orderings"] == 2 * levels + (route == "sparse")
         assert run["import_s"] > 0
         for spread, key in [(run, "import_s"), (run, "scenario_s"), (run, "peak_rss_mb")] + [
             (layer, "s") for layer in run["layers"].values()
@@ -89,12 +93,37 @@ def test_shift_order_ladder(tmp_path):
     (one plateau of the ball) compute the pinned spectrum, b and c_P once
     (two pencil_eigs calls: the pinned one and the one in b), each level
     classifies, assembles, orders its pinned block and its full pencil once,
-    plus one box operator for the scenario, and every median (the import
-    time among them) lies between its recorded minimum and maximum."""
-    _check_ladder(tmp_path, "ball3d-9", eigs=2, kernels=1)
+    the compact ball's box operator takes the Birman-Schwinger route and
+    orders nothing, and every median (the import time among them) lies
+    between its recorded minimum and maximum."""
+    _check_ladder(tmp_path, "ball3d-9", eigs=2, kernels=1, route="birman-schwinger")
 
 
 def test_shift_order_ladder_gauss3d(tmp_path):
     """The same on the 9^3 Gaussian well, whose levels share no plateau:
-    each level is a run of one with its own pinned spectrum, b and c_P."""
-    _check_ladder(tmp_path, "gauss3d-9", eigs=6, kernels=3)
+    each level is a run of one with its own pinned spectrum, b and c_P, and
+    the Gaussian fills the box, whose operator takes the sparse route and is
+    ordered once for the scenario."""
+    _check_ladder(tmp_path, "gauss3d-9", eigs=6, kernels=3, route="sparse")
+
+
+def test_shift_order_ladder_box_rung(tmp_path):
+    """A box3d rung counts the box alone.  Forced onto the sparse route, the
+    9^3 ball's box gives the counts the route rule's Birman-Schwinger route
+    gives, and the rung is recorded under its forced route, appended to the
+    rungs already in the file."""
+    src = str(Path(wellspectra.__file__).resolve().parents[1])
+    out = tmp_path / "BENCH_shift_order.json"
+    out.write_text(json.dumps({"rungs": {"earlier": {}}}))
+    lines = run_script(
+        "shift_order_ladder.py", "--before", src, "--rungs", "box3d-9-1.0", "--repeats", "1",
+        "--route", "sparse", "--append", cwd=tmp_path,
+    )
+    assert [line.split()[0] for line in lines[1:]] == ["box3d-9-1.0@sparse"] * 2
+    rungs = json.loads(out.read_text())["rungs"]
+    assert list(rungs) == ["earlier", "box3d-9-1.0@sparse"]
+    rung = rungs["box3d-9-1.0@sparse"]
+    assert rung["before"]["box_route"] == "birman-schwinger"
+    assert rung["after"]["box_route"] == "sparse"
+    assert rung["digest_equal"] and rung["after"]["digest"].startswith("[")
+    assert rung["after"]["mmd_orderings"] == 1 and rung["before"]["mmd_orderings"] == 0
