@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from .errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
-from .eigcount import Factorization, inertia, strict_count, two_infinity_norm
+from .eigcount import Factorization, inertia, mirror_lower, strict_count, two_infinity_norm
 from .model import AssembledPencil, SpectralSummary
 
 #: relative residual contract for harmonic extensions and form identities
@@ -174,37 +174,62 @@ def schur_form(
     return (S + S.T) / 2.0
 
 
+#: columns of W = K_BI X formed per sparse product
+_COLUMN_BLOCK = 16
+
+
 class PinnedSpectrum:
     """The one holder of a level's pinned spectrum, built from all |I|
     eigenvalues ``s = pencil_eigs(K_II, M_II)`` and the sweep's time grid
     ``t``.
 
     ``summary`` holds the eigenvalues alone (the shift grid, a_lambda_norm
-    and the heat trace read them).  When ``s`` carries eigenvectors X,
-    ``two_infinity`` holds the semigroup's 2->infinity norms at the times
-    ``t`` (that call is the level's one M_II-orthonormality check of X), and
-    the boundary coupling W = K_BI X is formed once, Fortran-ordered, so
-    that the BLAS reads it in place; otherwise ``two_infinity`` is None.
-    Nothing keeps X, so the |I|^2 array is freed once the caller lets go of
-    ``s``.
+    and the heat trace read them).  When ``s`` carries eigenvectors, the
+    level's eigenvectors are X = ``scale`` * s.eigenvectors: ``two_infinity``
+    holds the semigroup's 2->infinity norms at the times ``t``, and the
+    boundary coupling W = K_BI X is formed once, Fortran-ordered, so that
+    the BLAS reads it in place; otherwise ``two_infinity`` is None.  X
+    itself is never formed: W is made by blocks of columns of s.eigenvectors,
+    each scaled, and the norms by blocks of rows, entry for entry as from X.
+    A later level of a plateau passes the run's first eigenvectors with
+    scale = sqrt(r) (see ``scenario._Run``).  The norms' call checks X
+    M_II-orthonormal, unless the caller has ``checked`` it.  Nothing keeps
+    the eigenvectors, so the |I|^2 array is freed once the caller lets go
+    of ``s``.
     """
 
-    def __init__(self, p: AssembledPencil, s: SpectralSummary, t):
+    def __init__(
+        self,
+        p: AssembledPencil,
+        s: SpectralSummary,
+        t,
+        *,
+        scale: float = 1.0,
+        checked: bool = False,
+    ):
         if s.count != p.n_interior:
             raise ValueError("the pinned spectrum needs all |I| eigenvalues")
         self.summary = replace(s, eigenvectors=None)
         self.two_infinity = self._W = self._K_BB = None
-        if s.eigenvectors is not None:
-            self.two_infinity = two_infinity_norm(s, p.M_interior, t)
-            self._W = np.asfortranarray(p.K_IB.T @ s.eigenvectors)
+        X = s.eigenvectors
+        if X is not None:
+            self.two_infinity = two_infinity_norm(
+                s, p.M_interior, t, scale=scale, check=not checked
+            )
+            K_BI = p.K_IB.T
+            self._W = np.empty((p.n_boundary, X.shape[1]), order="F")
+            for start in range(0, X.shape[1], _COLUMN_BLOCK):
+                cols = slice(start, start + _COLUMN_BLOCK)
+                self._W[:, cols] = K_BI @ (X[:, cols] * scale)
             self._K_BB = p.K_BB.toarray()
 
     def schur_form(self, lam: float) -> np.ndarray | None:
-        """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense and exactly
-        symmetric, or None when the spectrum came without eigenvectors: the
-        eigenvalues below lam enter through one dsyrk and those above
-        through another, each on W's columns scaled by |mu - lam|^(-1/2).
-        A shift equal to a pinned eigenvalue is OnEigenvalue."""
+        """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense, Fortran-ordered
+        and exactly symmetric, or None when the spectrum came without
+        eigenvectors: the eigenvalues below lam enter through one dsyrk and
+        those above through another, each on W's columns scaled by
+        |mu - lam|^(-1/2), and the lower triangle they form is mirrored in
+        place.  A shift equal to a pinned eigenvalue is OnEigenvalue."""
         if self._W is None:
             return None
         mu, W = self.summary.eigenvalues, self._W
@@ -216,7 +241,8 @@ class PinnedSpectrum:
         for alpha, cols in ((-1.0, slice(below, mu.size)), (1.0, slice(0, below))):
             if cols.start < cols.stop:
                 S = dsyrk(alpha, W[:, cols] * scale[cols], beta=1.0, c=S, lower=1, overwrite_c=1)
-        return np.tril(S) + np.tril(S, -1).T
+        mirror_lower(S)
+        return S
 
 
 def boundary_measures(
@@ -291,7 +317,8 @@ def splitting_counts(
     N_full and N_dir are read off factorizations of their own.  S(lam) is
     formed from ``spectrum``, the pencil's PinnedSpectrum, when it holds
     eigenvectors, and otherwise from the Poisson matrix solved with the
-    pinned factor; its count comes from its own Bunch-Kaufman factor.
+    pinned factor; its count comes from its own Bunch-Kaufman factor,
+    which overwrites it.
     Raises OnEigenvalue if lam sits on the spectrum of any of the three
     objects (the caller perturbs lam and retries).
     """
@@ -300,8 +327,9 @@ def splitting_counts(
     n_dir = strict_count(factor.inertia, "pinned")
     S = None if spectrum is None else spectrum.schur_form(lam)
     if S is None:
-        S = schur_form(p, lam, poisson_matrix(p, lam, factor))
-    n_bnd = strict_count(inertia(S), "boundary form")
+        # exactly symmetric, so its transpose, Fortran-ordered, is S itself
+        S = schur_form(p, lam, poisson_matrix(p, lam, factor)).T
+    n_bnd = strict_count(inertia(S, overwrite_a=True), "boundary form")
     return n_full, n_dir, n_bnd, (n_full == n_dir + n_bnd)
 
 

@@ -28,7 +28,10 @@ positive come from band reduction (dsbevd) of its weighted lower band, in
 the given node order, so no order^2 array is formed; eigenvalues alone of
 a dense K, or of a pencil condensed onto its massive nodes, come from
 dsyevr; eigenvectors, when a caller reads them, come from divide and
-conquer (dsyevd), whose O(n^2) workspace DENSE_CAP bounds.
+conquer (dsyevd), whose O(n^2) workspace DENSE_CAP bounds.  The weighted
+matrix D^{-1/2} K D^{-1/2} is built in one array, which dsyevd overwrites
+with the eigenvectors, so the eigenvector route holds about 3n^2 doubles at
+its peak: that array and dsyevd's 2n^2 workspace.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ BACKWARD_ERROR_TOL = 1e-10
 
 #: hard cap for dense eigensolver / dense fallback paths
 DENSE_CAP = 4000
+
+#: rows per block of the in-place passes over an order^2 array
+_BLOCK = 256
 
 
 def _classify(values: np.ndarray, tau0: float) -> Inertia:
@@ -134,6 +140,11 @@ class Factorization:
     and return vectors in X's order, the guard solves for X's right-hand
     side, and the dense fallback factors X itself.
 
+    ``overwrite_a`` says that a dense A is the caller's temporary: when it
+    is Fortran-ordered, dsytrf factors it in place, reading its lower
+    triangle as it reads that of its own copy otherwise.  A caller with an
+    exactly symmetric C-ordered temporary passes its transpose.
+
     ``inertia`` is (n_minus, n_zero, n_plus) with pivots classified against
     tau0 = PIVOT_RTOL * max|A_ij|; ``path`` names the factorization used
     ("dense", "sparse", "dense-fallback", or "zero" for the zero matrix);
@@ -141,7 +152,7 @@ class Factorization:
     None on the other paths or when the guard was skipped.
     """
 
-    def __init__(self, A, perm: np.ndarray | None = None):
+    def __init__(self, A, perm: np.ndarray | None = None, *, overwrite_a: bool = False):
         if sp.issparse(A):
             A = A.tocsc().astype(float, copy=False)
             entries = A.data
@@ -149,10 +160,13 @@ class Factorization:
             A = entries = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        if not np.all(np.isfinite(entries)):
+        # max|A_ij| from the two extremes, with no order^2 temporary; NaN
+        # and +-inf show up in them
+        low, high = (float(entries.min()), float(entries.max())) if entries.size else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("matrix entries must be finite")
         self.order = order = A.shape[0]
-        amax = float(np.abs(entries).max()) if entries.size else 0.0
+        amax = max(high, -low)
         self._lu = self._ldu = self._ipiv = self._perm = None
         self.backward_error = None
         if amax == 0.0:
@@ -180,13 +194,13 @@ class Factorization:
                 pivots = self._factor_dense(dense)
                 self.path = "dense-fallback"
         else:
-            pivots = self._factor_dense(A)
+            pivots = self._factor_dense(A, overwrite_a)
             self.path = "dense"
         self.inertia = _classify(pivots, tau0)
 
-    def _factor_dense(self, A: np.ndarray) -> np.ndarray:
+    def _factor_dense(self, A: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
         lwork = max(1, int(dsytrf_lwork(A.shape[0], lower=1)[0]))
-        self._ldu, self._ipiv, info = dsytrf(A, lower=1, lwork=lwork)
+        self._ldu, self._ipiv, info = dsytrf(A, lower=1, lwork=lwork, overwrite_a=overwrite_a)
         if info < 0:
             raise FactorizationBreakdown(f"dsytrf rejected argument {-info}")
         return _bunch_kaufman_pivots(self._ldu, self._ipiv)
@@ -235,13 +249,13 @@ class Factorization:
         return x.reshape(rhs.shape)
 
 
-def inertia(A) -> Inertia:
+def inertia(A, *, overwrite_a: bool = False) -> Inertia:
     """Signature (n_minus, n_zero, n_plus) of a symmetric matrix.
 
     Accepts dense arrays or scipy sparse matrices; see ``Factorization``
-    for the factorization paths.
+    for the factorization paths and ``overwrite_a``.
     """
-    return Factorization(A).inertia
+    return Factorization(A, overwrite_a=overwrite_a).inertia
 
 
 def strict_count(inert: Inertia, what: str) -> int:
@@ -285,9 +299,15 @@ def _check_massless_block(K, m: np.ndarray):
 
 
 def _shift(K, m: np.ndarray, lam: float):
+    """K - lam*diag(m): sparse for a sparse K; for a dense K, a
+    Fortran-ordered copy of K with lam*m taken off its diagonal, equal entry
+    for entry to the dense K - lam*diag(m) up to the sign of a zero off the
+    diagonal."""
     if sp.issparse(K):
         return (K - lam * sp.diags(m)).tocsr()
-    return K - lam * np.diag(m)
+    A = np.array(K, dtype=float, order="F")
+    A[np.diag_indices_from(A)] -= lam * m
+    return A
 
 
 class ShiftFamily:
@@ -373,7 +393,7 @@ def count_below(K, M, lam: float) -> int:
     """
     m = _as_mass_vector(M, K.shape[0])
     _check_massless_block(K, m)
-    return strict_count(inertia(_shift(K, m, lam)), "pencil")
+    return strict_count(inertia(_shift(K, m, lam), overwrite_a=True), "pencil")
 
 
 def _band_eigvalsh(K, m: np.ndarray) -> np.ndarray:
@@ -386,6 +406,50 @@ def _band_eigvalsh(K, m: np.ndarray) -> np.ndarray:
     band = np.zeros((int(offset.max(initial=0)) + 1, m.size))
     band[offset, lower.col] = d[lower.row] * lower.data * d[lower.col]
     return sla.eig_banded(band, lower=True, eigvals_only=True, overwrite_a_band=True)
+
+
+def _symmetrize(A: np.ndarray, d: np.ndarray | None = None) -> None:
+    """A <- (A + A^T)/2 in place, and with ``d`` then A <- (D A D + (D A D)^T)/2
+    (D = diag d), by blocks of _BLOCK rows, each entry rounded as those
+    whole-array expressions round it: (d_i a_ij) d_j + (d_j a_ji) d_i, halved."""
+    n = A.shape[0]
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, n))
+        lower = A[rows, : rows.stop] + A[: rows.stop, rows].T
+        lower /= 2.0
+        if d is not None:
+            upper = lower * d[: rows.stop]
+            upper *= d[rows, None]
+            lower *= d[rows, None]
+            lower *= d[: rows.stop]
+            lower += upper
+            lower /= 2.0
+        A[rows, : rows.stop] = lower
+        A[: rows.stop, rows] = lower.T
+
+
+def mirror_lower(A: np.ndarray) -> None:
+    """Copy the lower triangle of the square array A onto its upper one, in
+    place, by blocks of _BLOCK columns."""
+    n = A.shape[0]
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        A[start:stop, stop:] = A[stop:, start:stop].T
+        block = A[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        block[upper] = block.T[upper]
+
+
+def _transpose_scaled(A: np.ndarray, d: np.ndarray) -> None:
+    """A <- diag(d) A^T in place for a square A, by pairs of blocks."""
+    n = A.shape[0]
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, n))
+        for col in range(start, n, _BLOCK):
+            cols = slice(col, min(col + _BLOCK, n))
+            upper = A[rows, cols].T * d[cols, None]
+            A[rows, cols] = A[cols, rows].T * d[rows, None]
+            A[cols, rows] = upper
 
 
 def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
@@ -408,8 +472,16 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
       (whose condensed matrix is dense), come from dsyevr;
     * eigenvectors come from LAPACK divide and conquer (dsyevd), the
       fastest dense route for the clustered, degenerate spectra of
-      symmetric wells; its O(n^2) workspace (about 2n^2 doubles, 256 MB at
+      symmetric wells.  Its O(n^2) workspace (about 2n^2 doubles, 256 MB at
       the cap) is what DENSE_CAP bounds.
+
+    The dense routes symmetrize and scale a copy of K in place into
+    D^{-1/2} K D^{-1/2} (a dense K is never written), and LAPACK works on
+    that array, exactly symmetric, through its Fortran-ordered transpose:
+    dsyevd writes the eigenvectors Y over it, and without mass-free nodes
+    they are scaled into X = D^{-1/2} Y in the same storage, C-ordered.  So
+    the eigenvector route peaks at about 3n^2 doubles: the matrix and
+    dsyevd's workspace.
     """
     order = K.shape[0]
     if order > DENSE_CAP:
@@ -420,36 +492,33 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     if not want_vectors and sp.issparse(K) and pos.size and not zero.size:
         return SpectralSummary(eigenvalues=_band_eigvalsh(K, m))
 
-    Kd = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
-    Kd = (Kd + Kd.T) / 2.0
-    zero_factor = _check_massless_block(Kd, m)
-    if pos.size == 0:
-        return SpectralSummary(
-            eigenvalues=np.empty(0),
-            eigenvectors=np.empty((order, 0)) if want_vectors else None,
-        )
-
+    Aw = K.toarray() if sp.issparse(K) else np.array(K, dtype=float)
+    back = None
     if zero.size:
-        Kzp = Kd[np.ix_(zero, pos)]
+        _symmetrize(Aw)
+        zero_factor = _check_massless_block(Aw, m)
+        if pos.size == 0:
+            return SpectralSummary(
+                eigenvalues=np.empty(0),
+                eigenvectors=np.empty((order, 0)) if want_vectors else None,
+            )
+        Kzp = Aw[np.ix_(zero, pos)]
         back = zero_factor.solve(Kzp)
-        S = Kd[np.ix_(pos, pos)] - Kzp.T @ back
-        S = (S + S.T) / 2.0
-    else:
-        back = None
-        S = Kd
-
+        Aw = Aw[np.ix_(pos, pos)] - Kzp.T @ back
     d = 1.0 / np.sqrt(m[pos])
-    Aw = d[:, None] * S * d[None, :]
-    Aw = (Aw + Aw.T) / 2.0
-    if want_vectors:
-        w, Y = sla.eigh(Aw, driver="evd")
-        X = np.zeros((order, pos.size))
-        X[pos] = d[:, None] * Y
-        if zero.size:
-            X[zero] = -back @ X[pos]
+    _symmetrize(Aw, d)
+    if not want_vectors:
+        return SpectralSummary(eigenvalues=sla.eigvalsh(Aw.T, overwrite_a=True))
+    w, Y = sla.eigh(Aw.T, driver="evd", overwrite_a=True)
+    del Aw
+    if back is None:
+        X = Y.T  # C-ordered, in the storage dsyevd wrote Y into
+        _transpose_scaled(X, d)
         return SpectralSummary(eigenvalues=w, eigenvectors=X)
-    w = sla.eigvalsh(Aw)
-    return SpectralSummary(eigenvalues=w)
+    X = np.zeros((order, pos.size))
+    X[pos] = d[:, None] * Y
+    X[zero] = -back @ X[pos]
+    return SpectralSummary(eigenvalues=w, eigenvectors=X)
 
 
 def heat_trace(s: SpectralSummary, t: float) -> float:
@@ -464,34 +533,87 @@ def heat_trace(s: SpectralSummary, t: float) -> float:
 #: tolerance on the weighted orthonormality of supplied eigenvectors
 ORTHONORMALITY_TOL = 1e-8
 
+#: OpenBLAS on x86-64 with AVX-512 multiplies matrices with m*n*k <= 1e6 by
+#: a small-matrix kernel, whose sum for a row depends on the row's position
+#: modulo the kernel's width, and larger ones by its blocked kernel, whose
+#: sums do not; a product with one column is a matrix-vector product, whose
+#: threads split the rows.  So the row blocks of the 2->infinity norms start
+#: at multiples of _ROW_ALIGN rows and take the kernel that the product of
+#: all the rows takes, and a single time takes that product, so that each
+#: row's sum is the one that the product of all the rows computes.
+_SMALL_PRODUCT = 10**6
+_ROW_ALIGN = 16
 
-def two_infinity_norm(s: SpectralSummary, w, t):
+
+def _row_blocks(n: int, rows: int) -> list:
+    """Slices of ``rows`` consecutive rows from row 0 that cover range(n),
+    the last one taking the remainder."""
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] < rows:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _check_orthonormal(X: np.ndarray, w: np.ndarray, scale: float) -> None:
+    """max |U^T diag(w) U - I| <= ORTHONORMALITY_TOL for U = scale * X, else
+    ValueError.  The lower triangle of the Gram matrix is accumulated by
+    dsyrk in SciPy's BLAS over blocks of rows of diag(sqrt w) U, whose
+    transposes are Fortran-ordered; its upper triangle stays zero, so the
+    check reads the extremes of the whole array."""
+    n, k = X.shape
+    root = np.sqrt(w)
+    gram = np.zeros((k, k), order="F")
+    for rows in _row_blocks(n, max(64, -(-n // 16))):
+        Y = X[rows] * scale
+        Y *= root[rows, None]
+        gram = dsyrk(1.0, Y.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if not max(gram.max(initial=0.0), -gram.min(initial=0.0)) <= ORTHONORMALITY_TOL:
+        raise ValueError("eigenvectors are not w-orthonormal")
+
+
+def two_infinity_norm(s: SpectralSummary, w, t, *, scale: float = 1.0, check: bool = True):
     """Exact 2->infinity operator norm of the discrete semigroup exp(-tL) on
     the weighted space l2(w): max over nodes x of
-    (sum_k exp(-2 t mu_k) u_k(x)^2)^(1/2).
+    (sum_k exp(-2 t mu_k) u_k(x)^2)^(1/2), with mu_k the eigenvalues of
+    ``s`` and u_k the columns of U = scale * X, X its eigenvectors.
 
     ``t`` is one time or a 1-D grid of times; a grid returns one norm per
-    time.  The eigenvectors of ``s`` are checked w-orthonormal first,
-    max |X^T diag(w) X - I| <= ORTHONORMALITY_TOL, else ValueError; the
-    Gram matrix is one dsyrk of diag(sqrt w) X in SciPy's BLAS.  The weights
-    enter only through that normalization.
+    time.  With ``check`` (the default), U is checked w-orthonormal first,
+    max |U^T diag(w) U - I| <= ORTHONORMALITY_TOL, else ValueError; the
+    weights enter only through that check.  A caller that has checked U
+    already passes check=False (a later level of a plateau: see
+    ``a2r.PinnedSpectrum``).
+
+    Nothing of order^2 is formed but the Gram matrix of the check, which is
+    let go before the norms: they are the running maximum, over blocks of
+    rows of U, of (B*B) @ exp(-2 mu t), and each row's sum is the one that
+    the product over all rows gives (see _SMALL_PRODUCT), so the norms are
+    bit for bit those of (U*U) @ exp(-2 mu t).
     """
     if s.eigenvectors is None:
         raise MissingVectors("the 2->infinity norm needs eigenvectors")
-    U = s.eigenvectors
+    X = s.eigenvectors
     w = np.asarray(w, dtype=float)
-    if w.shape != U.shape[:1]:
+    if w.shape != X.shape[:1]:
         raise ValueError("one weight per eigenvector entry")
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("needs t > 0")
-    # the lower triangle of Y^T Y, Y = diag(sqrt w) U; Y.T is Fortran-ordered
-    # when U is C-ordered, so dsyrk reads it without a copy
-    gram = dsyrk(1.0, (np.sqrt(w)[:, None] * U).T, lower=1)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    if not np.abs(np.tril(gram)).max(initial=0.0) <= ORTHONORMALITY_TOL:
-        raise ValueError("eigenvectors are not w-orthonormal")
-    del gram
+    if check:
+        _check_orthonormal(X, w, scale)
     decay = np.exp(-2.0 * np.multiply.outer(s.eigenvalues, ts.ravel()))
-    norms = np.sqrt(np.max((U * U) @ decay, axis=0))
+    n = X.shape[0]
+    if decay.shape[1] == 1:
+        rows = max(n, 1)
+    elif n * decay.size <= _SMALL_PRODUCT:
+        rows = _ROW_ALIGN
+    else:
+        rows = -(-(_SMALL_PRODUCT // decay.size + 1) // _ROW_ALIGN) * _ROW_ALIGN
+    squares = np.zeros(decay.shape[1])
+    for block in _row_blocks(n, rows):
+        B = X[block] * scale
+        B *= B
+        np.maximum(squares, (B @ decay).max(axis=0), out=squares)
+    norms = np.sqrt(squares)
     return float(norms[0]) if ts.ndim == 0 else norms

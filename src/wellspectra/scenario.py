@@ -18,8 +18,9 @@ report reads it.  A level holds its pinned spectrum in one
 ``a2r.PinnedSpectrum``: the eigenvalues, and in dimension >= 3, where the
 semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
 read the eigenvectors, the norms over the time grid (whose computation
-checks the eigenvectors w-orthonormal, once per level) and W = K_BI X; the
-level lets go of its |I|^2 eigenvector array before its first sweep point.
+checks the eigenvectors w-orthonormal, once per run of levels) and
+W = K_BI X; the level lets go of its |I|^2 eigenvector array before its
+first sweep point.
 The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
 ``BoxOperator``, counted before the first level, while the resident set is
@@ -40,11 +41,12 @@ weight (V - e)_- is the constant e - V0, so K, P0 and the pinned
 eigenvectors do not depend on the level.  The run computes P0, S(0), c_P and
 the pinned spectrum (mu, X) from its first level's pencil, exactly as that
 level would alone; a later level, whose interior mass is m_e = (e - V0) h^n,
-takes mu r and X sqrt(r) with r = m_1/m_e.  The run estimates b once, from its
-first level: b does not change with the mass.  Every level still classifies
-its nodes and assembles its own pencil (the same nodes in the same order, so
-the shared P0 fits it), and takes its own boundary measures off P0,
-PinnedSpectrum (Gram check and 2->infinity norms included), sweep-point
+takes mu r and X sqrt(r) with r = m_1/m_e, read off X without a copy.  The
+run checks X once, at its first level, and estimates b once, from its first
+level: b does not change with the mass.  Every level still classifies its
+nodes and assembles its own pencil (the same nodes in the same order, so the
+shared P0 fits it), and takes its own boundary measures off P0,
+PinnedSpectrum (2->infinity norms and W included), sweep-point
 factorizations, box count and reduction check; no count is copied between
 levels.  The run lets go of X once its last level has built its spectrum.
 
@@ -406,25 +408,34 @@ class _Run:
             self.zero = P0, S0, kernel
         return self.zero
 
-    def pinned_eigs(self, pencil: AssembledPencil, want_vectors: bool) -> SpectralSummary:
-        """The pinned spectrum of ``pencil``, with the eigenvectors when
-        asked for.  The first call computes that of the run's first pencil;
-        a later level's interior mass is the constant m_e, so its spectrum
-        is the first one rescaled by r = m_1/m_e: mu r, with X sqrt(r)."""
+    def pinned_spectrum(
+        self, pencil: AssembledPencil, want_vectors: bool, t
+    ) -> a2r.PinnedSpectrum:
+        """The PinnedSpectrum of ``pencil`` over the time grid ``t``, with
+        the eigenvectors when asked for.  The first call computes the
+        spectrum (mu_1, X_1) of the run's first pencil, and its
+        PinnedSpectrum checks X_1 M_1-orthonormal.  A later level's interior
+        mass is the constant m_e, so its spectrum is the first one rescaled
+        by r = m_1/m_e: mu_1 r, with X_e = X_1 sqrt(r), which its
+        PinnedSpectrum reads off X_1 without a copy.  The check of X_1
+        covers X_e: M_e = M_1/r, so X_e' M_e X_e = r X_1' (M_1/r) X_1 =
+        X_1' M_1 X_1, up to the rounding of the scaling by sqrt(r) and of
+        r itself (a few ulps, far below ORTHONORMALITY_TOL = 1e-8); so a run
+        makes one Gram check."""
         first = self.spectrum
         if first is None:
-            s = first = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
+            first = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
             self.mass = pencil.M_interior[0]
+            spectrum = a2r.PinnedSpectrum(pencil, first, t)
         else:
             r = float(self.mass / pencil.M_interior[0])
-            X = first.eigenvectors
             s = SpectralSummary(
-                eigenvalues=first.eigenvalues * r,
-                eigenvectors=None if X is None else X * np.sqrt(r),
+                eigenvalues=first.eigenvalues * r, eigenvectors=first.eigenvectors
             )
+            spectrum = a2r.PinnedSpectrum(pencil, s, t, scale=np.sqrt(r), checked=True)
         self.levels_left -= 1
         self.spectrum = first if self.levels_left else None
-        return s
+        return spectrum
 
     def estimate_b(self, cfg: ScenarioConfig, bm: a2r.BoundaryMeasures, sigma) -> float:
         """The EMPIRICAL trace offset b of ``bounds.estimate_b`` from S(0) and
@@ -495,9 +506,9 @@ class _LevelRun:
         # and the run does once its last level has read them
         sweep = self.cfg.sweep
         t_grid = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
-        s = self.shared.pinned_eigs(pencil, self.cfg.grid.dimension >= 3)
-        self.spectrum = a2r.PinnedSpectrum(pencil, s, t_grid)
-        del s
+        self.spectrum = self.shared.pinned_spectrum(
+            pencil, self.cfg.grid.dimension >= 3, t_grid
+        )
         # P0 lives as long as the run: dropped before the sweep, it doubled
         # the minor page faults of a levels-2d run under glibc's malloc
         # (15.6k to 31.4k), and the run took about 12 % longer

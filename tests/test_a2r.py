@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from conftest import make_pencil
+from wellspectra import a2r
 from wellspectra.a2r import (
     RESIDUAL_TOL,
     PinnedSpectrum,
@@ -395,6 +396,31 @@ def test_spectral_schur_form_needs_the_whole_checked_basis(ball3d):
     lam = 0.5 * float(s.eigenvalues[0] + s.eigenvalues[1])
     assert values.two_infinity is None and values.schur_form(lam) is None
     assert splitting_counts(p, lam, values) == splitting_counts(p, lam)
+
+
+def test_splitting_counts_factor_the_boundary_form_in_place(ball3d, disk2d, monkeypatch):
+    """S(lam) is the sweep point's temporary: on both routes (the pinned
+    eigenpairs in 3D, the Poisson matrix in 2D) its factorization gets it
+    exactly symmetric and Fortran-ordered, with leave to overwrite it, and
+    its count is that of a factor of a copy."""
+    seen = []
+
+    def recording(A, **kwargs):
+        seen.append((A.flags.f_contiguous, kwargs.get("overwrite_a"), np.array_equal(A, A.T)))
+        return inertia(A.copy(), **kwargs)  # a C-ordered copy, which it cannot overwrite
+
+    counts = []
+    for pencil, vectors in ((ball3d, True), (disk2d, False)):
+        _, p = pencil
+        s = pencil_eigs(p.K_II, p.M_interior, want_vectors=vectors)
+        spectrum = PinnedSpectrum(p, s, 1.0)
+        lam = 0.5 * float(s.eigenvalues[0] + s.eigenvalues[1])
+        expected = splitting_counts(p, lam, spectrum)
+        monkeypatch.setattr(a2r, "inertia", recording)
+        counts.append(splitting_counts(p, lam, spectrum) == expected)
+        monkeypatch.undo()
+    assert counts == [True, True]
+    assert seen == [(True, True, True)] * 2
 
 
 def test_splitting_below_spectrum_is_zero(disk2d):

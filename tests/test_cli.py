@@ -127,9 +127,9 @@ def test_count_refuses_a_shift_whose_pencil_overflows(tmp_path, monkeypatch, cap
     factored = []
     real_init = eigcount.Factorization.__init__
 
-    def recording(self, *args):
+    def recording(self, *args, **kwargs):
         factored.append(args)
-        real_init(self, *args)
+        real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(eigcount.Factorization, "__init__", recording)
     assert cli.main(["count", "--lambda", "1e308", "--pencil", str(path)]) == 2

@@ -302,6 +302,103 @@ def test_pencil_eigs_values_need_no_order_squared_array(three_wells):
     assert peak < 0.25 * order**2 * 8
 
 
+def _traced_peak(fn):
+    """fn()'s result, and the peak of the memory traced while it ran (what
+    was allocated before is not traced)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_pencil_eigs_with_vectors_holds_three_order_squared_arrays(three_wells, dense):
+    """With eigenvectors, the merged top-level pencil (order ~1160) peaks
+    below 3.3 arrays of its order squared: the weighted matrix, which
+    dsyevd overwrites with the eigenvectors, and dsyevd's 2n^2 workspace.
+    A dense K is left as it was, and gives the sparse K's eigenpairs."""
+    _, p = three_wells(MERGED)
+    order = p.n_interior
+    assert order > 900
+    K = p.K_II.toarray() if dense else p.K_II
+    before = K.copy()
+    s, peak = _traced_peak(lambda: pencil_eigs(K, p.M_interior, want_vectors=True))
+    assert peak < 3.3 * order**2 * 8
+    assert s.eigenvectors.flags.c_contiguous
+    if dense:
+        assert np.array_equal(K, before)
+        sparse = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
+        assert np.array_equal(s.eigenvalues, sparse.eigenvalues)
+        assert np.array_equal(s.eigenvectors, sparse.eigenvectors)
+
+
+def test_in_place_passes_equal_the_whole_array_expressions(rng):
+    """The blocked in-place passes over order^2 arrays round each entry as
+    the whole-array expressions they replace: the symmetrization and
+    scaling of pencil_eigs, its scaled transpose of dsyevd's output, and the
+    mirror of S(lam) (on either memory order)."""
+    from wellspectra.eigcount import _BLOCK, _symmetrize, _transpose_scaled, mirror_lower
+
+    n = 2 * _BLOCK + 37
+    A = rng.standard_normal((n, n))
+    d = rng.uniform(0.1, 3.0, n)
+    S = A.copy()
+    _symmetrize(S)
+    assert np.array_equal(S, (A + A.T) / 2.0)
+    Aw = d[:, None] * S * d[None, :]
+    S = A.copy()
+    _symmetrize(S, d)
+    assert np.array_equal(S, (Aw + Aw.T) / 2.0)
+    T = A.copy()
+    _transpose_scaled(T, d)
+    assert np.array_equal(T, d[:, None] * A.T)
+    for L in (A.copy(), np.asfortranarray(A)):
+        mirror_lower(L)
+        assert np.array_equal(L, np.tril(A) + np.tril(A, -1).T)
+
+
+def test_two_infinity_norm_holds_one_order_squared_array(three_wells):
+    """Above its input, two_infinity_norm peaks below 1.3 arrays of the
+    order squared (the Gram matrix of its check), on a grid of six times and
+    at one time, and its norms are bit for bit max_x of (U*U) @ exp(-2 mu t)
+    over all the rows at once, also for U = scale * X."""
+    _, p = three_wells(MERGED)
+    order = p.n_interior
+    assert order > 900
+    s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
+    for t in (np.geomspace(0.05, 5.0, 6), np.array([0.7])):
+        norms, peak = _traced_peak(lambda: two_infinity_norm(s, p.M_interior, t))
+        assert peak < 1.3 * order**2 * 8
+        U = s.eigenvectors
+        decay = np.exp(-2.0 * np.multiply.outer(s.eigenvalues, t))
+        assert np.array_equal(norms, np.sqrt(np.max((U * U) @ decay, axis=0)))
+        U = s.eigenvectors * np.sqrt(1.7)
+        scaled = two_infinity_norm(s, p.M_interior / 1.7, t, scale=np.sqrt(1.7), check=False)
+        assert np.array_equal(scaled, np.sqrt(np.max((U * U) @ decay, axis=0)))
+
+
+def test_count_below_shifts_a_dense_matrix_in_one_array(rng):
+    """A dense K is shifted in one copy, which its factorization
+    overwrites: count_below peaks below 1.3 arrays of the order squared and
+    leaves K as it was, and the shifted matrix equals K - lam*diag(m)."""
+    from wellspectra.eigcount import _shift
+
+    n = 700
+    G = rng.standard_normal((n, n))
+    K = G @ G.T / n + np.eye(n)
+    m = rng.uniform(0.5, 2.0, n)
+    before = K.copy()
+    for lam in (0.0, 0.8, 2.5):
+        count, peak = _traced_peak(lambda: count_below(K, m, lam))
+        assert peak < 1.3 * n**2 * 8
+        assert np.array_equal(K, before)
+        assert count == int(np.sum(sla.eigh(K, np.diag(m), eigvals_only=True) < lam))
+        assert np.array_equal(_shift(K, m, lam), K - lam * np.diag(m))
+
+
 def test_pencil_eigs_zero_mass_rank():
     s = pencil_eigs(np.eye(3), np.zeros(3), want_vectors=True)
     assert s.count == 0

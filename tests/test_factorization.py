@@ -2,6 +2,7 @@
 and its solves against the residual contract, on every path."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,32 @@ def test_dense_path_with_two_by_two_blocks(rng):
         b = rng.normal(size=(n, 3))
         assert relative_residual(A, F.solve(b), b) <= RESIDUAL_TOL
     assert blocks_seen > 0
+
+
+def test_a_fortran_ordered_temporary_is_factored_in_place(rng):
+    """With overwrite_a, a Fortran-ordered dense A is factored in its own
+    storage, with the factor, inertia and solves of a factor of a copy, and
+    with no order^2 temporary besides; a C-ordered A, or one without the
+    flag, is left as it was."""
+    n = 600
+    A = random_symmetric(rng, n, np.r_[-np.ones(200), np.ones(400)] * rng.uniform(1, 5, n))
+    reference = Factorization(A)
+    target = np.asfortranarray(A)
+    tracemalloc.start()
+    try:
+        F = Factorization(target, overwrite_a=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * n**2 * 8
+    assert np.shares_memory(F._ldu, target) and not np.array_equal(target, A)
+    assert F.inertia == reference.inertia == eigvalsh_inertia(A)
+    assert np.array_equal(F._ldu, reference._ldu)
+    b = rng.normal(size=n)
+    assert np.array_equal(F.solve(b), reference.solve(b))
+    for kept, flag in ((A.copy(), True), (np.asfortranarray(A), False)):
+        Factorization(kept, overwrite_a=flag)
+        assert np.array_equal(kept, A)
 
 
 def test_dense_path_on_singular_inputs(rng):

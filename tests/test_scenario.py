@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import json
 import textwrap
 import weakref
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 from wellspectra import a2r, bounds, eigcount, scenario, schrodinger
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.errors import ConfigError, OnEigenvalue
-from wellspectra.model import HOLDS, NOT_APPLICABLE, Inertia, build_potential
+from wellspectra.model import HOLDS, NOT_APPLICABLE, Inertia, SpectralSummary, build_potential
 from wellspectra.scenario import (
     CSV_COLUMNS,
     _fmt,
@@ -342,13 +343,13 @@ def _record_factorizations(monkeypatch):
     real_init = eigcount.Factorization.__init__
     real_splu = eigcount.splu
 
-    def recording_init(self, A, perm=None):
+    def recording_init(self, A, perm=None, **kwargs):
         dense = A.toarray() if sp.issparse(A) else np.array(A)
         if perm is not None:  # a shift-family factor of X, given as X[perm][:, perm]
             inverse = np.argsort(perm)
             dense = dense[np.ix_(inverse, inverse)]
         factored.append(dense)
-        real_init(self, A, perm)
+        real_init(self, A, perm, **kwargs)
 
     def recording_splu(A, *args, permc_spec=None, **kwargs):
         if permc_spec == "MMD_AT_PLUS_A":
@@ -378,9 +379,9 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     made = []
     recording_init = eigcount.Factorization.__init__
 
-    def referenced_init(self, A, perm=None):
+    def referenced_init(self, A, perm=None, **kwargs):
         made.append(weakref.ref(self))
-        recording_init(self, A, perm)
+        recording_init(self, A, perm, **kwargs)
 
     monkeypatch.setattr(eigcount.Factorization, "__init__", referenced_init)
     calls = Counter()
@@ -875,3 +876,60 @@ def test_a_plateaus_first_level_is_the_level_run_alone(tmp_path, text):
     rows = [r for r in result.rows if r["scenario_id"] == alone.scenario_id]
     assert rows == alone.rows
     assert result.document["scenarios"][0]["reports"] == [rep.to_dict() for rep in alone.reports]
+
+
+def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_path):
+    """A later level of the 13^3 ball's plateau builds its PinnedSpectrum off
+    the run's first eigenvectors X_1 and sqrt(r): beyond the W and K_BB it
+    keeps, it allocates less than half an |I|^2 array at its peak, and its
+    2->infinity norms and W equal, bit for bit, those of a PinnedSpectrum
+    of the copy X_1 sqrt(r) with mu_1 r."""
+    cfg = load_config(_write(tmp_path, BALL_PLATEAU_3D))
+    V = build_potential(cfg.family, cfg.grid)
+    pencils = [assemble_pencil(classify_nodes(V, e), V, e) for e in cfg.levels]
+    t = np.geomspace(cfg.sweep.t_min, cfg.sweep.t_max, cfg.sweep.points)
+    run = scenario._Run(len(pencils))
+    run.pinned_spectrum(pencils[0], True, t)
+    first = run.spectrum
+    n = first.eigenvectors.shape[0]
+    for p in pencils[1:]:
+        tracemalloc.start()
+        try:
+            spectrum = run.pinned_spectrum(p, True, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = spectrum._W.nbytes + spectrum._K_BB.nbytes
+        assert peak - kept < 0.5 * n * n * 8
+        r = float(pencils[0].M_interior[0] / p.M_interior[0])
+        copy = SpectralSummary(
+            eigenvalues=first.eigenvalues * r, eigenvectors=first.eigenvectors * np.sqrt(r)
+        )
+        reference = a2r.PinnedSpectrum(p, copy, t)
+        assert np.array_equal(spectrum.summary.eigenvalues, reference.summary.eigenvalues)
+        assert np.array_equal(spectrum.two_infinity, reference.two_infinity)
+        assert np.array_equal(spectrum._W, reference._W)
+    assert run.spectrum is None
+
+
+def test_a_run_checks_its_eigenvectors_once(tmp_path, monkeypatch):
+    """The Gram check of the pinned eigenvectors runs once per run: once for
+    the three levels of a 13^3 ball's plateau, once per level of a Gaussian
+    well, whose levels are runs of one."""
+    checks = []
+    real = a2r.two_infinity_norm
+
+    def recording(*args, **kwargs):
+        checks.append(kwargs.get("check", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(a2r, "two_infinity_norm", recording)
+    gaussian = BALL_PLATEAU_3D.replace("ball_well", "gaussian_well").replace(
+        "radius = 1.0", "width = 0.6"
+    )
+    made = {}
+    for name, text in [("ball", BALL_PLATEAU_3D), ("gauss", gaussian)]:
+        checks.clear()
+        assert run_scenario(_write(tmp_path, text), out_dir=tmp_path / name).exit_code == 0
+        made[name] = list(checks)
+    assert made == {"ball": [True, False, False], "gauss": [True, True, True]}

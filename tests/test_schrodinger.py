@@ -422,8 +422,8 @@ def test_birman_schwinger_levels_hold_one_matrix_at_a_time(monkeypatch):
     real_matrix = schrodinger.birman_schwinger_matrix
 
     class Recording(Factorization):
-        def __init__(self, A, perm=None):
-            super().__init__(A, perm)
+        def __init__(self, A, perm=None, **kwargs):
+            super().__init__(A, perm, **kwargs)
             made.append(weakref.ref(self))
             if len(made) == 2:
                 inert = self.inertia
@@ -448,6 +448,28 @@ def test_birman_schwinger_levels_hold_one_matrix_at_a_time(monkeypatch):
     assert len(made) == 3 and not any(ref() is not None for ref in made)
     with pytest.raises(ValueError):
         box.count_below(0.5)
+
+
+def test_birman_schwinger_matrix_is_factored_in_place(monkeypatch):
+    """The box matrix is Fortran-ordered, and each level's factor
+    overwrites it, so the route holds one |W|^2 array per level; the counts
+    are those of a factor of a copy."""
+    V, levels = _ball_3d(1.0, seed=1, res=13)
+    A = schrodinger.birman_schwinger_matrix(V, levels[0])
+    assert A.flags.f_contiguous
+    copy = A.copy()
+    assert Factorization(A, overwrite_a=True).inertia == Factorization(copy).inertia
+    in_place = []
+
+    class Recording(Factorization):
+        def __init__(self, A, perm=None, **kwargs):
+            super().__init__(A, perm, **kwargs)
+            in_place.append(np.shares_memory(self._ldu, A))
+
+    monkeypatch.setattr(schrodinger, "Factorization", Recording)
+    box = BoxOperator(V, levels)
+    assert [box.count_below(e) for e in levels] == [_direct_box_count(V, e) for e in levels]
+    assert box.route == "birman-schwinger" and in_place == [True] * len(levels)
 
 
 # --------------------------------------------------------------- box count
