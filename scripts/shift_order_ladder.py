@@ -13,11 +13,12 @@ at levels -4, -7 and -10, on which no two levels share a plateau).  A rung
 ``box3d-R-RADIUS`` runs the box layer alone: the ball3d-R well with its
 radius set to RADIUS, counted by one ``BoxOperator`` at its three levels.
 Each (tree, rung) run is a fresh process that imports wellspectra from the
-tree, wraps seven layers at their import sites and the box operator's
+tree, wraps ten layers at their import sites and the box operator's
 ``certify`` and ``count_below`` (outermost calls only), and runs the
 scenario, or the box, once.  The trees alternate, before first.  Per layer
 it records calls and inclusive wall time; ``poisson_matrix`` also runs
-inside ``splitting_counts``.  Per run it records:
+inside ``splitting_counts``, and ``pencil_eigs`` inside ``estimate_b``.
+Per run it records:
 
 * the wall time of the worker's ``from wellspectra import ...`` (numpy is
   loaded by then);
@@ -27,6 +28,9 @@ inside ``splitting_counts``.  Per run it records:
   tree that has only that route);
 * the SuperLU minimum-degree (MMD_AT_PLUS_A) orderings;
 * peak RSS (the process's ru_maxrss);
+* the CPU clock ticks (utime + stime, from /proc) that the threads started
+  by ``import numpy``, numpy's OpenBLAS pool, spent during the scenario
+  (``numpy_pool_ticks``; ``numpy_pool_threads`` of them, 0 without /proc);
 * the digest of the integer CSV columns (perfbench's ``rows_digest``);
 * a SHA-256 of the CSV and JSON report bytes; on a box3d rung the box
   counts stand in for the digest and the reports.
@@ -36,10 +40,11 @@ in a tree that has the route rule (``schrodinger.compact_well``), and the
 rung is then recorded as ``RUNG@ROUTE``.  ``--append`` adds the rungs to
 the rungs already in ``--out``.
 
-With ``--repeats N`` (5 by default) every time and the peak RSS are the
-median of N runs, with their minimum and maximum beside them (``s_min``,
-``s_max`` per layer; ``scenario_s_min``, ``peak_rss_mb_max`` and so on per
-run; ``import_s`` likewise); counts and digests come from the last run.
+With ``--repeats N`` (5 by default) every time, the peak RSS and the pool
+ticks are the median of N runs, with their minimum and maximum beside them
+(``s_min``, ``s_max`` per layer; ``scenario_s_min``, ``peak_rss_mb_max``
+and so on per run; ``import_s`` likewise); counts and digests come from the
+last run.
 """
 
 import argparse
@@ -57,6 +62,13 @@ import time
 from collections import Counter
 from pathlib import Path
 
+_TASKS = "/proc/self/task"
+_before_numpy = set(os.listdir(_TASKS)) if os.path.isdir(_TASKS) else None
+import numpy  # noqa: E402,F401  (its OpenBLAS thread pool starts here)
+
+#: the threads that ``import numpy`` started: numpy's OpenBLAS pool
+NUMPY_POOL = [] if _before_numpy is None else sorted(set(os.listdir(_TASKS)) - _before_numpy)
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -72,6 +84,9 @@ LAYERS = {
     "splitting_counts": ("a2r", "splitting_counts"),
     "reduction_check": ("schrodinger", "reduction_check"),
     "poisson_constant": ("a2r", "estimate_poisson_constant"),
+    "two_infinity_norm": ("eigcount", "two_infinity_norm"),
+    "boundary_measures": ("a2r", "boundary_measures"),
+    "estimate_b": ("bounds", "estimate_b"),
 }
 DEFAULT_RUNGS = "levels-2d,ball3d-17,ball3d-25,ball3d-33"
 
@@ -127,6 +142,16 @@ def _timed(fn, total, active):
             total["s"] += time.perf_counter() - start
 
     return wrapper
+
+
+def numpy_pool_ticks() -> int:
+    """CPU clock ticks (utime + stime) that numpy's pool threads have used."""
+    total = 0
+    for tid in NUMPY_POOL:
+        with open(f"{_TASKS}/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        total += int(fields[11]) + int(fields[12])
+    return total
 
 
 def _box_counts(schrodinger, scenario, config: Path) -> list:
@@ -195,6 +220,7 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "rung.cfg"
         config.write_text(rung_config(rung, seed))
+        ticks = numpy_pool_ticks()
         start = time.perf_counter()
         if rung.startswith("box3d"):
             counts = _box_counts(schrodinger, scenario, config)
@@ -208,6 +234,7 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
             digest = rows_digest(result.csv_path.read_text())
             reports = result.csv_path.read_bytes() + result.json_path.read_bytes()
             violations = len(result.violations)
+        ticks = numpy_pool_ticks() - ticks
     return {
         "import_s": imported,
         "scenario_s": wall,
@@ -216,6 +243,8 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
         "factorizations": dict(sorted(paths.items())),
         "mmd_orderings": orderings["MMD_AT_PLUS_A"],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "numpy_pool_threads": len(NUMPY_POOL),
+        "numpy_pool_ticks": ticks,
         "digest": digest,
         "reports_sha256": hashlib.sha256(reports).hexdigest(),
         "violations": violations,
@@ -242,10 +271,11 @@ def _spread(into: dict, key: str, values: list) -> None:
 
 
 def median_run(runs: list) -> dict:
-    """The last run, with every time and the peak RSS replaced by the
-    median over ``runs``, and their minimum and maximum beside it."""
+    """The last run, with every time, the peak RSS and the pool ticks
+    replaced by the median over ``runs``, and their minimum and maximum
+    beside it."""
     out = json.loads(json.dumps(runs[-1]))
-    for key in ("import_s", "scenario_s", "peak_rss_mb"):
+    for key in ("import_s", "scenario_s", "peak_rss_mb", "numpy_pool_ticks"):
         _spread(out, key, [r[key] for r in runs])
     for label in out["layers"]:
         _spread(out["layers"][label], "s", [r["layers"][label]["s"] for r in runs])
@@ -290,8 +320,8 @@ def main(argv=None) -> int:
 
     doc = {
         "what": "import time, per-layer wall time (inclusive), box route, factorizations "
-        "by path, minimum-degree orderings, peak RSS and integer digest of one scenario "
-        "run (or box count) per tree and rung",
+        "by path, minimum-degree orderings, peak RSS, numpy's BLAS pool ticks and integer "
+        "digest of one scenario run (or box count) per tree and rung",
         "seed": args.seed,
         "repeats": args.repeats,
         "host": {

@@ -29,9 +29,12 @@ the caller computed them.  A sweep point needs S(lam) alone, not the
 (K - lam*M)_II^{-1} = X diag(1/(mu - lam)) X^T, and M vanishes on B, so
 S(lam) = K_BB - W diag(1/(mu - lam)) W^T with W = K_BI X formed once per
 pencil, after which X is let go.  That is two rank-updates (dsyrk) in
-SciPy's BLAS per shift and no pinned solve.  numpy's matmul would run in
-numpy's own OpenBLAS, whose thread pool contends with SciPy's between
-SuperLU and LAPACK calls.  N_full and N_dir still come from their own
+SciPy's BLAS per shift and no pinned solve.  Every dense product here runs
+in SciPy's BLAS: the rank-updates call dsyrk, and the boundary measures'
+P0^T m goes through ``eigcount.matvec``, a dgemv that reads the
+Fortran-ordered P0 in place, bit for bit numpy's P0.T @ m.  numpy's matmul
+would run in numpy's own OpenBLAS, whose thread pool contends with SciPy's
+between SuperLU and LAPACK calls.  N_full and N_dir still come from their own
 factorizations, and n_minus(S) from its own Bunch-Kaufman factorization,
 so the identity stays an independent check.  Without eigenvectors (2D
 levels, P0, single counts) S(lam) comes from the Poisson matrix.
@@ -46,7 +49,14 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from .errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
-from .eigcount import Factorization, inertia, mirror_lower, strict_count, two_infinity_norm
+from .eigcount import (
+    Factorization,
+    inertia,
+    matvec,
+    mirror_lower,
+    strict_count,
+    two_infinity_norm,
+)
 from .model import AssembledPencil, SpectralSummary
 
 #: relative residual contract for harmonic extensions and form identities
@@ -254,7 +264,7 @@ def boundary_measures(
     if P0 is None:
         P0 = poisson_matrix(p, 0.0)
     hn = p.grid.spacing ** p.grid.dimension
-    mu = P0.T @ p.M_interior
+    mu = matvec(P0.T, p.M_interior)
     nu = hn * P0.sum(axis=0)
     return BoundaryMeasures(mu=mu, nu=nu, sigma=p.sigma)
 

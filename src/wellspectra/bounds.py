@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLow, MissingConstant, SubcriticalExponent
-from .eigcount import pencil_eigs
+from .eigcount import matvec, pencil_eigs
 from .model import PotentialField
 
 SPHERE_AREA = "sphere_area"
@@ -172,7 +172,7 @@ def estimate_b(S0, bm, sigma, q: float, S: float, samples: int, seed: int = 0) -
     best = -math.inf
     for phi in cands:
         lq2 = float(np.sum(np.abs(phi) ** q * sigma)) ** (2.0 / q)
-        energy = float(phi @ S0 @ phi)
+        energy = float(matvec(matvec(S0.T, phi), phi))
         den = float(np.sum(phi**2 * bm.nu))
         best = max(best, (lq2 - S * energy) / den)
     return best

@@ -32,6 +32,11 @@ conquer (dsyevd), whose O(n^2) workspace DENSE_CAP bounds.  The weighted
 matrix D^{-1/2} K D^{-1/2} is built in one array, which dsyevd overwrites
 with the eigenvectors, so the eigenvector route holds about 3n^2 doubles at
 its peak: that array and dsyevd's 2n^2 workspace.
+
+``matmul`` and ``matvec`` are the dense products of the whole package:
+each calls SciPy's dgemm, dsyrk, dgemv or ddot where numpy's ``@`` would
+call numpy's, on the operands in their stored order, so the result is bit
+for bit that of ``@`` and numpy's BLAS thread pool is never woken.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 from scipy.sparse.linalg import splu
 
@@ -452,6 +457,110 @@ def _transpose_scaled(A: np.ndarray, d: np.ndarray) -> None:
             A[cols, rows] = upper
 
 
+def _row_major(a: np.ndarray) -> bool | None:
+    """How numpy's matmul reads the 2-D array a with BLAS: True for rows of
+    unit stride (checked first), False for columns of unit stride, None
+    when neither holds and numpy multiplies it with a loop of its own."""
+    size = a.itemsize
+    for rows, cols, width in ((0, 1, a.shape[1]), (1, 0, a.shape[0])):
+        lead = a.strides[rows]
+        if a.strides[cols] == size and lead % size == 0 and lead // size >= width:
+            return rows == 0
+    return None
+
+
+def _span(x: np.ndarray):
+    """A 1-D array read by BLAS as (data, increment) without a copy: x
+    itself, or the contiguous run of memory from its first entry to its
+    last, stepped through with x's stride; None for a stride that numpy's
+    BLAS calls do not take (not a positive multiple of the item size)."""
+    step, size = x.strides[0], x.itemsize
+    if x.size == 1 or step == size:
+        return x, 1
+    if step <= 0 or step % size:
+        return None
+    inc = step // size
+    return np.lib.stride_tricks.as_strided(x, ((x.size - 1) * inc + 1,), (size,)), inc
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x @ y for two 1-D float arrays: by ddot, as numpy computes it (its
+    sum starts at 0.0, so a -0.0 becomes 0.0), when both have unit stride;
+    otherwise by numpy's own call, since the strided ddot kernels of the two
+    OpenBLAS builds round differently (a single thread below 10000 entries,
+    so numpy's pool stays idle)."""
+    if any(v.size > 1 and v.strides[0] != v.itemsize for v in (x, y)):
+        return float(x @ y)
+    return 0.0 + ddot(x, y)
+
+
+def matvec(a, x) -> np.ndarray | float:
+    """a @ x for a 1-D float x and a 2-D (or 1-D) float a, computed in
+    SciPy's BLAS exactly as numpy's matmul computes it in numpy's own: a
+    dgemv that reads a in its stored order (ddot for a single row, or a 1-D
+    a), so the result is bit for bit numpy's.  A contiguous a, in either
+    order, and an x of any positive stride are read in place (SciPy's
+    wrappers take no leading dimension, so they copy a sliced a).  Where
+    numpy multiplies with a loop of its own (an empty or one-column a, a
+    stride BLAS does not take, another dtype), so does this.  x @ a is
+    ``matvec(a.T, x)``."""
+    a, x = np.asarray(a), np.asarray(x)
+    if x.ndim != 1 or a.ndim not in (1, 2) or a.shape[-1] != x.size:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {x.shape}")
+    if a.dtype != np.float64 or x.dtype != np.float64 or 0 in a.shape:
+        return a @ x
+    if a.ndim == 1:
+        return _dot(a, x)
+    m, n = a.shape
+    if m == 1:
+        return np.array([_dot(a[0], x)])
+    row_major, xs = _row_major(a), _span(x)
+    if n == 1 or row_major is None or xs is None:
+        return a @ x
+    # a row-major a is the Fortran-ordered a^T, multiplied transposed
+    view = a.T if row_major else a
+    return dgemv(1.0, view, xs[0], incx=xs[1], trans=int(row_major))
+
+
+def matmul(a, b) -> np.ndarray:
+    """a @ b for 2-D float arrays, computed in SciPy's BLAS exactly as
+    numpy's matmul computes it in numpy's own, so the C-ordered result is
+    bit for bit numpy's: dgemm reading each operand in its stored order,
+    dsyrk with the upper triangle mirrored for a matrix times its own
+    transpose, dgemv for one row or one column (``matvec``), and ddot for
+    both.  Contiguous operands, in either order, are read in place, as in
+    ``matvec``.  Every dense product on a scenario's path goes through
+    ``matmul`` or ``matvec``: numpy's BLAS has a thread pool of its own, and
+    waking it between SuperLU and LAPACK calls leaves its worker spinning on
+    a core that SciPy's pool needs."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    (m, n), p = a.shape, b.shape[1]
+    if a.dtype != np.float64 or b.dtype != np.float64 or 0 in (m, n, p):
+        return a @ b
+    if p == 1:
+        return matvec(a, b[:, 0]).reshape(m, 1)
+    if m == 1:
+        return matvec(b.T, a[0]).reshape(1, p)
+    row_a, row_b = _row_major(a), _row_major(b)
+    if n == 1 or row_a is None or row_b is None:
+        return a @ b
+    view_a = a.T if row_a else a
+    if (
+        m == p
+        and row_a != row_b
+        and b.strides == a.strides[::-1]
+        and a.ctypes.data == b.ctypes.data
+    ):
+        c = dsyrk(1.0, view_a, trans=int(row_a), lower=1)
+        mirror_lower(c)
+        return c.T
+    # the Fortran-ordered result is (a @ b)^T = b^T a^T
+    view_b = b.T if row_b else b
+    return dgemm(1.0, view_b, view_a, trans_a=int(not row_b), trans_b=int(not row_a)).T
+
+
 def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     """All finite generalized eigenvalues of (K, diag M), sorted ascending;
     order capped at DENSE_CAP = 4000.
@@ -504,7 +613,7 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
             )
         Kzp = Aw[np.ix_(zero, pos)]
         back = zero_factor.solve(Kzp)
-        Aw = Aw[np.ix_(pos, pos)] - Kzp.T @ back
+        Aw = Aw[np.ix_(pos, pos)] - matmul(Kzp.T, back)
     d = 1.0 / np.sqrt(m[pos])
     _symmetrize(Aw, d)
     if not want_vectors:
@@ -517,7 +626,7 @@ def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
         return SpectralSummary(eigenvalues=w, eigenvectors=X)
     X = np.zeros((order, pos.size))
     X[pos] = d[:, None] * Y
-    X[zero] = -back @ X[pos]
+    X[zero] = matmul(-back, X[pos])
     return SpectralSummary(eigenvalues=w, eigenvectors=X)
 
 
@@ -533,14 +642,15 @@ def heat_trace(s: SpectralSummary, t: float) -> float:
 #: tolerance on the weighted orthonormality of supplied eigenvectors
 ORTHONORMALITY_TOL = 1e-8
 
-#: OpenBLAS on x86-64 with AVX-512 multiplies matrices with m*n*k <= 1e6 by
-#: a small-matrix kernel, whose sum for a row depends on the row's position
-#: modulo the kernel's width, and larger ones by its blocked kernel, whose
-#: sums do not; a product with one column is a matrix-vector product, whose
-#: threads split the rows.  So the row blocks of the 2->infinity norms start
-#: at multiples of _ROW_ALIGN rows and take the kernel that the product of
-#: all the rows takes, and a single time takes that product, so that each
-#: row's sum is the one that the product of all the rows computes.
+#: SciPy's OpenBLAS, on x86-64 with AVX-512, multiplies matrices with
+#: m*n*k <= 1e6 by a small-matrix kernel, whose sum for a row depends on the
+#: row's position modulo the kernel's width, and larger ones by its blocked
+#: kernel, whose sums do not.  A single time is a product with one column,
+#: which ``matmul`` hands to dgemv as numpy does, and dgemv's threads split
+#: the rows.  So the row blocks of the 2->infinity norms start at multiples
+#: of _ROW_ALIGN rows and take the kernel that the product of all the rows
+#: takes, and a single time takes that product, so that each row's sum is
+#: the one that the product of all the rows computes.
 _SMALL_PRODUCT = 10**6
 _ROW_ALIGN = 16
 
@@ -587,9 +697,10 @@ def two_infinity_norm(s: SpectralSummary, w, t, *, scale: float = 1.0, check: bo
 
     Nothing of order^2 is formed but the Gram matrix of the check, which is
     let go before the norms: they are the running maximum, over blocks of
-    rows of U, of (B*B) @ exp(-2 mu t), and each row's sum is the one that
-    the product over all rows gives (see _SMALL_PRODUCT), so the norms are
-    bit for bit those of (U*U) @ exp(-2 mu t).
+    rows of U, of (B*B) @ exp(-2 mu t), each block's product taken in
+    SciPy's BLAS by ``matmul``, and each row's sum is the one that the
+    product over all rows gives (see _SMALL_PRODUCT), so the norms are bit
+    for bit those of numpy's (U*U) @ exp(-2 mu t).
     """
     if s.eigenvectors is None:
         raise MissingVectors("the 2->infinity norm needs eigenvectors")
@@ -614,6 +725,6 @@ def two_infinity_norm(s: SpectralSummary, w, t, *, scale: float = 1.0, check: bo
     for block in _row_blocks(n, rows):
         B = X[block] * scale
         B *= B
-        np.maximum(squares, (B @ decay).max(axis=0), out=squares)
+        np.maximum(squares, matmul(B, decay).max(axis=0), out=squares)
     norms = np.sqrt(squares)
     return float(norms[0]) if ts.ndim == 0 else norms

@@ -61,7 +61,8 @@ Config schema::
     [sweeps]     points (shared grid length), lambda_min, lambda_max
                  (each finite and > 0, min <= max), t_min, t_max (each finite
                  and > 0; all optional)
-    [constants]  p (> 0), L_n, b, omega_convention, b_samples
+    [constants]  p (finite, > 0), L_n (finite, > 0), b (finite),
+                 omega_convention, b_samples (>= 1)
     [output]     directory, prefix
     [seed]       value
 """
@@ -271,8 +272,14 @@ def load_config(path) -> ScenarioConfig:
                 cp, "constants", "omega_convention", consts.omega_convention
             )
             consts.b_samples = int(_get(cp, "constants", "b_samples", consts.b_samples))
-        if not consts.p > 0:
-            raise ConfigError(f"constants.p must be > 0, got {consts.p}")
+        if not 0 < consts.p < np.inf:
+            raise ConfigError(f"constants.p must be finite and > 0, got {consts.p}")
+        if consts.L_n is not None and not 0 < consts.L_n < np.inf:
+            raise ConfigError(f"constants.L_n must be finite and > 0, got {consts.L_n}")
+        if consts.b is not None and not np.isfinite(consts.b):
+            raise ConfigError(f"constants.b must be finite, got {consts.b}")
+        if consts.b_samples < 1:
+            raise ConfigError(f"constants.b_samples must be >= 1, got {consts.b_samples}")
         if consts.omega_convention not in (bounds.SPHERE_AREA, bounds.BALL_VOLUME):
             raise ConfigError(
                 f"unknown omega_convention {consts.omega_convention!r}"

@@ -24,9 +24,10 @@ no sparse factor of the box, no Lanczos and no error radius, and a level
 outside ``levels`` takes the same route.  The scaling by R matters: the
 unscaled |D|^{-1} - G_W, D = diag(V h^n), reaches 1e30 in a Gaussian's
 tails, and the pivot tolerance 1e-12 max|entry| then swamps every pivot.
-G_W is formed in SciPy's BLAS (dgemm) from one dense 1-D sine matrix per
-axis: L0^{-1} = S diag(1/Lambda) S, and the unit columns of W, restricted to
-W's bounding box, are contracted one axis at a time.
+G_W is formed in SciPy's BLAS (dgemm, by ``eigcount.matmul``) from one
+dense 1-D sine matrix per axis: L0^{-1} = S diag(1/Lambda) S, and the unit
+columns of W, restricted to W's bounding box, are contracted one axis at a
+time.
 
 The sparse route serves the rest: 1D and 2D boxes, where sparse fill stays
 far below N^2, and 3D wells that fill most of the box.  The operator is
@@ -42,7 +43,11 @@ eigenvalues are the bound states, and a lower level's count is
 level that is not certified this way is factored on its own, exactly as a
 direct count would be, so OnEigenvalue keeps its meaning.  The top-level
 factor is the first factor of the box's one ShiftFamily, and those later
-factors share its fill-reducing order.
+factors share its fill-reducing order.  The certificate's orthonormalization,
+Rayleigh-Ritz eigensolve and 2-norms are SciPy's LAPACK (QR, dsyevd and the
+singular values), and its dense products go through ``eigcount.matmul``:
+nothing of it runs in numpy's BLAS, whose thread pool would then spin
+beside SciPy's.
 
 The rule: a 3D box of N interior nodes takes the Birman-Schwinger route when
 levels * |W|^3 <= COMPACT_WELL_C * N^2, with levels the number of levels
@@ -77,13 +82,13 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EmptySublevel, EnumerationCap, OnEigenvalue
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import PIVOT_RTOL, Factorization, ShiftFamily, strict_count
+from .eigcount import PIVOT_RTOL, Factorization, ShiftFamily, matmul, strict_count
 from .model import AssembledPencil, GridSpec, PotentialField
 
 #: lattice enumeration guard: mu * L^2 / pi^2 may not exceed this
@@ -172,12 +177,6 @@ def _sine_basis(m: int):
     return S, 4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2
 
 
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in SciPy's BLAS (dgemm), C-ordered; C-ordered operands are
-    read as the Fortran-ordered transposes they are, without a copy."""
-    return dgemm(1.0, b.T, a.T).T
-
-
 def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
     """I - R G_W(s) R at s = e*h^n <= 0, whose inertia counts the box
     operator of V (clamped) below e: n_minus is the count, and n_zero > 0
@@ -217,7 +216,7 @@ def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
         S = rows[axis]
         pairs = (S[:, None, :] * S[None, :, :]).reshape(-1, S.shape[1])
         rest = T.shape[:axis] + T.shape[axis + 1:]
-        T = _gemm(pairs, np.moveaxis(T, axis, 0).reshape(S.shape[1], -1))
+        T = matmul(pairs, np.moveaxis(T, axis, 0).reshape(S.shape[1], -1))
         T = T.reshape((pairs.shape[0],) + rest)
     # to (column prefix, row prefix, last mode), each prefix in C order
     widths = [S.shape[0] for S in rows[:-1]]
@@ -236,7 +235,7 @@ def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
     for start in range(0, size, _COLUMN_BLOCK):
         block = slice(start, start + _COLUMN_BLOCK)
         Y = T[column[block]] * last[depth[block]][:, None, :]
-        G = _gemm(Y.reshape(-1, last.shape[1]), last.T).reshape(Y.shape[0], -1)
+        G = matmul(Y.reshape(-1, last.shape[1]), last.T).reshape(Y.shape[0], -1)
         # G_W is symmetric: these columns are also the block's rows
         out[block] = G[:, box_position] * (-r[block, None] * r)
     out[np.diag_indices(size)] += 1.0
@@ -366,10 +365,10 @@ def _bound_states(A, factor: Factorization, shift: float, k: int):
         _, X = eigsh(A, k=k, sigma=shift, which="SA", OPinv=inverse, v0=v0)
     except ArpackError:
         return None
-    Q, _ = np.linalg.qr(X)
-    H = Q.T @ (A @ Q)
-    theta, Y = np.linalg.eigh((H + H.T) / 2.0)
-    Z = Q @ Y
+    Q = sla.qr(X, mode="economic")[0]
+    H = matmul(Q.T, A @ Q)
+    theta, Y = sla.eigh((H + H.T) / 2.0, driver="evd")
+    Z = matmul(Q, Y)
     # Kahan's bound needs orthonormal columns.  Z is orthonormal to within
     # eta = |Z^T Z - I|_2; its orthonormal polar factor Z (Z^T Z)^(-1/2)
     # has residual at most |R|_2 / sqrt(1 - eta) + 2 sqrt(1 + eta) eta
@@ -378,10 +377,10 @@ def _bound_states(A, factor: Factorization, shift: float, k: int):
     eps = np.finfo(float).eps
     anorm = abs(A).sum(axis=1).max()
     row_nnz = np.diff(A.indptr).max()
-    eta = np.linalg.norm(Z.T @ Z - np.eye(k), 2) + 2.0 * n * eps * k
+    eta = sla.svdvals(matmul(Z.T, Z) - np.eye(k)).max() + 2.0 * n * eps * k
     if eta >= 0.5:
         return None
-    resid = np.linalg.norm(A @ Z - Z * theta, 2) * (1.0 + 4.0 * k * eps)
+    resid = sla.svdvals(A @ Z - Z * theta).max() * (1.0 + 4.0 * k * eps)
     resid += 2.0 * (row_nnz + 2) * eps * np.sqrt(k) * anorm
     r = resid / np.sqrt(1.0 - eta) + 2.0 * np.sqrt(1.0 + eta) * eta * np.abs(theta).max()
     if not np.all(theta + r < shift):

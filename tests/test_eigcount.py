@@ -12,7 +12,10 @@ from wellspectra.eigcount import (
     ORTHONORMALITY_TOL,
     count_below,
     heat_trace,
+    _SMALL_PRODUCT,
     inertia,
+    matmul,
+    matvec,
     pencil_eigs,
     strict_count,
     two_infinity_norm,
@@ -512,3 +515,73 @@ def test_two_infinity_requires_vectors_and_normalization(rng):
         two_infinity_norm(bad, np.ones(1), 1.0)
     with pytest.raises(ValueError):
         two_infinity_norm(bad, np.ones(1), -1.0)
+
+
+# ------------------------------------------------------- dense products
+
+
+def _layouts(A):
+    return {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A)}
+
+
+#: (m, n, p) with m*n*p on both sides of _SMALL_PRODUCT, one row, one
+#: column, and one of each
+PRODUCT_SHAPES = [
+    (40, 30, 20),
+    (300, 200, 50),
+    (1500, 400, 6),
+    (1200, 900, 1),
+    (1, 700, 30),
+    (1, 500, 1),
+    (7, 1, 5),
+]
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_matmul_and_matvec_equal_numpys_matmul_bit_for_bit(rng, shape):
+    """matmul and matvec return numpy's a @ b bit for bit, C-ordered, on C-
+    and Fortran-ordered operands, a one-column right-hand side and vectors
+    of unit and larger stride, below and above the small-product size."""
+    sizes = [np.prod(s) for s in PRODUCT_SHAPES]
+    assert min(sizes) <= _SMALL_PRODUCT < max(sizes)
+    m, n, p = shape
+    A, B = rng.standard_normal((m, n)), rng.standard_normal((n, p))
+    for a in _layouts(A).values():
+        for b in _layouts(B).values():
+            out = matmul(a, b)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, a @ b)
+        strided = rng.standard_normal((n, 3))[:, 1]
+        for x in (B[:, 0].copy(), strided):
+            assert np.array_equal(matvec(a, x), a @ x)
+        for y in (a[:, 0], a[:, 0].copy()):
+            assert np.array_equal(matvec(a.T, y), y @ a)
+    for x, y in ((B[:, 0].copy(), A[0].copy()), (A[:, 0], A[:, -1])):
+        assert matvec(x, y) == x @ y
+
+
+def test_matmul_of_a_matrix_and_its_transpose_equals_numpys_syrk(rng):
+    """A matrix times its own transpose, either way round and in either
+    order, equals numpy's product (its dsyrk, mirrored) bit for bit."""
+    for k, n in ((5, 4000), (60, 300)):
+        for z in _layouts(rng.standard_normal((n, k))).values():
+            for a, b in ((z.T, z), (z, z.T)):
+                assert np.array_equal(matmul(a, b), a @ b)
+
+
+def test_matmul_and_matvec_never_copy_an_operand(rng):
+    """Neither helper allocates anything of an operand's size, whatever the
+    operands' order and the vector's stride: the products are small, and
+    the traced peak stays below half of each operand."""
+    A, B = rng.standard_normal((100, 20000)), rng.standard_normal((20000, 100))
+    for a in _layouts(A).values():
+        for b in _layouts(B).values():
+            for x, y in ((a, b), (b.T, a.T)):
+                _, peak = _traced_peak(lambda: matmul(x, y))
+                assert peak < 0.5 * x.nbytes
+        for v in (B[:, 0].copy(), rng.standard_normal((20000, 4))[:, 2]):
+            _, peak = _traced_peak(lambda: matvec(a, v))
+            assert peak < 0.5 * v.nbytes
+    z = rng.standard_normal((20000, 20))
+    _, peak = _traced_peak(lambda: matmul(z.T, z))
+    assert peak < 0.5 * z.nbytes

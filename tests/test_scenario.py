@@ -1,6 +1,9 @@
 import gc
 import tracemalloc
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import weakref
 from collections import Counter
@@ -170,8 +173,17 @@ def test_load_config_errors(tmp_path):
         SMALL_2D.replace("values = -1.5, -0.8", levels)
         for levels in ("values = -1.5, 0.25", "count = 3\n    min = -1\n    max = 0.5")
     ]
-    # an exponent that is not p > 0
-    malformed += [SMALL_2D + f"\n[constants]\np = {p}\n" for p in ("0", "-1", "nan")]
+    # an exponent that is not finite and > 0
+    malformed += [SMALL_2D + f"\n[constants]\np = {p}\n" for p in ("0", "-1", "nan", "inf")]
+    # a constant that is not finite (L_n also not > 0), or no b sample
+    malformed += [
+        SMALL_2D + f"\n[constants]\n{key} = {value}\n"
+        for key, value in (
+            ("L_n", "-1"), ("L_n", "0"), ("L_n", "nan"), ("L_n", "inf"),
+            ("b", "nan"), ("b", "inf"), ("b", "-inf"),
+            ("b_samples", "0"), ("b_samples", "-5"),
+        )
+    ]
     # a shift range with a given end <= 0, or given ends out of order
     malformed += [
         SMALL_2D.replace("points = 3", f"points = 3\n    {ends}")
@@ -933,3 +945,63 @@ def test_a_run_checks_its_eigenvectors_once(tmp_path, monkeypatch):
         assert run_scenario(_write(tmp_path, text), out_dir=tmp_path / name).exit_code == 0
         made[name] = list(checks)
     assert made == {"ball": [True, False, False], "gauss": [True, True, True]}
+
+
+#: run in a fresh interpreter: the CPU ticks (utime + stime) that the
+#: threads started by ``import numpy`` (numpy's OpenBLAS pool) spend while
+#: the scenario argv[1] runs, or "no-pool" when the import started none
+_NUMPY_POOL_TICKS = """
+import os, sys
+
+def tasks():
+    return set(os.listdir("/proc/self/task"))
+
+before = tasks()
+import numpy
+pool = sorted(tasks() - before)
+
+def ticks():
+    total = 0
+    for tid in pool:
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        total += int(fields[11]) + int(fields[12])
+    return total
+
+if not pool:
+    print("no-pool")
+    sys.exit(0)
+from wellspectra.scenario import run_scenario
+start = ticks()
+run_scenario(sys.argv[1], out_dir=sys.argv[2])
+print(ticks() - start)
+"""
+
+
+def test_a_3d_scenario_never_wakes_numpys_blas_threads(tmp_path):
+    """Every dense product of a scenario runs in SciPy's BLAS, so the
+    thread pool of numpy's own OpenBLAS stays asleep: on the ball at 21^3,
+    the smallest grid where numpy's products woke it, its threads spend no
+    CPU tick while the scenario runs.  Skipped where there is no /proc or
+    numpy starts no pool (one CPU, or OPENBLAS_NUM_THREADS=1)."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to read thread times from")
+    config = (CONFIG_DIR / "ball_well_3d.cfg").read_text()
+    assert "resolution = 17, 17, 17" in config
+    path = tmp_path / "ball21.cfg"
+    path.write_text(config.replace("resolution = 17, 17, 17", "resolution = 21, 21, 21"))
+    src = str(Path(scenario.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_POOL_TICKS, str(path), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    ticks = done.stdout.split()[-1]
+    if ticks == "no-pool":
+        pytest.skip("import numpy started no BLAS thread")
+    assert int(ticks) == 0
