@@ -9,9 +9,13 @@ A rung is one scenario config built from perfbench/workloads.py:
 ``levels-2d`` (the 2D three-well landscape with 32 levels), ``ball3d-R``
 (the 3D ball well at R^3, whose three levels share one plateau) or
 ``gauss3d-R`` (the ball3d-R config edited to a Gaussian well of width 0.8
-at levels -4, -7 and -10, on which no two levels share a plateau).  A rung
-``box3d-R-RADIUS`` runs the box layer alone: the ball3d-R well with its
-radius set to RADIUS, counted by one ``BoxOperator`` at its three levels.
+at levels -4, -7 and -10, on which no two levels share a plateau).  Two
+kinds of rung run the box layer alone, counted by one ``BoxOperator`` at
+the config's levels: ``box3d-R-RADIUS``, the ball3d-R well with its radius
+set to RADIUS, at its three levels; and ``band3d-R``, a band-limited random
+landscape at R^3 (seeded by --seed, cutoff 3, amplitude 300) at six
+levels from -150 to -20.  With seed 7, V < 0 on about 40 % of the box, so
+the box takes the sparse route, and at 25^3 it holds up to 98 bound states.
 Each (tree, rung) run is a fresh process that imports wellspectra from the
 tree, wraps ten layers at their import sites and the box operator's
 ``certify`` and ``count_below`` (outermost calls only), and runs the
@@ -32,8 +36,8 @@ Per run it records:
   by ``import numpy``, numpy's OpenBLAS pool, spent during the scenario
   (``numpy_pool_ticks``; ``numpy_pool_threads`` of them, 0 without /proc);
 * the digest of the integer CSV columns (perfbench's ``rows_digest``);
-* a SHA-256 of the CSV and JSON report bytes; on a box3d rung the box
-  counts stand in for the digest and the reports.
+* a SHA-256 of the CSV and JSON report bytes; on a box3d or band3d rung
+  the box counts stand in for the digest and the reports.
 
 ``--route birman-schwinger`` or ``--route sparse`` forces that box route
 in a tree that has the route rule (``schrodinger.compact_well``), and the
@@ -99,6 +103,17 @@ GAUSS3D_EDITS = {
     "prefix = ball3d": "prefix = gauss3d",
 }
 
+#: ball3d -> band3d: a landscape whose box holds many bound states
+BAND3D_EDITS = {
+    "family = ball_well\ncenter = 0, 0, 0\nradius = 1.0\ndepth = 12.0":
+        "family = band_limited_random\nseed = {seed}\ncutoff = 3\namplitude = 300.0",
+    "values = -0.5, -2.0, -6.0": "values = -150.0, -100.0, -60.0, -40.0, -30.0, -20.0",
+    "prefix = ball3d": "prefix = band3d",
+}
+
+#: rungs that count the box operator alone
+BOX_RUNGS = ("box3d", "band3d")
+
 
 def rung_config(rung: str, seed: int) -> str:
     if rung == "levels-2d":
@@ -106,21 +121,22 @@ def rung_config(rung: str, seed: int) -> str:
     kind, _, resolution = rung.partition("-")
     resolution, _, radius = resolution.partition("-")
     if (
-        kind not in ("ball3d", "gauss3d", "box3d")
+        kind not in ("ball3d", "gauss3d", "box3d", "band3d")
         or not resolution.isdigit()
         or bool(radius) != (kind == "box3d")
     ):
         raise SystemExit(
-            f"unknown rung {rung!r}: use levels-2d, ball3d-R, gauss3d-R or box3d-R-RADIUS"
+            f"unknown rung {rung!r}: use levels-2d, ball3d-R, gauss3d-R, box3d-R-RADIUS "
+            "or band3d-R"
         )
     text = ball3d_config(seed, resolution=int(resolution))
     if kind == "box3d":
         return text.replace("radius = 1.0", f"radius = {float(radius)!r}")
-    if kind == "gauss3d":
-        for old, new in GAUSS3D_EDITS.items():
-            if old not in text:
-                raise SystemExit(f"ball3d config has no {old!r} to edit into gauss3d")
-            text = text.replace(old, new)
+    edits = {"gauss3d": GAUSS3D_EDITS, "band3d": BAND3D_EDITS}.get(kind, {})
+    for old, new in edits.items():
+        if old not in text:
+            raise SystemExit(f"ball3d config has no {old!r} to edit into {kind}")
+        text = text.replace(old, new.format(seed=seed))
     return text
 
 
@@ -171,7 +187,7 @@ def _box_counts(schrodinger, scenario, config: Path) -> list:
 
 
 def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
-    """One scenario run of ``rung`` (or one box count, on a box3d rung) with
+    """One scenario run of ``rung`` (or one box count, on a box rung) with
     wellspectra imported from ``tree``, its box route forced to ``route``
     unless that is "rule"."""
     sys.path.insert(0, tree)
@@ -222,7 +238,7 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
         config.write_text(rung_config(rung, seed))
         ticks = numpy_pool_ticks()
         start = time.perf_counter()
-        if rung.startswith("box3d"):
+        if rung.partition("-")[0] in BOX_RUNGS:
             counts = _box_counts(schrodinger, scenario, config)
             wall = time.perf_counter() - start
             digest = json.dumps(counts, separators=(",", ":"))

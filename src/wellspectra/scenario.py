@@ -27,12 +27,15 @@ P0.  The box operator's bound-state counts for all levels come from one
 smallest.  Its route depends on the well W = {V < 0} alone
 (``schrodinger.compact_well``): a 3D well with levels * |W|^3 <= 120 N^2
 (N the box's interior nodes) is counted by Birman-Schwinger, one dense
-inertia of I - R G_W R, of order |W|, per level, each let go before the
-next; a well that fills much of the box, and every 1D or 2D box, by one
-sparse factor of the box operator with a Lanczos certificate.  On the
-ball at 25^3 (|W|/N = 0.075), counted alone, the box takes 0.22 s and a
-process peak of 89 MB by Birman-Schwinger, against 0.89 s and 145 MB by
-the sparse factor; the schrodinger module docstring has the crossover data.
+inertia of I - R G_W R, of order |W|, per level; a well that fills much
+of the box, and every 1D or 2D box, by one sparse factor of the box
+operator per level.  Either way the levels are counted from the top down,
+each factor let go before the next, and a level below a count of 0 counts 0
+unfactored.  On the ball at 25^3 (|W|/N = 0.075), counted alone, the box
+takes 0.22 s and a process peak of 89 MB by Birman-Schwinger, against
+0.89 s and 145 MB by the sparse route as it stood when the rule was fitted
+(one top-level factor and a Lanczos certificate); the schrodinger module
+docstring has the crossover data.
 
 Every level takes P0 (with S(0) and c_P), its pinned spectrum and b from its
 run: a run of consecutive levels whose sets {V < e} are equal and on which V
@@ -80,7 +83,7 @@ from . import a2r, bounds
 from .assemble import assemble_pencil, classify_nodes
 from .eigcount import count_below, heat_trace, pencil_eigs
 from .eigcount import inertia  # noqa: F401  (unused; perfbench's tracer test wraps it here)
-from .errors import ConfigError, EmptySublevel, OnEigenvalue
+from .errors import ConfigError, EmptySublevel, OnEigenvalue, SubcriticalExponent
 from .model import (
     HOLDS,
     NOT_APPLICABLE,
@@ -562,7 +565,10 @@ class _LevelRun:
         dmu_p, dnu_sig_inf, dnu_dmu_inf = a2r.radon_nikodym_report(self.bm, p)
         b = cfg.constants.b
         b_note = "b supplied by configuration"
-        if b is None and p > n - 1:
+        # the boundary chain needs s > 2, that is p > n - 1; below it the
+        # interior chain stands alone
+        boundary = p > n - 1
+        if b is None and boundary:
             b = self.shared.estimate_b(cfg, self.bm, self.pencil.sigma)
             b_note = f"b estimated from {cfg.constants.b_samples} sampled traces (EMPIRICAL)"
         try:
@@ -571,13 +577,13 @@ class _LevelRun:
                 p,
                 normW1,
                 normWp,
-                dmu_dsigma_p=dmu_p,
+                dmu_dsigma_p=dmu_p if boundary else None,
                 dnu_dmu_inf=dnu_dmu_inf,
                 b=b,
                 L_n=cfg.constants.L_n,
                 convention=cfg.constants.omega_convention,
             )
-        except Exception:
+        except SubcriticalExponent:
             return None
         consts.extras["dnu_dsigma_inf"] = dnu_sig_inf
         consts.extras["b_provenance"] = b_note

@@ -19,9 +19,8 @@ Sylvester congruence with R, gives
     n_minus(A - s) = n_minus(I - R G_W(s) R),   G_W = P^T L0^{-1} P,
 
 with n_zero equal on both sides.  So a level's count is the strict count of
-one dense Bunch-Kaufman inertia of order |W| (``birman_schwinger_matrix``):
-no sparse factor of the box, no Lanczos and no error radius, and a level
-outside ``levels`` takes the same route.  The scaling by R matters: the
+one dense Bunch-Kaufman inertia of order |W| (``birman_schwinger_matrix``),
+with no sparse factor of the box.  The scaling by R matters: the
 unscaled |D|^{-1} - G_W, D = diag(V h^n), reaches 1e30 in a Gaussian's
 tails, and the pivot tolerance 1e-12 max|entry| then swamps every pivot.
 G_W is formed in SciPy's BLAS (dgemm, by ``eigcount.matmul``) from one
@@ -30,33 +29,26 @@ columns of W, restricted to W's bounding box, are contracted one axis at a
 time.
 
 The sparse route serves the rest: 1D and 2D boxes, where sparse fill stays
-far below N^2, and 3D wells that fill most of the box.  The operator is
-factored at the highest level; if that count k is 0, every lower level is 0
-as well (Sylvester monotonicity).  Otherwise shift-invert Lanczos (ARPACK,
-with that factor as the inverse operator) finds the k bound states,
-Rayleigh-Ritz on the orthonormalized vectors gives Ritz values theta_i, and
-Kahan's residual bound (Parlett, The Symmetric Eigenvalue Problem, Thm
-11.5.1) gives a radius r such that k eigenvalues of A lie within r of the
-theta_i, one each.  Once every theta_i + r lies below the top shift, those k
-eigenvalues are the bound states, and a lower level's count is
-#{theta_i < s} whenever every theta_i lies farther than r + tau0 from s.  A
-level that is not certified this way is factored on its own, exactly as a
-direct count would be, so OnEigenvalue keeps its meaning.  The top-level
-factor is the first factor of the box's one ShiftFamily, and those later
-factors share its fill-reducing order.  The certificate's orthonormalization,
-Rayleigh-Ritz eigensolve and 2-norms are SciPy's LAPACK (QR, dsyevd and the
-singular values), and its dense products go through ``eigcount.matmul``:
-nothing of it runs in numpy's BLAS, whose thread pool would then spin
-beside SciPy's.
+far below N^2, and 3D wells that fill most of the box.  A level's count is
+the strict count of one sparse factor of A - s I, taken from the box's one
+ShiftFamily, so every factor after the first shares its fill-reducing
+order.
+
+Both routes count the levels from the top down, one factor alive at a
+time.  Once a count is 0, every lower level is 0 as well (Sylvester
+monotonicity) and is not factored.  A level on the spectrum raises
+OnEigenvalue and has no count, so the levels below it are still factored.
+A level outside ``levels`` is factored on its own, on the same route.
 
 The rule: a 3D box of N interior nodes takes the Birman-Schwinger route when
 levels * |W|^3 <= COMPACT_WELL_C * N^2, with levels the number of levels
 counted (at least 1).  The dense route costs levels * (|W|^3/3 for the
-inertia plus the G_W contractions); the sparse LU of a 3D box, with its
-Lanczos certificate, grows about as N^2.  Ball wells of depth 12 at levels
--0.5, -2 and -6, the box counted alone (medians of 3 processes; time, and
-the process's peak RSS, 65 MB of it the imports; 2-core host, NumPy 2.4,
-SciPy 1.17):
+inertia plus the G_W contractions); the sparse LU of a 3D box grows about
+as N^2.  Ball wells of depth 12 at levels -0.5, -2 and -6, the box counted
+alone (medians of 3 processes; time, and the process's peak RSS, 65 MB of it
+the imports; 2-core host, NumPy 2.4, SciPy 1.17; the sparse column was
+measured when that route read its lower levels off one top-level factor and
+a Lanczos certificate, and the constant was fitted then):
 
     grid  radius  |W|/N  3|W|^3/N^2   sparse LU + Lanczos   Birman-Schwinger
     25^3   1.0    0.075      15         0.89 s, 145 MB       0.22 s,  89 MB
@@ -82,13 +74,11 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EmptySublevel, EnumerationCap, OnEigenvalue
 from .assemble import assemble_pencil, classify_nodes
-from .eigcount import PIVOT_RTOL, Factorization, ShiftFamily, matmul, strict_count
+from .eigcount import Factorization, ShiftFamily, matmul, strict_count
 from .model import AssembledPencil, GridSpec, PotentialField
 
 #: lattice enumeration guard: mu * L^2 / pi^2 may not exceed this
@@ -249,31 +239,31 @@ class BoxOperator:
     the module docstring).
 
     Nothing is assembled or factored until ``certify``, or the first
-    ``count_below``, which counts every level at once: on the
-    Birman-Schwinger route one dense inertia per level, each matrix and
-    factor let go before the next level's; on the sparse route one factor
-    at the top level and its Lanczos certificate.  ``route`` names the route
-    taken ("birman-schwinger" or "sparse"), and is None until then.  Counts,
-    and the messages of OnEigenvalue errors, are kept per level, so each
-    level is counted once; a level on the spectrum raises a fresh
-    OnEigenvalue each time (a kept exception's traceback would keep the
-    frames, and the factor, that raised it).  A level outside ``levels``, or
-    one the certificate does not cover, is factored on its own.
+    ``count_below``, which counts every level at once, from the top down:
+    one inertia per level (a dense Birman-Schwinger matrix or a sparse
+    factor of the box), each let go before the next level's, and none below
+    a count of 0.  ``route`` names the route taken ("birman-schwinger" or
+    "sparse"), and is None until then.  Counts, and the messages of
+    OnEigenvalue errors, are kept per level, so each level is counted once;
+    a level on the spectrum raises a fresh OnEigenvalue each time (a kept
+    exception's traceback would keep the frames, and the factor, that
+    raised it).  A level outside ``levels`` is factored on its own.
     """
 
     def __init__(self, V: PotentialField, levels):
         self.potential = V
         self.levels = sorted({float(e) for e in levels if e <= 0})
         self.route = None
-        self._A = self._m = self._shifts = self._error = None
+        self._shifts = self._error = None
         self._counts = {}
 
     def certify(self):
         """Pick the route, assemble the operator on the sparse route, and
-        count or certify the levels, once.  An exception is kept, without
-        its traceback, and raised by the next ``count_below``, exactly as if
-        that count had certified: a failed assembly is retried by the count
-        after it, a failed count or certificate is not."""
+        count the levels, once.  An exception other than OnEigenvalue is
+        kept, without its traceback, and raised by the next ``count_below``,
+        exactly as if that count had counted: a failed assembly is retried
+        by the count after it, a failed count is not, and a level left
+        uncounted is factored on demand."""
         if self.route is not None or self._error is not None:
             return
         try:
@@ -281,8 +271,7 @@ class BoxOperator:
             if compact_well(self.potential.grid, well_size, len(self.levels)):
                 self.route = "birman-schwinger"
             else:
-                self._A, self._m = assemble_schrodinger(_clamped(self.potential))
-                self._shifts = ShiftFamily(self._A, self._m)
+                self._shifts = ShiftFamily(*assemble_schrodinger(_clamped(self.potential)))
                 self.route = "sparse"
             self._certify()
         except Exception as exc:
@@ -305,87 +294,31 @@ class BoxOperator:
             raise OnEigenvalue(count)
         return count
 
+    def _factor(self, e: float) -> Factorization:
+        """The factorization of the level e on the box's route."""
+        if self.route == "birman-schwinger":
+            return Factorization(birman_schwinger_matrix(self.potential, e), overwrite_a=True)
+        return self._shifts.factor(e)
+
     def _count(self, e: float):
-        """Keep the count at e, or the message of its OnEigenvalue, from a
-        factorization of the level's own on the box's route."""
+        """Keep the count at e, or the message of its OnEigenvalue, from the
+        level's own factorization."""
         try:
-            if self.route == "birman-schwinger":
-                factor = Factorization(
-                    birman_schwinger_matrix(self.potential, e), overwrite_a=True
-                )
-            else:
-                factor = self._shifts.factor(e)
-            self._counts[e] = strict_count(factor.inertia, "box operator")
+            self._counts[e] = strict_count(self._factor(e).inertia, "box operator")
         except OnEigenvalue as exc:
             self._counts[e] = str(exc)
 
     def _certify(self):
-        if self.route == "birman-schwinger":
-            for e in self.levels:
-                self._count(e)
-            return
-        if not self.levels:
-            return
-        A, m = self._A, self._m
-        top = self.levels[-1]
-        try:
-            factor = self._shifts.factor(top)
-            k = self._counts[top] = strict_count(factor.inertia, "box operator")
-        except OnEigenvalue as exc:
-            self._counts[top] = str(exc)
-            return
-        lower = self.levels[:-1]
-        if not lower:
-            return
-        certified = _bound_states(A, factor, top * m[0], k)
-        if certified is None:
-            return
-        theta, r = certified
-        for e in lower:
-            s = e * m[0]
-            tau0 = PIVOT_RTOL * abs(A - e * sp.diags(m)).max()
-            if top * m[0] - s > tau0 and np.all(np.abs(theta - s) > r + tau0):
-                self._counts[e] = int(np.sum(theta < s))
-
-
-def _bound_states(A, factor: Factorization, shift: float, k: int):
-    """The k eigenvalues of A below ``shift`` (k from the inertia of
-    ``factor``, the factorization of A - shift*I), as Ritz values theta and
-    a radius r with one eigenvalue of A within r of each theta_i; None when
-    Lanczos fails or the certificate does not place all k below the shift.
-    """
-    n = A.shape[0]
-    if k == 0:
-        return np.empty(0), 0.0
-    if k >= n - 1:
-        return None
-    inverse = LinearOperator((n, n), matvec=factor.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        _, X = eigsh(A, k=k, sigma=shift, which="SA", OPinv=inverse, v0=v0)
-    except ArpackError:
-        return None
-    Q = sla.qr(X, mode="economic")[0]
-    H = matmul(Q.T, A @ Q)
-    theta, Y = sla.eigh((H + H.T) / 2.0, driver="evd")
-    Z = matmul(Q, Y)
-    # Kahan's bound needs orthonormal columns.  Z is orthonormal to within
-    # eta = |Z^T Z - I|_2; its orthonormal polar factor Z (Z^T Z)^(-1/2)
-    # has residual at most |R|_2 / sqrt(1 - eta) + 2 sqrt(1 + eta) eta
-    # max|theta|.  eta and |R|_2 are widened by the worst-case rounding of
-    # the products that formed them.
-    eps = np.finfo(float).eps
-    anorm = abs(A).sum(axis=1).max()
-    row_nnz = np.diff(A.indptr).max()
-    eta = sla.svdvals(matmul(Z.T, Z) - np.eye(k)).max() + 2.0 * n * eps * k
-    if eta >= 0.5:
-        return None
-    resid = sla.svdvals(A @ Z - Z * theta).max() * (1.0 + 4.0 * k * eps)
-    resid += 2.0 * (row_nnz + 2) * eps * np.sqrt(k) * anorm
-    r = resid / np.sqrt(1.0 - eta) + 2.0 * np.sqrt(1.0 + eta) * eta * np.abs(theta).max()
-    if not np.all(theta + r < shift):
-        return None
-    return theta, r
+        """Count the levels from the top down.  Below a strict count of 0
+        every level counts 0 as well (Sylvester monotonicity), unfactored;
+        a level on the spectrum has no count, so the levels below it are
+        factored."""
+        for i in reversed(range(len(self.levels))):
+            e = self.levels[i]
+            self._count(e)
+            if self._counts[e] == 0:
+                self._counts.update(dict.fromkeys(self.levels[:i], 0))
+                return
 
 
 def reduction_check(
@@ -400,11 +333,12 @@ def reduction_check(
 
         N_operator(e)  <=  N_weighted_full(lam),   lam >= 1.
 
-    Positive parts of V are clamped to zero first (with a warning): the
-    comparison argument drops them, so clamping only strengthens the check.
+    Positive parts of V are clamped to zero (with a warning): the box
+    operator is that of min(V, 0), and the comparison argument drops them,
+    so clamping only strengthens the check.  The sublevel pencil reads V
+    only where V < e <= 0, so it is the same for V and min(V, 0).
     ``pencil`` is the sublevel pencil of (V, e) if the caller already
-    assembled it; clamping leaves it unchanged, since only nodes with
-    V < e <= 0 enter it.  ``box`` is the scenario's BoxOperator of V, which
+    assembled it.  ``box`` is the scenario's BoxOperator of V, which
     counts the box operator once for all levels.  Returns (N_operator,
     N_weighted_full, inequality_holds).
     """
@@ -418,7 +352,6 @@ def reduction_check(
         raise ValueError("box operator belongs to another potential")
     if np.any(V.values > 0):
         warnings.warn("potential has positive parts; clamping them to zero")
-        V = _clamped(V)
 
     n_op = box.count_below(e)
 

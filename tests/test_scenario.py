@@ -282,6 +282,28 @@ def test_run_scenario_2d(tmp_path):
     assert "poisson-kernel-constant" in names
 
 
+def test_a_supplied_b_below_the_boundary_exponent_keeps_the_interior_chain(tmp_path):
+    """With p <= n - 1 the boundary chain has no exponent (s <= 2), but the
+    interior chain stands: a supplied b gives the thm54 and trace verdicts
+    that b left empty gives, and constants with b and no boundary
+    exponent."""
+    base = SMALL_3D.replace("resolution = 9, 9, 9", "resolution = 13, 13, 13").replace(
+        "p = 3.0", "p = 2.0"
+    )
+    texts = {"empty": base, "supplied": base.replace("b_samples", "b = 1.0\n    b_samples")}
+    runs = {
+        name: run_scenario(_write(tmp_path, text, name=f"{name}.cfg"), out_dir=tmp_path / name)
+        for name, text in texts.items()
+    }
+    for empty, supplied in zip(runs["empty"].rows, runs["supplied"].rows):
+        for column in ("verdict_thm54", "verdict_trace"):
+            assert supplied[column] == empty[column] == HOLDS
+        assert supplied["verdict_thm59"] == NOT_APPLICABLE
+    (sc,) = runs["supplied"].document["scenarios"]
+    assert sc["constants"]["b"] == 1.0
+    assert sc["constants"]["s"] is None and sc["constants"]["m"] is None
+
+
 def test_run_scenario_3d_bounds(tmp_path):
     path = _write(tmp_path, SMALL_3D)
     result = run_scenario(path, out_dir=tmp_path / "out")
@@ -601,15 +623,21 @@ def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeyp
 def test_a_failed_box_certificate_is_reported_by_the_first_level_that_counts(
     tmp_path, monkeypatch
 ):
-    """An exception raised while certifying the box before the levels run is
-    kept and raised by the first box count, whose report is skipped with its
-    message; the next level counts its own shift, as it would had the
-    certificate been made inside the first count."""
+    """An exception raised by the box's first factor, while the box counts
+    its levels before the levels run, is kept and raised by the first box
+    count, whose report is skipped with its message; the next level counts
+    its own shift, as it would had the box been counted inside the first
+    count."""
+    real = schrodinger.BoxOperator._factor
+    calls = []
 
-    def failing(*args, **kwargs):
-        raise RuntimeError("Lanczos broke down")
+    def failing_first(self, e):
+        calls.append(e)
+        if len(calls) == 1:
+            raise RuntimeError("box factor broke down")
+        return real(self, e)
 
-    monkeypatch.setattr(schrodinger, "_bound_states", failing)
+    monkeypatch.setattr(schrodinger.BoxOperator, "_factor", failing_first)
     result = run_scenario(_write(tmp_path, SMALL_2D), out_dir=tmp_path / "out")
     notes = [
         (rep["verdict"], rep["notes"])
@@ -617,7 +645,7 @@ def test_a_failed_box_certificate_is_reported_by_the_first_level_that_counts(
         for rep in sc["reports"]
         if rep["name"] == "operator-reduction"
     ]
-    assert notes == [(NOT_APPLICABLE, "skipped: Lanczos broke down"), (HOLDS, "")]
+    assert notes == [(NOT_APPLICABLE, "skipped: box factor broke down"), (HOLDS, "")]
 
 
 # -- levels on one plateau of V -------------------------------------------

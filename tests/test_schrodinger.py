@@ -4,12 +4,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from wellspectra import eigcount, schrodinger
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.bounds import polya_weyl_report
-from wellspectra.eigcount import Factorization, ShiftFamily, inertia, pencil_eigs
+from wellspectra.eigcount import Factorization, inertia, pencil_eigs
 from wellspectra.errors import EnumerationCap, OnEigenvalue
 from wellspectra.model import GridSpec, Inertia, PotentialField, build_potential
 from wellspectra.schrodinger import (
@@ -150,7 +149,7 @@ def test_reduction_check_without_a_pencil_factors_no_pinned_block(monkeypatch):
     assert orders == [assemble_schrodinger(V)[0].shape[0], pencil.order]
 
 
-# ------------------------------------------------ certified box-operator counts
+# ------------------------------------------------ box-operator counts
 
 
 def _direct_box_count(V, e):
@@ -194,24 +193,34 @@ def _landscape(dim, name):
     return V, levels
 
 
-def _count_direct_calls(monkeypatch):
-    """Record the per-level factorizations BoxOperator falls back to: every
-    factor of its shift family after the first one, which is the top-level
-    factor."""
-    calls = []
-    families = []
-    real = ShiftFamily.factor
+def _box_factors(monkeypatch, zero_at=None):
+    """Record the level and a weak reference of every factor a BoxOperator
+    makes, on either route, and give the factor at the level ``zero_at`` a
+    zero pivot."""
+    made = []
+    real = BoxOperator._factor
 
-    def recording(self, lam):
-        factor = real(self, lam)
-        if any(family is self for family in families):
-            calls.append((factor.order, factor.order))
-        else:
-            families.append(self)
+    def recording(self, e):
+        factor = real(self, e)
+        if e == zero_at:
+            inert = factor.inertia
+            factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+        made.append((e, weakref.ref(factor)))
         return factor
 
-    monkeypatch.setattr(ShiftFamily, "factor", recording)
-    return calls
+    monkeypatch.setattr(BoxOperator, "_factor", recording)
+    return made
+
+
+def _top_down_to_zero(levels, counts):
+    """The levels a top-down count factors: each from the top down to the
+    first count of 0, and none below it."""
+    factored = []
+    for e, count in zip(reversed(levels), reversed(counts)):
+        factored.append(e)
+        if count == 0:
+            break
+    return factored
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -219,10 +228,10 @@ def _count_direct_calls(monkeypatch):
 def test_certified_box_counts_equal_direct_factorization(dim, name, monkeypatch):
     V, levels = _landscape(dim, name)
     direct = [_direct_box_count(V, e) for e in levels]
-    fallbacks = _count_direct_calls(monkeypatch)
+    made = _box_factors(monkeypatch)
     box = BoxOperator(V, levels)
     assert [_box_outcome(box, e) for e in reversed(levels)] == direct[::-1]
-    assert fallbacks == []  # every lower level was read off the bound states
+    assert [e for e, _ in made] == _top_down_to_zero(levels, direct)
     assert direct[-1] >= 1
 
 
@@ -234,31 +243,18 @@ def _ball_2d():
 
 
 def test_level_inside_a_ritz_interval_falls_back(monkeypatch):
-    """A level on a bound state cannot be certified: it gets its own
-    factorization, with today's outcome, and raises OnEigenvalue when that
-    factorization finds a zero pivot."""
+    """A level on a bound state gets its own factorization, with today's
+    outcome, and raises OnEigenvalue when that factorization finds a zero
+    pivot; the levels above it keep their counts."""
     V = _ball_2d()
     A, m = assemble_schrodinger(V)
     mus = np.linalg.eigvalsh(A.toarray()) / m[0]
     on, clear, top = mus[2], (mus[4] + mus[5]) / 2, (mus[8] + mus[9]) / 2
-    fallbacks = _count_direct_calls(monkeypatch)
     box = BoxOperator(V, [on, clear, top])
     assert _box_outcome(box, on) == _direct_box_count(V, on)
     assert box.count_below(clear) == 5 and box.count_below(top) == 9
-    assert fallbacks == [A.shape]
 
-    recording = ShiftFamily.factor
-
-    def zero_pivot(self, lam):
-        """Give each fallback factor, not the top-level one, a zero pivot."""
-        before = len(fallbacks)
-        factor = recording(self, lam)
-        if len(fallbacks) > before:
-            inert = factor.inertia
-            factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
-        return factor
-
-    monkeypatch.setattr(ShiftFamily, "factor", zero_pivot)
+    _box_factors(monkeypatch, zero_at=on)
     box = BoxOperator(V, [on, clear, top])
     with pytest.raises(OnEigenvalue, match="box operator"):
         box.count_below(on)
@@ -267,62 +263,57 @@ def test_level_inside_a_ritz_interval_falls_back(monkeypatch):
 
 def test_top_level_on_the_box_spectrum_keeps_no_factor_alive(monkeypatch):
     """A top level on the box spectrum raises OnEigenvalue at every count,
-    and what the box keeps of that error holds no frame: once the counts
-    have raised, the top-level factor is garbage."""
+    and what the box keeps of that error holds no frame: the level below it
+    is factored too, and once the counts have raised, both factors are
+    garbage."""
     V = _ball_2d()
-    made = []
-    real = ShiftFamily.factor
-
-    def zero_pivot(self, lam):
-        factor = real(self, lam)
-        inert = factor.inertia
-        factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
-        made.append(weakref.ref(factor))
-        return factor
-
-    monkeypatch.setattr(ShiftFamily, "factor", zero_pivot)
+    made = _box_factors(monkeypatch, zero_at=-20.0)
     box = BoxOperator(V, [-30.0, -20.0])
     for _ in range(2):
         with pytest.raises(OnEigenvalue, match=r"box operator spectrum \(n_zero=1\)"):
             box.count_below(-20.0)
+    assert box.count_below(-30.0) == _direct_box_count(V, -30.0)
     gc.collect()
-    assert len(made) == 1
-    assert made[0]() is None
-
-
-def test_box_falls_back_when_lanczos_fails(monkeypatch):
-    V, levels = _landscape(2, "ball")
-
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(schrodinger, "eigsh", no_convergence)
-    fallbacks = _count_direct_calls(monkeypatch)
-    box = BoxOperator(V, levels)
-    assert [_box_outcome(box, e) for e in levels] == [_direct_box_count(V, e) for e in levels]
-    assert len(fallbacks) == len(levels) - 1
+    assert [e for e, _ in made] == [-20.0, -30.0]
+    assert not any(ref() is not None for _, ref in made)
 
 
 def test_box_without_bound_states_or_with_one_level_needs_no_lanczos(monkeypatch):
-    def unexpected(*args, **kwargs):
-        raise AssertionError("Lanczos should not run")
-
-    monkeypatch.setattr(schrodinger, "eigsh", unexpected)
-    fallbacks = _count_direct_calls(monkeypatch)
+    """Below a top-level count of 0 no level is factored, and a single
+    level is its own factor's count."""
+    made = _box_factors(monkeypatch)
     V = _ball_2d()
     # k = 0: the top level lies below the ground state (about -55.5)
     levels = [-59.0, -58.0, -57.0, -56.0]
     box = BoxOperator(V, levels)
     assert [box.count_below(e) for e in levels] == [0, 0, 0, 0]
-    # a single level is the top factorization's own count
+    assert [e for e, _ in made] == [-56.0]
+    made.clear()
     assert BoxOperator(V, [-30.0]).count_below(-30.0) == _direct_box_count(V, -30.0)
-    # k >= order - 1 leaves nothing for Lanczos to find
-    tiny = PotentialField(
-        grid=GridSpec(box=((0.0, 1.0),), resolution=(5,)), values=np.full(5, -1e3)
-    )
-    box = BoxOperator(tiny, [-2.0, -1.0])
-    assert box.count_below(-2.0) == _direct_box_count(tiny, -2.0)
-    assert len(fallbacks) == 1
+    assert [e for e, _ in made] == [-30.0]
+
+
+@pytest.mark.parametrize("route", ["sparse", "birman-schwinger"])
+def test_level_on_the_box_spectrum_on_both_routes(route, monkeypatch):
+    """A middle level on the box spectrum (a zero pivot injected into its
+    factor) raises OnEigenvalue at every count, on either route.  It has no
+    count, so the zero rule does not pass through it: the level below it,
+    whose count is 0, is still factored.  No factor stays alive."""
+    levels = [-58.0, -57.0, -30.0]
+    V = _ball_2d() if route == "sparse" else _ball_3d(1.0, seed=1, res=13)[0]
+    direct = [_direct_box_count(V, e) for e in levels]
+    assert direct[:2] == [0, 0] and direct[2] >= 1
+    made = _box_factors(monkeypatch, zero_at=-57.0)
+    box = BoxOperator(V, levels)
+    box.certify()
+    assert box.route == route
+    for _ in range(2):
+        with pytest.raises(OnEigenvalue, match=r"box operator spectrum \(n_zero=1\)"):
+            box.count_below(-57.0)
+    assert [box.count_below(e) for e in (-58.0, -30.0)] == [0, direct[2]]
+    gc.collect()
+    assert [e for e, _ in made] == levels[::-1]
+    assert not any(ref() is not None for _, ref in made)
 
 
 # ------------------------------------------------ the Birman-Schwinger route

@@ -127,3 +127,24 @@ def test_shift_order_ladder_box_rung(tmp_path):
     assert rung["after"]["box_route"] == "sparse"
     assert rung["digest_equal"] and rung["after"]["digest"].startswith("[")
     assert rung["after"]["mmd_orderings"] == 1 and rung["before"]["mmd_orderings"] == 0
+
+
+def test_shift_order_ladder_band_rung(tmp_path):
+    """A band3d rung counts the box of a band-limited landscape alone: at
+    9^3 its six levels each hold bound states, so the sparse route factors
+    every level, and both runs read the same counts."""
+    src = str(Path(wellspectra.__file__).resolve().parents[1])
+    lines = run_script(
+        "shift_order_ladder.py", "--before", src, "--rungs", "band3d-9", "--repeats", "1",
+        cwd=tmp_path,
+    )
+    assert [line.split()[0] for line in lines[1:]] == ["band3d-9"] * 2
+    rung = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]["band3d-9"]
+    assert rung["digest_equal"] and rung["reports_equal"]
+    counts = json.loads(rung["after"]["digest"])
+    assert len(counts) == 6 and min(counts) >= 1 and counts == sorted(counts)
+    for side in ("before", "after"):
+        run = rung[side]
+        assert run["box_route"] == "sparse" and run["mmd_orderings"] == 1
+        assert sum(run["factorizations"].values()) == 6
+        assert run["layers"]["box"]["calls"] >= 1 and run["violations"] is None
