@@ -17,10 +17,11 @@ landscape at R^3 (seeded by --seed, cutoff 3, amplitude 300) at six
 levels from -150 to -20.  With seed 7, V < 0 on about 40 % of the box, so
 the box takes the sparse route, and at 25^3 it holds up to 98 bound states.
 Each (tree, rung) run is a fresh process that imports wellspectra from the
-tree, wraps ten layers at their import sites and the box operator's
-``certify`` and ``count_below`` (outermost calls only), and runs the
-scenario, or the box, once.  The trees alternate, before first.  Per layer
-it records calls and inclusive wall time; ``poisson_matrix`` also runs
+tree, wraps ten layers at their import sites, the 3D sweep point's
+``PinnedSpectrum.schur_form`` and the box operator's ``certify`` and
+``count_below`` (outermost calls only), and runs the scenario, or the box,
+once.  The trees alternate, before first.  Per layer it records calls and
+inclusive wall time; ``poisson_matrix`` and ``pinned_schur_form`` also run
 inside ``splitting_counts``, and ``pencil_eigs`` inside ``estimate_b``.
 Per run it records:
 
@@ -91,6 +92,7 @@ LAYERS = {
     "two_infinity_norm": ("eigcount", "two_infinity_norm"),
     "boundary_measures": ("a2r", "boundary_measures"),
     "estimate_b": ("bounds", "estimate_b"),
+    "pinned_schur_form": ("a2r", "PinnedSpectrum.schur_form"),
 }
 DEFAULT_RUNGS = "levels-2d,ball3d-17,ball3d-25,ball3d-33"
 
@@ -202,7 +204,13 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
     totals = {label: {"calls": 0, "s": 0.0} for label in [*LAYERS, "box"]}
     active = {label: [] for label in totals}
     for label, (module_name, attr) in LAYERS.items():
-        original = getattr(importlib.import_module(f"wellspectra.{module_name}"), attr)
+        module = importlib.import_module(f"wellspectra.{module_name}")
+        owner, _, attr = attr.rpartition(".")
+        if owner:  # a method: wrapped on its class
+            cls = getattr(module, owner)
+            setattr(cls, attr, _timed(getattr(cls, attr), totals[label], active[label]))
+            continue
+        original = getattr(module, attr)
         wrapper = _timed(original, totals[label], active[label])
         for name, module in list(sys.modules.items()):
             if name.startswith("wellspectra") and getattr(module, attr, None) is original:

@@ -29,15 +29,15 @@ the caller computed them.  A sweep point needs S(lam) alone, not the
 (K - lam*M)_II^{-1} = X diag(1/(mu - lam)) X^T, and M vanishes on B, so
 S(lam) = K_BB - W diag(1/(mu - lam)) W^T with W = K_BI X formed once per
 pencil, after which X is let go.  That is two rank-updates (dsyrk) in
-SciPy's BLAS per shift and no pinned solve.  Every dense product here runs
-in SciPy's BLAS: the rank-updates call dsyrk, and the boundary measures'
-P0^T m goes through ``eigcount.matvec``, a dgemv that reads the
-Fortran-ordered P0 in place, bit for bit numpy's P0.T @ m.  numpy's matmul
-would run in numpy's own OpenBLAS, whose thread pool contends with SciPy's
-between SuperLU and LAPACK calls.  N_full and N_dir still come from their own
+SciPy's BLAS per shift and no pinned solve.  They write S(lam)'s lower
+triangle alone, and it stays so, zeros above: its Bunch-Kaufman factor
+(dsytrf, lower) reads nothing else, and max|S_ij|, the scale of its pivot
+tolerance, is that of the symmetric S.  The boundary measures' P0^T m goes
+through ``eigcount.matvec``, so every dense product here runs in SciPy's
+BLAS (see ``eigcount``).  N_full and N_dir still come from their own
 factorizations, and n_minus(S) from its own Bunch-Kaufman factorization,
 so the identity stays an independent check.  Without eigenvectors (2D
-levels, P0, single counts) S(lam) comes from the Poisson matrix.
+levels, P0, single counts) S(lam) comes from the Poisson matrix, symmetric.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .eigcount import (
     Factorization,
     inertia,
     matvec,
-    mirror_lower,
     strict_count,
     two_infinity_norm,
 )
@@ -198,9 +197,10 @@ class PinnedSpectrum:
     level's eigenvectors are X = ``scale`` * s.eigenvectors: ``two_infinity``
     holds the semigroup's 2->infinity norms at the times ``t``, and the
     boundary coupling W = K_BI X is formed once, Fortran-ordered, so that
-    the BLAS reads it in place; otherwise ``two_infinity`` is None.  X
-    itself is never formed: W is made by blocks of columns of s.eigenvectors,
-    each scaled, and the norms by blocks of rows, entry for entry as from X.
+    the BLAS reads it in place, and K_BB is kept sparse, as its lower
+    triangle; otherwise ``two_infinity`` is None.  X itself is never formed:
+    W is made by blocks of columns of s.eigenvectors, each scaled, and the
+    norms by blocks of rows, entry for entry as from X.
     A later level of a plateau passes the run's first eigenvectors with
     scale = sqrt(r) (see ``scenario._Run``).  The norms' call checks X
     M_II-orthonormal, unless the caller has ``checked`` it.  Nothing keeps
@@ -231,15 +231,15 @@ class PinnedSpectrum:
             for start in range(0, X.shape[1], _COLUMN_BLOCK):
                 cols = slice(start, start + _COLUMN_BLOCK)
                 self._W[:, cols] = K_BI @ (X[:, cols] * scale)
-            self._K_BB = p.K_BB.toarray()
+            self._K_BB = sp.tril(p.K_BB, format="csc")
 
     def schur_form(self, lam: float) -> np.ndarray | None:
-        """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense, Fortran-ordered
-        and exactly symmetric, or None when the spectrum came without
-        eigenvectors: the eigenvalues below lam enter through one dsyrk and
-        those above through another, each on W's columns scaled by
-        |mu - lam|^(-1/2), and the lower triangle they form is mirrored in
-        place.  A shift equal to a pinned eigenvalue is OnEigenvalue."""
+        """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense and
+        Fortran-ordered, lower triangle, zeros above, or None when the
+        spectrum came without eigenvectors: the eigenvalues below lam enter
+        through one dsyrk and those above through another, each on W's
+        columns scaled by |mu - lam|^(-1/2), into the lower triangle of
+        K_BB.  A shift equal to a pinned eigenvalue is OnEigenvalue."""
         if self._W is None:
             return None
         mu, W = self.summary.eigenvalues, self._W
@@ -247,11 +247,10 @@ class PinnedSpectrum:
         if below < mu.size and mu[below] == lam:
             raise OnEigenvalue(f"shift {lam!r} coincides with a pinned eigenvalue")
         scale = 1.0 / np.sqrt(np.abs(mu - lam))
-        S = np.array(self._K_BB, order="F")
+        S = self._K_BB.toarray(order="F")
         for alpha, cols in ((-1.0, slice(below, mu.size)), (1.0, slice(0, below))):
             if cols.start < cols.stop:
                 S = dsyrk(alpha, W[:, cols] * scale[cols], beta=1.0, c=S, lower=1, overwrite_c=1)
-        mirror_lower(S)
         return S
 
 
@@ -326,9 +325,10 @@ def splitting_counts(
 
     N_full and N_dir are read off factorizations of their own.  S(lam) is
     formed from ``spectrum``, the pencil's PinnedSpectrum, when it holds
-    eigenvectors, and otherwise from the Poisson matrix solved with the
-    pinned factor; its count comes from its own Bunch-Kaufman factor,
-    which overwrites it.
+    eigenvectors (lower triangle, zeros above), and otherwise from the
+    Poisson matrix solved with the pinned factor (symmetric); its count
+    comes from its own Bunch-Kaufman factor, which reads the lower
+    triangle and overwrites it.
     Raises OnEigenvalue if lam sits on the spectrum of any of the three
     objects (the caller perturbs lam and retries).
     """

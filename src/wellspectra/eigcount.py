@@ -34,9 +34,11 @@ with the eigenvectors, so the eigenvector route holds about 3n^2 doubles at
 its peak: that array and dsyevd's 2n^2 workspace.
 
 ``matmul`` and ``matvec`` are the dense products of the whole package:
-each calls SciPy's dgemm, dsyrk, dgemv or ddot where numpy's ``@`` would
-call numpy's, on the operands in their stored order, so the result is bit
-for bit that of ``@`` and numpy's BLAS thread pool is never woken.
+each calls SciPy's dgemm, dgemv or ddot where numpy's ``@`` would call
+numpy's, on the operands in their stored order, so the result is bit for
+bit that of ``@`` and numpy's BLAS thread pool is never woken.  The
+exception is a matrix times its own transpose, which numpy sends to dsyrk
+and ``matmul`` to dgemm; no caller makes that product.
 """
 
 from __future__ import annotations
@@ -433,18 +435,6 @@ def _symmetrize(A: np.ndarray, d: np.ndarray | None = None) -> None:
         A[: rows.stop, rows] = lower.T
 
 
-def mirror_lower(A: np.ndarray) -> None:
-    """Copy the lower triangle of the square array A onto its upper one, in
-    place, by blocks of _BLOCK columns."""
-    n = A.shape[0]
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        A[start:stop, stop:] = A[stop:, start:stop].T
-        block = A[start:stop, start:stop]
-        upper = np.triu_indices(stop - start, 1)
-        block[upper] = block.T[upper]
-
-
 def _transpose_scaled(A: np.ndarray, d: np.ndarray) -> None:
     """A <- diag(d) A^T in place for a square A, by pairs of blocks."""
     n = A.shape[0]
@@ -526,9 +516,10 @@ def matmul(a, b) -> np.ndarray:
     """a @ b for 2-D float arrays, computed in SciPy's BLAS exactly as
     numpy's matmul computes it in numpy's own, so the C-ordered result is
     bit for bit numpy's: dgemm reading each operand in its stored order,
-    dsyrk with the upper triangle mirrored for a matrix times its own
-    transpose, dgemv for one row or one column (``matvec``), and ddot for
-    both.  Contiguous operands, in either order, are read in place, as in
+    dgemv for one row or one column (``matvec``), and ddot for both.  The
+    exception is a matrix times its own transpose, which numpy sends to
+    dsyrk and this sends to dgemm; no caller makes that product.
+    Contiguous operands, in either order, are read in place, as in
     ``matvec``.  Every dense product on a scenario's path goes through
     ``matmul`` or ``matvec``: numpy's BLAS has a thread pool of its own, and
     waking it between SuperLU and LAPACK calls leaves its worker spinning on
@@ -547,15 +538,6 @@ def matmul(a, b) -> np.ndarray:
     if n == 1 or row_a is None or row_b is None:
         return a @ b
     view_a = a.T if row_a else a
-    if (
-        m == p
-        and row_a != row_b
-        and b.strides == a.strides[::-1]
-        and a.ctypes.data == b.ctypes.data
-    ):
-        c = dsyrk(1.0, view_a, trans=int(row_a), lower=1)
-        mirror_lower(c)
-        return c.T
     # the Fortran-ordered result is (a @ b)^T = b^T a^T
     view_b = b.T if row_b else b
     return dgemm(1.0, view_b, view_a, trans_a=int(not row_b), trans_b=int(not row_a)).T

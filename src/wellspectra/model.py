@@ -418,11 +418,6 @@ class Inertia:
     n_zero: int
     n_plus: int
 
-    @property
-    def order(self) -> int:
-        return self.n_minus + self.n_zero + self.n_plus
-
-
 
 @dataclass
 class SpectralSummary:

@@ -25,17 +25,13 @@ The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
 ``BoxOperator``, counted before the first level, while the resident set is
 smallest.  Its route depends on the well W = {V < 0} alone
-(``schrodinger.compact_well``): a 3D well with levels * |W|^3 <= 120 N^2
-(N the box's interior nodes) is counted by Birman-Schwinger, one dense
-inertia of I - R G_W R, of order |W|, per level; a well that fills much
-of the box, and every 1D or 2D box, by one sparse factor of the box
-operator per level.  Either way the levels are counted from the top down,
-each factor let go before the next, and a level below a count of 0 counts 0
-unfactored.  On the ball at 25^3 (|W|/N = 0.075), counted alone, the box
-takes 0.22 s and a process peak of 89 MB by Birman-Schwinger, against
-0.89 s and 145 MB by the sparse route as it stood when the rule was fitted
-(one top-level factor and a Lanczos certificate); the schrodinger module
-docstring has the crossover data.
+(``schrodinger.compact_well``): a compact 3D well is counted by
+Birman-Schwinger, one dense inertia of order |W| per level; a well that
+fills much of the box, and every 1D or 2D box, by one sparse factor of the
+box operator per level.  Either way the levels are counted from the top
+down, each factor let go before the next, and a level below a count of 0
+counts 0 unfactored.  The schrodinger module docstring has the rule and
+its timings.
 
 Every level takes P0 (with S(0) and c_P), its pinned spectrum and b from its
 run: a run of consecutive levels whose sets {V < e} are equal and on which V
@@ -571,6 +567,8 @@ class _LevelRun:
         if b is None and boundary:
             b = self.shared.estimate_b(cfg, self.bm, self.pencil.sigma)
             b_note = f"b estimated from {cfg.constants.b_samples} sampled traces (EMPIRICAL)"
+        elif b is None:
+            b_note = "no b used: the boundary chain needs p > n - 1"
         try:
             consts = bounds.BoundConstants.derive(
                 n,

@@ -92,18 +92,6 @@ COMPACT_WELL_C = 120.0
 _COLUMN_BLOCK = 128
 
 
-def box_interior_indices(grid: GridSpec) -> np.ndarray:
-    """Linear indices of nodes strictly inside the box (walls pinned)."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dimension):
-        sl = [slice(None)] * grid.dimension
-        sl[ax] = 0
-        mask[tuple(sl)] = False
-        sl[ax] = -1
-        mask[tuple(sl)] = False
-    return np.flatnonzero(mask)
-
-
 def _dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
     """h^(n-2)-scaled pinned-wall graph Laplacian on the box interior
     (tensor sum of 1-D second-difference blocks)."""
@@ -133,8 +121,8 @@ def assemble_schrodinger(V: PotentialField):
     """
     grid = V.grid
     hn = grid.spacing**grid.dimension
-    inner = box_interior_indices(grid)
-    A = _dirichlet_laplacian(grid) + sp.diags(V.values.ravel()[inner] * hn)
+    inner = _interior(V).ravel()
+    A = _dirichlet_laplacian(grid) + sp.diags(inner * hn)
     return A.tocsr(), np.full(inner.size, hn)
 
 

@@ -90,6 +90,33 @@ def test_a_fortran_ordered_temporary_is_factored_in_place(rng):
         assert np.array_equal(kept, A)
 
 
+def test_a_lower_triangle_over_zeros_has_the_inertia_of_its_matrix(rng):
+    """A symmetric A stored as its lower triangle over zeros (how the
+    eigenpair route hands over S(lam)) has the inertia of A itself, factored
+    in place or from a copy: on random indefinite matrices, on matrices
+    whose entries all share one sign, where the zeros move max A or min A
+    but not tau0 = 1e-12 * max|A_ij| (rank-deficient ones among them, whose
+    zero pivots tau0 decides), and at order 1."""
+    cases = [random_symmetric(rng, n, rng.uniform(-3.0, 3.0, n)) for n in (2, 7, 40, 300)]
+    for n, rank in ((6, 6), (30, 30), (30, 12)):
+        B = rng.uniform(0.5, 2.0, (n, rank))
+        C = rng.uniform(0.5, 2.0, (n, n))
+        for one_sign in (B @ B.T, C + C.T):
+            cases += [one_sign, -one_sign]
+    cases += [np.array([[2.5]]), np.array([[-0.5]])]
+    kinds = set()
+    for A in cases:
+        expected = eigvalsh_inertia(A)
+        assert Factorization(A).inertia == expected
+        kinds.add((expected.n_minus > 0, expected.n_zero > 0, expected.n_plus > 0))
+        lower = np.tril(A)
+        for stored, flag in ((lower.copy(), False), (np.asfortranarray(lower), True)):
+            F = Factorization(stored, overwrite_a=flag)
+            assert F.path == "dense" and F.inertia == expected
+            assert np.shares_memory(F._ldu, stored) == flag
+    assert {(True, False, True), (False, True, True), (True, True, False)} <= kinds
+
+
 def test_dense_path_on_singular_inputs(rng):
     for _ in range(40):
         n = int(rng.integers(3, 50))

@@ -304,6 +304,18 @@ def test_a_supplied_b_below_the_boundary_exponent_keeps_the_interior_chain(tmp_p
     assert sc["constants"]["s"] is None and sc["constants"]["m"] is None
 
 
+def test_no_b_below_the_boundary_exponent_is_recorded_as_none_used(tmp_path):
+    """With p <= n - 1 and b left empty, no b is supplied or estimated, and
+    the constants say so beside their empty b."""
+    text = SMALL_3D.replace("resolution = 9, 9, 9", "resolution = 13, 13, 13").replace(
+        "p = 3.0", "p = 2.0"
+    )
+    result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / "out")
+    for sc in result.document["scenarios"]:
+        assert sc["constants"]["b"] is None
+        assert sc["constants"]["b_provenance"] == "no b used: the boundary chain needs p > n - 1"
+
+
 def test_run_scenario_3d_bounds(tmp_path):
     path = _write(tmp_path, SMALL_3D)
     result = run_scenario(path, out_dir=tmp_path / "out")
@@ -920,8 +932,8 @@ def test_a_plateaus_first_level_is_the_level_run_alone(tmp_path, text):
 
 def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_path):
     """A later level of the 13^3 ball's plateau builds its PinnedSpectrum off
-    the run's first eigenvectors X_1 and sqrt(r): beyond the W and K_BB it
-    keeps, it allocates less than half an |I|^2 array at its peak, and its
+    the run's first eigenvectors X_1 and sqrt(r): beyond the W and the
+    sparse K_BB it keeps, it allocates less than half an |I|^2 array at its peak, and its
     2->infinity norms and W equal, bit for bit, those of a PinnedSpectrum
     of the copy X_1 sqrt(r) with mu_1 r."""
     cfg = load_config(_write(tmp_path, BALL_PLATEAU_3D))
@@ -939,7 +951,8 @@ def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_pa
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = spectrum._W.nbytes + spectrum._K_BB.nbytes
+        K_BB = spectrum._K_BB
+        kept = spectrum._W.nbytes + K_BB.data.nbytes + K_BB.indices.nbytes + K_BB.indptr.nbytes
         assert peak - kept < 0.5 * n * n * 8
         r = float(pencils[0].M_interior[0] / p.M_interior[0])
         copy = SpectralSummary(

@@ -17,17 +17,24 @@ from wellspectra.schrodinger import (
     assemble_schrodinger,
     birman_schwinger_matrix,
     box_exact_count,
-    box_interior_indices,
     compact_well,
     reduction_check,
 )
 
 
 def test_box_interior_indices():
+    """The box operator acts on the nodes strictly inside the box, in
+    linear order, with V h^n on its diagonal: orders 3 and 1 on a 5-node
+    line and a 3 x 3 square."""
     g1 = GridSpec(box=((0.0, 1.0),), resolution=(5,))
-    assert box_interior_indices(g1).tolist() == [1, 2, 3]
     g2 = GridSpec(box=((0.0, 1.0),) * 2, resolution=(3,) * 2)
-    assert box_interior_indices(g2).tolist() == [4]
+    for grid, inner in ((g1, [1, 2, 3]), (g2, [4])):
+        values = np.arange(1.0, np.prod(grid.shape) + 1.0)
+        A, m = assemble_schrodinger(PotentialField(grid=grid, values=values))
+        free, _ = assemble_schrodinger(PotentialField(grid=grid, values=np.zeros(values.size)))
+        hn = grid.spacing**grid.dimension
+        assert A.shape == (len(inner),) * 2 and np.array_equal(m, np.full(len(inner), hn))
+        assert np.allclose(A.diagonal() - free.diagonal(), values[inner] * hn, rtol=1e-14)
 
 
 def test_free_box_spectrum_1d():

@@ -54,7 +54,9 @@ def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
     """Run the ladder on ``rung_name`` (three levels) with this tree on both
     sides and two repeats, and check each run's layer counts: ``eigs``
     pencil_eigs calls, ``kernels`` c_P computations, and the box ``route``,
-    which orders the box by minimum degree on the sparse route only."""
+    which orders the box by minimum degree on the sparse route only.  Each
+    3D sweep point forms S(lam) from the pinned eigenpairs, inside its
+    splitting count."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
     lines = run_script(
         "shift_order_ladder.py", "--before", src, "--rungs", rung_name, "--repeats", "2",
@@ -74,6 +76,8 @@ def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
         run = rung[side]
         assert run["violations"] == 0
         assert run["layers"]["splitting_counts"]["calls"] >= 6 * levels
+        pinned, split = run["layers"]["pinned_schur_form"], run["layers"]["splitting_counts"]
+        assert 6 * levels <= pinned["calls"] <= split["calls"] and pinned["s"] <= split["s"]
         assert run["layers"]["classification"]["calls"] == levels
         assert run["layers"]["assembly"]["calls"] == levels
         assert run["layers"]["poisson_constant"]["calls"] == kernels
