@@ -40,6 +40,9 @@ Per run it records:
 * a SHA-256 of the CSV and JSON report bytes; on a box3d or band3d rung
   the box counts stand in for the digest and the reports.
 
+Beside each tree's runs it records ``src_lines``, the lines of the ``*.py``
+files under the tree.
+
 ``--route birman-schwinger`` or ``--route sparse`` forces that box route
 in a tree that has the route rule (``schrodinger.compact_well``), and the
 rung is then recorded as ``RUNG@ROUTE``.  ``--append`` adds the rungs to
@@ -275,6 +278,11 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
     }
 
 
+def src_lines(tree: str) -> int:
+    """The lines of the ``*.py`` files under ``tree``."""
+    return sum(len(path.read_text().splitlines()) for path in Path(tree).rglob("*.py"))
+
+
 def run_worker(tree: str, rung: str, seed: int, route: str) -> dict:
     done = subprocess.run(
         [sys.executable, __file__, "--worker", tree, rung, "--seed", str(seed),
@@ -328,6 +336,7 @@ def main(argv=None) -> int:
     routes = {"before": "rule", "after": args.route}
     out = Path(args.out)
     rungs = json.loads(out.read_text())["rungs"] if args.append and out.exists() else {}
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
     measured = []
     for rung in args.rungs.split(","):
         key = rung if args.route == "rule" else f"{rung}@{args.route}"
@@ -336,7 +345,7 @@ def main(argv=None) -> int:
         for _ in range(args.repeats):
             for side, tree in trees.items():
                 runs[side].append(run_worker(tree, rung, args.seed, routes[side]))
-        rungs[key] = {side: median_run(r) for side, r in runs.items()}
+        rungs[key] = {side: {**median_run(r), "src_lines": lines[side]} for side, r in runs.items()}
         if len(trees) == 2:
             before, after = rungs[key]["before"], rungs[key]["after"]
             rungs[key]["digest_equal"] = before["digest"] == after["digest"]

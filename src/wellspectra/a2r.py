@@ -33,7 +33,7 @@ SciPy's BLAS per shift and no pinned solve.  They write S(lam)'s lower
 triangle alone, and it stays so, zeros above: its Bunch-Kaufman factor
 (dsytrf, lower) reads nothing else, and max|S_ij|, the scale of its pivot
 tolerance, is that of the symmetric S.  The boundary measures' P0^T m goes
-through ``eigcount.matvec``, so every dense product here runs in SciPy's
+through ``eigcount.matmul``, so every dense product here runs in SciPy's
 BLAS (see ``eigcount``).  N_full and N_dir still come from their own
 factorizations, and n_minus(S) from its own Bunch-Kaufman factorization,
 so the identity stays an independent check.  Without eigenvectors (2D
@@ -52,7 +52,7 @@ from .errors import OnEigenvalue, ResolventViolation, SingularDirichletBlock
 from .eigcount import (
     Factorization,
     inertia,
-    matvec,
+    matmul,
     strict_count,
     two_infinity_norm,
 )
@@ -263,7 +263,7 @@ def boundary_measures(
     if P0 is None:
         P0 = poisson_matrix(p, 0.0)
     hn = p.grid.spacing ** p.grid.dimension
-    mu = matvec(P0.T, p.M_interior)
+    mu = matmul(P0.T, p.M_interior)
     nu = hn * P0.sum(axis=0)
     return BoundaryMeasures(mu=mu, nu=nu, sigma=p.sigma)
 

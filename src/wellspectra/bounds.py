@@ -16,12 +16,12 @@ dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DimensionTooLow, MissingConstant, SubcriticalExponent
-from .eigcount import matvec, pencil_eigs
+from .eigcount import matmul, pencil_eigs
 from .model import PotentialField
 
 SPHERE_AREA = "sphere_area"
@@ -172,7 +172,7 @@ def estimate_b(S0, bm, sigma, q: float, S: float, samples: int, seed: int = 0) -
     best = -math.inf
     for phi in cands:
         lq2 = float(np.sum(np.abs(phi) ** q * sigma)) ** (2.0 / q)
-        energy = float(matvec(matvec(S0.T, phi), phi))
+        energy = float(matmul(matmul(S0.T, phi), phi))
         den = float(np.sum(phi**2 * bm.nu))
         best = max(best, (lq2 - S * energy) / den)
     return best
@@ -268,26 +268,6 @@ class BoundConstants:
         )
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "p": self.p,
-            "normW1": self.normW1,
-            "normWp": self.normWp,
-            "C_n": self.C_n,
-            "S_n": self.S_n,
-            "n_star": self.n_star,
-            "r": self.r,
-            "S_r": self.S_r,
-            "d": self.d,
-            "q": self.q,
-            "S_trace": self.S_trace,
-            "omega_convention": self.omega_convention,
-            "s": self.s,
-            "m": self.m,
-            "c1": self.c1,
-            "c2": self.c2,
-            "b": self.b,
-            "L_n": self.L_n,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
         out.update(self.extras)
         return out

@@ -33,12 +33,14 @@ matrix D^{-1/2} K D^{-1/2} is built in one array, which dsyevd overwrites
 with the eigenvectors, so the eigenvector route holds about 3n^2 doubles at
 its peak: that array and dsyevd's 2n^2 workspace.
 
-``matmul`` and ``matvec`` are the dense products of the whole package:
-each calls SciPy's dgemm, dgemv or ddot where numpy's ``@`` would call
-numpy's, on the operands in their stored order, so the result is bit for
-bit that of ``@`` and numpy's BLAS thread pool is never woken.  The
-exception is a matrix times its own transpose, which numpy sends to dsyrk
-and ``matmul`` to dgemm; no caller makes that product.
+``matmul`` is the one dense product of the whole package: it calls
+SciPy's dgemm, dgemv or ddot where numpy's ``@`` would call numpy's, on
+operands in their stored order, so the result is bit for bit that of ``@``
+and numpy's BLAS thread pool is never woken.  It takes only what the
+package makes: contiguous matrices and vectors of positive stride.  The
+exceptions are a matrix times its own transpose, which numpy sends to
+dsyrk and ``matmul`` to dgemm (no caller makes that product), and a dot
+product of a strided vector, left to numpy (``_dot``).
 """
 
 from __future__ import annotations
@@ -447,28 +449,13 @@ def _transpose_scaled(A: np.ndarray, d: np.ndarray) -> None:
             A[cols, rows] = upper
 
 
-def _row_major(a: np.ndarray) -> bool | None:
-    """How numpy's matmul reads the 2-D array a with BLAS: True for rows of
-    unit stride (checked first), False for columns of unit stride, None
-    when neither holds and numpy multiplies it with a loop of its own."""
-    size = a.itemsize
-    for rows, cols, width in ((0, 1, a.shape[1]), (1, 0, a.shape[0])):
-        lead = a.strides[rows]
-        if a.strides[cols] == size and lead % size == 0 and lead // size >= width:
-            return rows == 0
-    return None
-
-
 def _span(x: np.ndarray):
-    """A 1-D array read by BLAS as (data, increment) without a copy: x
-    itself, or the contiguous run of memory from its first entry to its
-    last, stepped through with x's stride; None for a stride that numpy's
-    BLAS calls do not take (not a positive multiple of the item size)."""
+    """A 1-D x of positive stride as BLAS reads it, (data, increment),
+    without a copy: x itself at unit stride, else the memory from its first
+    entry to its last, stepped through with x's stride."""
     step, size = x.strides[0], x.itemsize
     if x.size == 1 or step == size:
         return x, 1
-    if step <= 0 or step % size:
-        return None
     inc = step // size
     return np.lib.stride_tricks.as_strided(x, ((x.size - 1) * inc + 1,), (size,)), inc
 
@@ -484,62 +471,40 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return 0.0 + ddot(x, y)
 
 
-def matvec(a, x) -> np.ndarray | float:
-    """a @ x for a 1-D float x and a 2-D (or 1-D) float a, computed in
-    SciPy's BLAS exactly as numpy's matmul computes it in numpy's own: a
-    dgemv that reads a in its stored order (ddot for a single row, or a 1-D
-    a), so the result is bit for bit numpy's.  A contiguous a, in either
-    order, and an x of any positive stride are read in place (SciPy's
-    wrappers take no leading dimension, so they copy a sliced a).  Where
-    numpy multiplies with a loop of its own (an empty or one-column a, a
-    stride BLAS does not take, another dtype), so does this.  x @ a is
-    ``matvec(a.T, x)``."""
-    a, x = np.asarray(a), np.asarray(x)
-    if x.ndim != 1 or a.ndim not in (1, 2) or a.shape[-1] != x.size:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {x.shape}")
-    if a.dtype != np.float64 or x.dtype != np.float64 or 0 in a.shape:
-        return a @ x
-    if a.ndim == 1:
-        return _dot(a, x)
-    m, n = a.shape
-    if m == 1:
-        return np.array([_dot(a[0], x)])
-    row_major, xs = _row_major(a), _span(x)
-    if n == 1 or row_major is None or xs is None:
-        return a @ x
-    # a row-major a is the Fortran-ordered a^T, multiplied transposed
-    view = a.T if row_major else a
-    return dgemv(1.0, view, xs[0], incx=xs[1], trans=int(row_major))
+def matmul(a: np.ndarray, b: np.ndarray):
+    """a @ b in SciPy's BLAS, bit for bit numpy's, for the operands the
+    package makes: float64 matrices, C- or Fortran-contiguous, and vectors
+    of positive stride, each read in place (SciPy's wrappers would copy a
+    sliced matrix).  As in numpy, two vectors take ddot, a matrix and a
+    vector (or one row or one column) dgemv, and two matrices dgemm, each
+    matrix read in its stored order, into a C-ordered result.  numpy sends
+    a matrix times its own transpose to dsyrk; no caller makes that
+    product.  Every dense product on a scenario's path goes through here:
+    numpy's BLAS has a thread pool of its own, and waking it between SuperLU
+    and LAPACK calls leaves its worker spinning on a core that SciPy's pool
+    needs.
 
-
-def matmul(a, b) -> np.ndarray:
-    """a @ b for 2-D float arrays, computed in SciPy's BLAS exactly as
-    numpy's matmul computes it in numpy's own, so the C-ordered result is
-    bit for bit numpy's: dgemm reading each operand in its stored order,
-    dgemv for one row or one column (``matvec``), and ddot for both.  The
-    exception is a matrix times its own transpose, which numpy sends to
-    dsyrk and this sends to dgemm; no caller makes that product.
-    Contiguous operands, in either order, are read in place, as in
-    ``matvec``.  Every dense product on a scenario's path goes through
-    ``matmul`` or ``matvec``: numpy's BLAS has a thread pool of its own, and
-    waking it between SuperLU and LAPACK calls leaves its worker spinning on
-    a core that SciPy's pool needs."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    ``_span`` and ``_dot``'s strided case serve only ``bounds.estimate_b``'s
+    ten eigenvector candidates, strided columns: dgemv and the dot product
+    round differently on a contiguous copy, so a copy would move b."""
+    if a.shape[-1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    (m, n), p = a.shape, b.shape[1]
-    if a.dtype != np.float64 or b.dtype != np.float64 or 0 in (m, n, p):
-        return a @ b
-    if p == 1:
-        return matvec(a, b[:, 0]).reshape(m, 1)
-    if m == 1:
-        return matvec(b.T, a[0]).reshape(1, p)
-    row_a, row_b = _row_major(a), _row_major(b)
-    if n == 1 or row_a is None or row_b is None:
-        return a @ b
-    view_a = a.T if row_a else a
+    if b.ndim == 1:
+        if a.ndim == 1:
+            return _dot(a, b)
+        if a.shape[0] == 1:
+            return np.array([_dot(a[0], b)])
+        # a C-ordered a is the Fortran-ordered a^T, multiplied transposed
+        row = a.flags.c_contiguous
+        x, inc = _span(b)
+        return dgemv(1.0, a.T if row else a, x, incx=inc, trans=int(row))
+    if b.shape[1] == 1:
+        return matmul(a, b[:, 0])[:, None]
+    if a.shape[0] == 1:
+        return matmul(b.T, a[0])[None]
+    row_a, row_b = a.flags.c_contiguous, b.flags.c_contiguous
     # the Fortran-ordered result is (a @ b)^T = b^T a^T
-    view_b = b.T if row_b else b
+    view_a, view_b = (a.T if row_a else a), (b.T if row_b else b)
     return dgemm(1.0, view_b, view_a, trans_a=int(not row_b), trans_b=int(not row_a)).T
 
 

@@ -701,13 +701,10 @@ class _LevelRun:
             return reduction_check(self.V, self.e, lam, pencil=self.pencil, box=self.box)
 
         try:
-            try:
-                lam, (n_op, n_weighted, holds) = 1.0, check(1.0)
-            except OnEigenvalue:
-                # a level on the box operator spectrum stays there for every
-                # lambda: count_below re-raises its kept error, unnudged
-                self.box.count_below(self.e)
-                lam, (n_op, n_weighted, holds) = _nudged(check, 1.0 + NUDGE, "lambda")
+            # a level on the box operator spectrum stays there for every
+            # lambda: its OnEigenvalue skips the report, unnudged
+            self.box.count_below(self.e)
+            lam, (n_op, n_weighted, holds) = _nudged(check, 1.0, "lambda")
         except Exception as exc:
             self.reports.append(
                 BoundReport(

@@ -15,7 +15,6 @@ from wellspectra.eigcount import (
     _SMALL_PRODUCT,
     inertia,
     matmul,
-    matvec,
     pencil_eigs,
     strict_count,
     two_infinity_norm,
@@ -535,9 +534,11 @@ PRODUCT_SHAPES = [
 
 @pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_matmul_and_matvec_equal_numpys_matmul_bit_for_bit(rng, shape):
-    """matmul and matvec return numpy's a @ b bit for bit, C-ordered, on C-
-    and Fortran-ordered operands, a one-column right-hand side and vectors
-    of unit and larger stride, below and above the small-product size."""
+    """matmul returns numpy's a @ b bit for bit, C-ordered for two
+    matrices, on C- and Fortran-ordered matrices, a one-column right-hand
+    side, and matrix-vector (matvec) and vector-vector products with
+    vectors of unit and larger stride, below and above the small-product
+    size."""
     sizes = [np.prod(s) for s in PRODUCT_SHAPES]
     assert min(sizes) <= _SMALL_PRODUCT < max(sizes)
     m, n, p = shape
@@ -549,17 +550,18 @@ def test_matmul_and_matvec_equal_numpys_matmul_bit_for_bit(rng, shape):
             assert np.array_equal(out, a @ b)
         strided = rng.standard_normal((n, 3))[:, 1]
         for x in (B[:, 0].copy(), strided):
-            assert np.array_equal(matvec(a, x), a @ x)
+            assert np.array_equal(matmul(a, x), a @ x)
         for y in (a[:, 0], a[:, 0].copy()):
-            assert np.array_equal(matvec(a.T, y), y @ a)
+            assert np.array_equal(matmul(a.T, y), y @ a)
     for x, y in ((B[:, 0].copy(), A[0].copy()), (A[:, 0], A[:, -1])):
-        assert matvec(x, y) == x @ y
+        assert matmul(x, y) == x @ y
 
 
 def test_matmul_and_matvec_never_copy_an_operand(rng):
-    """Neither helper allocates anything of an operand's size, whatever the
-    operands' order and the vector's stride: the products are small, and
-    the traced peak stays below half of each operand."""
+    """matmul allocates nothing of an operand's size, whatever the
+    matrices' order and the vector's stride, for two matrices and for a
+    matrix and a vector (matvec): the products are small, and the traced
+    peak stays below half of each operand."""
     A, B = rng.standard_normal((100, 20000)), rng.standard_normal((20000, 100))
     for a in _layouts(A).values():
         for b in _layouts(B).values():
@@ -567,7 +569,7 @@ def test_matmul_and_matvec_never_copy_an_operand(rng):
                 _, peak = _traced_peak(lambda: matmul(x, y))
                 assert peak < 0.5 * x.nbytes
         for v in (B[:, 0].copy(), rng.standard_normal((20000, 4))[:, 2]):
-            _, peak = _traced_peak(lambda: matvec(a, v))
+            _, peak = _traced_peak(lambda: matmul(a, v))
             assert peak < 0.5 * v.nbytes
     z = rng.standard_normal((20000, 20))
     _, peak = _traced_peak(lambda: matmul(z.T, z))

@@ -561,6 +561,44 @@ def test_level_on_the_box_spectrum_is_skipped_not_nudged(tmp_path, monkeypatch):
     assert level.violations == []
 
 
+def test_a_weighted_pencil_singular_at_lambda_one_nudges_the_reduction_once(
+    tmp_path, monkeypatch
+):
+    """A full weighted pencil singular at lambda = 1 alone moves the
+    reduction check up by one nudge, where the report holds, and the box is
+    counted once."""
+    cfg = load_config(_write(tmp_path, SMALL_2D))
+    V = build_potential(cfg.family, cfg.grid)
+    e = cfg.levels[0]
+    level = _LevelRun(cfg, V, 0, e)
+    level.pencil = assemble_pencil(classify_nodes(V, e), V, e)
+    family = level.pencil.full_shifts
+    real_factor = family.factor
+
+    def singular_at_one(lam):
+        factor = real_factor(lam)
+        if lam == 1.0:
+            inert = factor.inertia
+            factor.inertia = Inertia(inert.n_minus, 1, inert.n_plus - 1)
+        return factor
+
+    family.factor = singular_at_one
+    box_levels = []
+    real_box_factor = schrodinger.BoxOperator._factor
+
+    def box_factor(self, level_e):
+        box_levels.append(level_e)
+        return real_box_factor(self, level_e)
+
+    monkeypatch.setattr(schrodinger.BoxOperator, "_factor", box_factor)
+    level._reduction_report()
+    (rep,) = level.reports
+    assert rep.name == "operator-reduction"
+    assert rep.constants == {"lambda": 1.0 * (1 + scenario.NUDGE)}
+    assert rep.verdict == HOLDS and level.violations == []
+    assert box_levels == [e]
+
+
 def test_3d_level_makes_one_multi_column_pinned_solve(tmp_path, monkeypatch):
     """A 3D level solves the pinned block for a block of right-hand sides
     once, for P0; every sweep point reads S(lam) off the level's eigenpairs."""
@@ -1046,3 +1084,31 @@ def test_a_3d_scenario_never_wakes_numpys_blas_threads(tmp_path):
     if ticks == "no-pool":
         pytest.skip("import numpy started no BLAS thread")
     assert int(ticks) == 0
+
+
+def test_every_operand_of_a_scenarios_dense_products_is_read_in_place(tmp_path, monkeypatch):
+    """eigcount.matmul reads its operands in place, in their stored order,
+    and takes only what the package makes: float64 matrices that are C- or
+    Fortran-contiguous and vectors of positive stride.  Every operand that
+    reaches it in a small 3D and a small 2D scenario is one of those, and
+    the 3D one multiplies strided vectors (b's eigenvector candidates)."""
+    real = eigcount.matmul
+    seen = []
+
+    def recording(a, b):
+        for x in (a, b):
+            contiguous = x.flags.c_contiguous or x.flags.f_contiguous
+            seen[-1].append((x.dtype, x.ndim, contiguous, x.strides[0]))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wellspectra") and getattr(module, "matmul", None) is real:
+            monkeypatch.setattr(module, "matmul", recording)
+    for name, text in (("small3d.cfg", SMALL_3D), ("small2d.cfg", SMALL_2D)):
+        seen.append([])
+        result = run_scenario(_write(tmp_path, text, name), out_dir=tmp_path / "out")
+        assert result.exit_code == 0 and seen[-1]
+    for dtype, ndim, contiguous, stride in seen[0] + seen[1]:
+        assert dtype == np.float64
+        assert contiguous if ndim == 2 else (ndim == 1 and stride > 0)
+    assert any(ndim == 1 and stride > 8 for _, ndim, _, stride in seen[0])

@@ -56,8 +56,10 @@ def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
     pencil_eigs calls, ``kernels`` c_P computations, and the box ``route``,
     which orders the box by minimum degree on the sparse route only.  Each
     3D sweep point forms S(lam) from the pinned eigenpairs, inside its
-    splitting count."""
+    splitting count.  Each side records the lines of the tree's *.py
+    files."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
+    src_lines = sum(len(path.read_text().splitlines()) for path in Path(src).rglob("*.py"))
     lines = run_script(
         "shift_order_ladder.py", "--before", src, "--rungs", rung_name, "--repeats", "2",
         cwd=tmp_path,
@@ -74,6 +76,7 @@ def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
     levels = 3
     for side in ("before", "after"):
         run = rung[side]
+        assert run["src_lines"] == src_lines
         assert run["violations"] == 0
         assert run["layers"]["splitting_counts"]["calls"] >= 6 * levels
         pinned, split = run["layers"]["pinned_schur_form"], run["layers"]["splitting_counts"]
