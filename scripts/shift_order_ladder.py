@@ -178,6 +178,7 @@ def numpy_pool_ticks() -> int:
 def _box_counts(schrodinger, scenario, config: Path) -> list:
     """The box operator's outcome at each level of ``config``: a count, or
     "on-spectrum"."""
+    from wellspectra.errors import OnEigenvalue
     from wellspectra.model import build_potential
 
     cfg = scenario.load_config(config)
@@ -186,7 +187,7 @@ def _box_counts(schrodinger, scenario, config: Path) -> list:
     for e in cfg.levels:
         try:
             outcomes.append(box.count_below(e))
-        except schrodinger.OnEigenvalue:
+        except OnEigenvalue:
             outcomes.append("on-spectrum")
     return outcomes
 

@@ -24,14 +24,9 @@ first sweep point.
 The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
 ``BoxOperator``, counted before the first level, while the resident set is
-smallest.  Its route depends on the well W = {V < 0} alone
-(``schrodinger.compact_well``): a compact 3D well is counted by
-Birman-Schwinger, one dense inertia of order |W| per level; a well that
-fills much of the box, and every 1D or 2D box, by one sparse factor of the
-box operator per level.  Either way the levels are counted from the top
-down, each factor let go before the next, and a level below a count of 0
-counts 0 unfactored.  The schrodinger module docstring has the rule and
-its timings.
+smallest: one inertia per level, on a route that the well W = {V < 0}
+alone picks (the schrodinger module docstring has the rule).  A level
+whose box factor raised skips its reduction report with that error.
 
 Every level takes P0 (with S(0) and c_P), its pinned spectrum and b from its
 run: a run of consecutive levels whose sets {V < e} are equal and on which V
@@ -56,7 +51,8 @@ Config schema::
     [potential]  family = ball_well | gaussian_well | multi_well |
                  band_limited_random, plus family parameters
                  (center/radius/depth/width/seed/cutoff/amplitude/wells)
-    [levels]     values = comma separated energies, or count/min/max (all <= 0)
+    [levels]     values = comma separated energies, or count/min/max (all
+                 finite and <= 0)
     [sweeps]     points (shared grid length), lambda_min, lambda_max
                  (each finite and > 0, min <= max), t_min, t_max (each finite
                  and > 0; all optional)
@@ -230,13 +226,16 @@ def load_config(path) -> ScenarioConfig:
         else:
             raise ConfigError(f"unknown potential family {name!r}")
 
-        if cp.has_option("levels", "values"):
-            levels = _floats(cp.get("levels", "values"))
-        else:
+        spanned = not cp.has_option("levels", "values")
+        if spanned:
             count = cp.getint("levels", "count")
-            lo = cp.getfloat("levels", "min")
-            hi = cp.getfloat("levels", "max")
-            levels = list(np.linspace(lo, hi, count))
+            given = [cp.getfloat("levels", "min"), cp.getfloat("levels", "max")]
+        else:
+            given = _floats(cp.get("levels", "values"))
+        for e in given:
+            if not np.isfinite(e):
+                raise ConfigError(f"energy levels must be finite, got {e!r}")
+        levels = list(np.linspace(*given, count)) if spanned else given
         if not levels:
             raise ConfigError("no energy levels given")
         if any(e > 0 for e in levels):
@@ -489,6 +488,7 @@ class _LevelRun:
         self.violations = []
         self.meta = {}
         self.pencil = None
+        self.consts = None
 
     def run(self):
         try:
@@ -793,9 +793,7 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
                 "scenario_id": level.scenario_id,
                 "level": float(e),
                 **level.meta,
-                "constants": level.consts.to_dict()
-                if getattr(level, "consts", None) is not None
-                else None,
+                "constants": level.consts.to_dict() if level.consts is not None else None,
                 "reports": [rep.to_dict() for rep in level.reports],
             }
             scenario_docs.append(doc)

@@ -35,38 +35,34 @@ ShiftFamily, so every factor after the first shares its fill-reducing
 order.
 
 Both routes count the levels from the top down, one factor alive at a
-time.  Once a count is 0, every lower level is 0 as well (Sylvester
-monotonicity) and is not factored.  A level on the spectrum raises
-OnEigenvalue and has no count, so the levels below it are still factored.
-A level outside ``levels`` is factored on its own, on the same route.
+time, into one table.  Once a count is 0, every lower level is 0 as well
+(Sylvester monotonicity) and is not factored.  A level whose factor raises
+(OnEigenvalue on the spectrum, or any other error) has no count, so the
+levels below it are still factored.
 
-The rule: a 3D box of N interior nodes takes the Birman-Schwinger route when
-levels * |W|^3 <= COMPACT_WELL_C * N^2, with levels the number of levels
-counted (at least 1).  The dense route costs levels * (|W|^3/3 for the
-inertia plus the G_W contractions); the sparse LU of a 3D box grows about
-as N^2.  Ball wells of depth 12 at levels -0.5, -2 and -6, the box counted
-alone (medians of 3 processes; time, and the process's peak RSS, 65 MB of it
-the imports; 2-core host, NumPy 2.4, SciPy 1.17; the sparse column was
-measured when that route read its lower levels off one top-level factor and
-a Lanczos certificate, and the constant was fitted then):
+The rule: a 3D box of N interior nodes takes the Birman-Schwinger route
+when |W|^3 <= COMPACT_WELL_C * N^2.  Both routes make one factor per level,
+so the number of levels does not enter; the dense inertia costs |W|^3/3
+per level, and the sparse LU of a 3D box grows about as N^2.  Ball wells of
+depth 12 at levels -0.5, -2 and -6, each route forced, the box counted
+alone (BENCH_box_rule.json: medians of 5 processes; time, and the
+process's peak RSS, about 65 MB of it the imports; 2-core host, NumPy 2.4,
+SciPy 1.17):
 
-    grid  radius  |W|/N  3|W|^3/N^2   sparse LU + Lanczos   Birman-Schwinger
-    25^3   1.0    0.075      15         0.89 s, 145 MB       0.22 s,  89 MB
-    25^3   1.25   0.147     116         1.12 s, 145 MB       0.79 s, 139 MB
-    25^3   1.3    0.159     147         1.17 s, 145 MB       0.95 s, 147 MB
-    25^3   1.4    0.207     323         1.21 s, 146 MB       1.81 s, 174 MB
-    33^3   1.0    0.071      31         4.33 s, 359 MB       1.12 s, 149 MB
-    33^3   1.15   0.109     115         4.03 s, 358 MB       3.19 s, 288 MB
-    33^3   1.2    0.126     177         3.91 s, 358 MB       3.96 s, 341 MB
-    33^3   1.4    0.198     690         4.93 s, 362 MB      11.85 s, 604 MB
-    41^3   1.0    0.070      61        17.4 s,  908 MB       5.44 s, 358 MB
+    grid  radius   |W|   |W|^3/N^2   sparse            Birman-Schwinger
+    25^3   1.2    1551      25       0.90 s, 143 MB    0.34 s, 122 MB
+    25^3   1.3    1935      49       1.02 s, 143 MB    0.53 s, 132 MB
+    25^3   1.32   2103      63       0.94 s, 143 MB    0.53 s, 139 MB
+    25^3   1.35   2205      72       0.89 s, 143 MB    0.72 s, 155 MB
+    25^3   1.4    2517     108       0.97 s, 143 MB    1.03 s, 166 MB
+    33^3   1.15   3239      38       5.88 s, 375 MB    1.97 s, 238 MB
+    33^3   1.2    3743      59       5.63 s, 375 MB    2.80 s, 265 MB
+    33^3   1.3    4729     119       6.30 s, 375 MB    4.01 s, 357 MB
 
-The routes tie in time near C = 180 at 33^3 and between C = 150 and 320 at
-25^3, and the dense route's peak passes the sparse one's near C = 150; at
-C = 120 the dense route is faster and no larger on both grids.  BENCH_box_route.json has the ladder.
-The dense peaks above include the copy of each matrix that its factor
-took; the factor now overwrites the matrix (the 41^3 box alone: 358 MB
-before, 305 MB after, on the same host).
+The dense route is faster through 72 at 25^3 (not at 108) and through 119
+at 33^3; its peak passes the sparse one's between 63 and 72 at 25^3.  At
+C = 60 it is no slower and no larger on every rung it takes, and so it was
+on the two rungs nearest C at 1 and at 6 levels.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptySublevel, EnumerationCap, OnEigenvalue
+from .errors import EmptySublevel, EnumerationCap
 from .assemble import assemble_pencil, classify_nodes
 from .eigcount import Factorization, ShiftFamily, matmul, strict_count
 from .model import AssembledPencil, GridSpec, PotentialField
@@ -85,8 +81,8 @@ from .model import AssembledPencil, GridSpec, PotentialField
 ENUMERATION_LIMIT = 1e6
 
 #: a 3D box takes the Birman-Schwinger route when
-#: levels * |W|^3 <= COMPACT_WELL_C * N^2 (see the module docstring)
-COMPACT_WELL_C = 120.0
+#: |W|^3 <= COMPACT_WELL_C * N^2 (see the module docstring)
+COMPACT_WELL_C = 60.0
 
 #: unit columns of G_W contracted per dgemm in ``birman_schwinger_matrix``
 _COLUMN_BLOCK = 128
@@ -135,14 +131,14 @@ def _interior(V: PotentialField) -> np.ndarray:
     return V.values[(slice(1, -1),) * V.grid.dimension]
 
 
-def compact_well(grid: GridSpec, well_size: int, levels: int) -> bool:
+def compact_well(grid: GridSpec, well_size: int) -> bool:
     """The route rule: True when a box of ``grid`` whose well has
-    ``well_size`` interior nodes, counted at ``levels`` levels, takes the
-    Birman-Schwinger route (see the module docstring)."""
+    ``well_size`` interior nodes takes the Birman-Schwinger route (see the
+    module docstring)."""
     if grid.dimension != 3:
         return False
     interior = float(np.prod([r - 2 for r in grid.resolution]))
-    return max(levels, 1) * float(well_size) ** 3 <= COMPACT_WELL_C * interior**2
+    return float(well_size) ** 3 <= COMPACT_WELL_C * interior**2
 
 
 def _sine_basis(m: int):
@@ -220,93 +216,88 @@ def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
     return out
 
 
+def _fresh(kind: type, message: str) -> Exception:
+    """A new exception of ``kind``, or of its nearest base class that is
+    made from a message alone (numpy's MemoryError subclass is not), with
+    ``message``."""
+    for cls in kind.__mro__:
+        try:
+            return cls(message)
+        except TypeError:
+            continue
+
+
 class BoxOperator:
     """Bound-state counts of the box operator -Laplacian + min(V, 0) below
-    the nonpositive levels of one scenario, by the route that
-    ``compact_well`` picks for its grid, well size and number of levels (see
-    the module docstring).
+    the nonpositive levels of one scenario, on the route that
+    ``compact_well`` picks (see the module docstring).
 
-    Nothing is assembled or factored until ``certify``, or the first
-    ``count_below``, which counts every level at once, from the top down:
-    one inertia per level (a dense Birman-Schwinger matrix or a sparse
-    factor of the box), each let go before the next level's, and none below
-    a count of 0.  ``route`` names the route taken ("birman-schwinger" or
-    "sparse"), and is None until then.  Counts, and the messages of
-    OnEigenvalue errors, are kept per level, so each level is counted once;
-    a level on the spectrum raises a fresh OnEigenvalue each time (a kept
-    exception's traceback would keep the frames, and the factor, that
-    raised it).  A level outside ``levels`` is factored on its own.
+    ``certify``, or the first ``count_below``, counts every level at once
+    into one table: a level's count, or the type and message of the error
+    that its own factor raised, which ``count_below`` raises afresh each
+    time (a kept exception's traceback would keep the frames, and the
+    factor, that raised it).  A failure to pick the route or to assemble
+    the box is every level's outcome.  ``route`` names the route taken
+    ("birman-schwinger" or "sparse"); it is None until then, and when the
+    box could not be assembled.
     """
 
     def __init__(self, V: PotentialField, levels):
         self.potential = V
         self.levels = sorted({float(e) for e in levels if e <= 0})
         self.route = None
-        self._shifts = self._error = None
-        self._counts = {}
+        self._shifts = self._outcomes = None
 
     def certify(self):
-        """Pick the route, assemble the operator on the sparse route, and
-        count the levels, once.  An exception other than OnEigenvalue is
-        kept, without its traceback, and raised by the next ``count_below``,
-        exactly as if that count had counted: a failed assembly is retried
-        by the count after it, a failed count is not, and a level left
-        uncounted is factored on demand."""
-        if self.route is not None or self._error is not None:
+        """Pick the route and count every level, once, from the top down.
+        Below a strict count of 0 every level counts 0 as well (Sylvester
+        monotonicity), unfactored; a level whose factor raised has no
+        count, so the levels below it are factored."""
+        if self._outcomes is not None:
             return
         try:
             well_size = int(np.count_nonzero(_interior(self.potential) < 0))
-            if compact_well(self.potential.grid, well_size, len(self.levels)):
+            if compact_well(self.potential.grid, well_size):
                 self.route = "birman-schwinger"
             else:
                 self._shifts = ShiftFamily(*assemble_schrodinger(_clamped(self.potential)))
                 self.route = "sparse"
-            self._certify()
         except Exception as exc:
-            self._error = exc.with_traceback(None)
+            self._outcomes = dict.fromkeys(self.levels, (type(exc), str(exc)))
+            return
+        self._outcomes = {}
+        for i in reversed(range(len(self.levels))):
+            e = self.levels[i]
+            try:
+                outcome = strict_count(self._factor(e).inertia, "box operator")
+            except Exception as exc:
+                outcome = (type(exc), str(exc))
+            self._outcomes[e] = outcome
+            if outcome == 0:
+                self._outcomes.update(dict.fromkeys(self.levels[:i], 0))
+                break
+        self._shifts = None
 
     def count_below(self, e: float) -> int:
-        """Number of box-operator eigenvalues strictly below e <= 0, or
-        OnEigenvalue if e lies on that spectrum."""
+        """Number of box-operator eigenvalues strictly below the listed
+        level e <= 0, or the error that the level's factor raised
+        (OnEigenvalue if e lies on that spectrum)."""
         e = float(e)
         if e > 0:
             raise ValueError(f"the box operator is counted below levels e <= 0, got {e!r}")
         self.certify()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-        if e not in self._counts:
-            self._count(e)
-        count = self._counts[e]
-        if isinstance(count, str):
-            raise OnEigenvalue(count)
-        return count
+        if e not in self._outcomes:
+            raise ValueError(f"the box operator was not counted below {e!r}")
+        outcome = self._outcomes[e]
+        if isinstance(outcome, tuple):
+            raise _fresh(*outcome)
+        return outcome
 
     def _factor(self, e: float) -> Factorization:
         """The factorization of the level e on the box's route."""
         if self.route == "birman-schwinger":
             return Factorization(birman_schwinger_matrix(self.potential, e), overwrite_a=True)
         return self._shifts.factor(e)
-
-    def _count(self, e: float):
-        """Keep the count at e, or the message of its OnEigenvalue, from the
-        level's own factorization."""
-        try:
-            self._counts[e] = strict_count(self._factor(e).inertia, "box operator")
-        except OnEigenvalue as exc:
-            self._counts[e] = str(exc)
-
-    def _certify(self):
-        """Count the levels from the top down.  Below a strict count of 0
-        every level counts 0 as well (Sylvester monotonicity), unfactored;
-        a level on the spectrum has no count, so the levels below it are
-        factored."""
-        for i in reversed(range(len(self.levels))):
-            e = self.levels[i]
-            self._count(e)
-            if self._counts[e] == 0:
-                self._counts.update(dict.fromkeys(self.levels[:i], 0))
-                return
 
 
 def reduction_check(
@@ -327,7 +318,7 @@ def reduction_check(
     only where V < e <= 0, so it is the same for V and min(V, 0).
     ``pencil`` is the sublevel pencil of (V, e) if the caller already
     assembled it.  ``box`` is the scenario's BoxOperator of V, which
-    counts the box operator once for all levels.  Returns (N_operator,
+    counts the box operator once for all its levels, e among them.  Returns (N_operator,
     N_weighted_full, inequality_holds).
     """
     if lam < 1.0:

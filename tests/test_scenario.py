@@ -173,6 +173,15 @@ def test_load_config_errors(tmp_path):
         SMALL_2D.replace("values = -1.5, -0.8", levels)
         for levels in ("values = -1.5, 0.25", "count = 3\n    min = -1\n    max = 0.5")
     ]
+    # a level that is not finite, given or spanned (count = 1 spans min alone)
+    malformed += [
+        SMALL_2D.replace("values = -1.5, -0.8", levels)
+        for levels in (
+            "values = nan", "values = -1.5, inf", "values = -inf, -0.8",
+            "count = 3\n    min = -inf\n    max = -1", "count = 3\n    min = -2\n    max = nan",
+            "count = 1\n    min = -2\n    max = nan",
+        )
+    ]
     # an exponent that is not finite and > 0
     malformed += [SMALL_2D + f"\n[constants]\np = {p}\n" for p in ("0", "-1", "nan", "inf")]
     # a constant that is not finite (L_n also not > 0), or no b sample
@@ -652,18 +661,18 @@ def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeyp
     """The box operator is factored and certified before any level computes
     its pinned spectrum, so its factor never sits on top of one."""
     events = []
-    real_certify = schrodinger.BoxOperator._certify
+    real_factor = schrodinger.BoxOperator._factor
     real_eigs = scenario.pencil_eigs
 
-    def certify(self):
+    def factor(self, e):
         events.append("box")
-        return real_certify(self)
+        return real_factor(self, e)
 
     def eigs(*args, **kwargs):
         events.append("pencil_eigs")
         return real_eigs(*args, **kwargs)
 
-    monkeypatch.setattr(schrodinger.BoxOperator, "_certify", certify)
+    monkeypatch.setattr(schrodinger.BoxOperator, "_factor", factor)
     monkeypatch.setattr(scenario, "pencil_eigs", eigs)
     result = run_scenario(_write(tmp_path, SMALL_3D), out_dir=tmp_path / "out")
     assert result.exit_code == 0
@@ -673,11 +682,10 @@ def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeyp
 def test_a_failed_box_certificate_is_reported_by_the_first_level_that_counts(
     tmp_path, monkeypatch
 ):
-    """An exception raised by the box's first factor, while the box counts
-    its levels before the levels run, is kept and raised by the first box
-    count, whose report is skipped with its message; the next level counts
-    its own shift, as it would had the box been counted inside the first
-    count."""
+    """An exception raised by the box's first factor, that of the top
+    level, while the box counts its levels before the levels run, is that
+    level's outcome: its report is skipped with the message, and the level
+    below it counts."""
     real = schrodinger.BoxOperator._factor
     calls = []
 
@@ -695,7 +703,40 @@ def test_a_failed_box_certificate_is_reported_by_the_first_level_that_counts(
         for rep in sc["reports"]
         if rep["name"] == "operator-reduction"
     ]
-    assert notes == [(NOT_APPLICABLE, "skipped: box factor broke down"), (HOLDS, "")]
+    assert notes == [(HOLDS, ""), (NOT_APPLICABLE, "skipped: box factor broke down")]
+
+
+@pytest.mark.parametrize("route", ["sparse", "birman-schwinger"])
+def test_a_failed_box_factor_skips_its_level_alone(route, tmp_path, monkeypatch):
+    """An exception raised by the box factor of the middle one of three
+    levels is that level's outcome alone, on either route: its
+    operator-reduction report is skipped with the message, and the levels
+    above and below it count."""
+    real = schrodinger.BoxOperator._factor
+    routes = []
+
+    def failing(self, e):
+        routes.append(self.route)
+        if e == -2.0:
+            raise RuntimeError("box factor broke down")
+        return real(self, e)
+
+    monkeypatch.setattr(schrodinger.BoxOperator, "_factor", failing)
+    text, given = {
+        "sparse": (SMALL_2D, "values = -1.5, -0.8"),
+        "birman-schwinger": (SMALL_3D, "values = -0.5"),
+    }[route]
+    config = _write(tmp_path, text.replace(given, "values = -3.0, -2.0, -0.5"))
+    result = run_scenario(config, out_dir=tmp_path / "out")
+    notes = [
+        (rep["verdict"], rep["notes"])
+        for sc in result.document["scenarios"]
+        for rep in sc["reports"]
+        if rep["name"] == "operator-reduction"
+    ]
+    skipped = (NOT_APPLICABLE, "skipped: box factor broke down")
+    assert notes == [(HOLDS, ""), skipped, (HOLDS, "")]
+    assert set(routes) == {route} and result.exit_code == 0
 
 
 # -- levels on one plateau of V -------------------------------------------

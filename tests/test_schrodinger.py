@@ -249,10 +249,11 @@ def _ball_2d():
     )
 
 
-def test_level_inside_a_ritz_interval_falls_back(monkeypatch):
-    """A level on a bound state gets its own factorization, with today's
-    outcome, and raises OnEigenvalue when that factorization finds a zero
-    pivot; the levels above it keep their counts."""
+def test_level_on_a_bound_state_raises_from_its_own_factor(monkeypatch):
+    """A level on a bound state gets its own factorization, with the
+    outcome of a direct one, and raises OnEigenvalue when that
+    factorization finds a zero pivot; the levels above it keep their
+    counts."""
     V = _ball_2d()
     A, m = assemble_schrodinger(V)
     mus = np.linalg.eigvalsh(A.toarray()) / m[0]
@@ -285,7 +286,7 @@ def test_top_level_on_the_box_spectrum_keeps_no_factor_alive(monkeypatch):
     assert not any(ref() is not None for _, ref in made)
 
 
-def test_box_without_bound_states_or_with_one_level_needs_no_lanczos(monkeypatch):
+def test_box_without_bound_states_or_with_one_level_makes_one_factor(monkeypatch):
     """Below a top-level count of 0 no level is factored, and a single
     level is its own factor's count."""
     made = _box_factors(monkeypatch)
@@ -323,6 +324,68 @@ def test_level_on_the_box_spectrum_on_both_routes(route, monkeypatch):
     assert not any(ref() is not None for _, ref in made)
 
 
+def test_a_level_the_box_did_not_list_is_refused(monkeypatch):
+    """The box counts the levels it lists and no other: a count below an
+    unlisted level is a ValueError, and factors nothing."""
+    made = _box_factors(monkeypatch)
+    box = BoxOperator(_ball_2d(), [-30.0])
+    assert box.count_below(-30.0) == _direct_box_count(box.potential, -30.0)
+    with pytest.raises(ValueError, match="not counted below -20.0"):
+        box.count_below(-20.0)
+    assert [e for e, _ in made] == [-30.0]
+
+
+@pytest.mark.parametrize("route", ["sparse", "birman-schwinger"])
+def test_a_failed_level_factor_fails_that_level_alone(route, monkeypatch):
+    """numpy's MemoryError, raised while a middle level's factor is alive,
+    is that level's outcome alone: it is raised afresh at every count, as a
+    MemoryError with the same message (the subclass needs more than a
+    message to be made), the levels above and below it count, and no
+    factor stays alive."""
+    levels = [-58.0, -57.0, -30.0]
+    V = _ball_2d() if route == "sparse" else _ball_3d(1.0, seed=1, res=13)[0]
+    made = []
+    real = BoxOperator._factor
+
+    def failing(self, e):
+        factor = real(self, e)
+        made.append((e, weakref.ref(factor)))
+        if e == -57.0:
+            np.empty((10**7, 10**7))
+        return factor
+
+    monkeypatch.setattr(BoxOperator, "_factor", failing)
+    box = BoxOperator(V, levels)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(MemoryError, match="Unable to allocate") as info:
+            box.count_below(-57.0)
+        raised.append(info.value)
+    assert box.route == route and raised[0] is not raised[1]
+    assert [box.count_below(e) for e in (-58.0, -30.0)] == [0, _direct_box_count(V, -30.0)]
+    del raised, info
+    gc.collect()
+    assert [e for e, _ in made] == levels[::-1]
+    assert not any(ref() is not None for _, ref in made)
+
+
+def test_a_failed_box_assembly_is_every_levels_outcome(monkeypatch):
+    """An error that assembling the box raises is the outcome of every
+    level, raised afresh at every count; the box takes no route and makes
+    no factor."""
+    made = _box_factors(monkeypatch)
+
+    def broken(V):
+        raise RuntimeError("box assembly broke down")
+
+    monkeypatch.setattr(schrodinger, "assemble_schrodinger", broken)
+    box = BoxOperator(_ball_2d(), [-30.0, -20.0])
+    for e in (-20.0, -30.0, -20.0):
+        with pytest.raises(RuntimeError, match="box assembly broke down"):
+            box.count_below(e)
+    assert box.route is None and made == []
+
+
 # ------------------------------------------------ the Birman-Schwinger route
 
 
@@ -343,10 +406,10 @@ def _ball_3d(radius, seed, res=17, depth=60.0):
 @pytest.mark.parametrize("radius", [0.5, 0.8, 1.1, 1.3])
 def test_compact_ball_counts_equal_direct_factorization(radius):
     """Over a ladder of 3D ball wells the box takes the Birman-Schwinger
-    route, and its counts at its levels, and at a level outside them, equal
-    a direct factorization of the box operator."""
+    route, and its counts at its levels equal a direct factorization of the
+    box operator."""
     V, levels = _ball_3d(radius, seed=int(10 * radius))
-    box = BoxOperator(V, levels[:3])
+    box = BoxOperator(V, levels)
     box.certify()
     assert box.route == "birman-schwinger"
     direct = [_direct_box_count(V, e) for e in levels]
@@ -385,7 +448,7 @@ def test_box_route_rule():
     """The compact ball takes the Birman-Schwinger route; a well that fills
     the box (the 3D Gaussian, V < 0 everywhere) and every 2D box, however
     small its well, take the sparse route.  The rule is
-    levels * |W|^3 <= COMPACT_WELL_C * N^2 in 3D."""
+    |W|^3 <= COMPACT_WELL_C * N^2 in 3D, whatever the number of levels."""
 
     def route(V, levels):
         box = BoxOperator(V, levels)
@@ -403,10 +466,8 @@ def test_box_route_rule():
     values[15, 15] = -60.0
     assert route(PotentialField(grid=_ball_2d().grid, values=values), [-1.0]) == "sparse"
     grid = GridSpec(box=((-2.0, 2.0),) * 3, resolution=(17,) * 3)
-    for levels in (1, 3, 32):
-        edge = int(np.floor((COMPACT_WELL_C * 15.0**6 / levels) ** (1 / 3)))
-        assert compact_well(grid, edge, levels) and not compact_well(grid, edge + 1, levels)
-    assert compact_well(grid, 1, 0) == compact_well(grid, 1, 1)
+    edge = int(np.floor((COMPACT_WELL_C * 15.0**6) ** (1 / 3)))
+    assert compact_well(grid, edge) and not compact_well(grid, edge + 1)
 
 
 def test_birman_schwinger_levels_hold_one_matrix_at_a_time(monkeypatch):

@@ -1,6 +1,8 @@
 """Smoke tests of the command-line scripts in scripts/: each runs in its own
 process from a scratch working directory, exits 0 and prints its table."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import wellspectra
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args, cwd):
@@ -138,20 +141,51 @@ def test_shift_order_ladder_box_rung(tmp_path):
 
 def test_shift_order_ladder_band_rung(tmp_path):
     """A band3d rung counts the box of a band-limited landscape alone: at
-    9^3 its six levels each hold bound states, so the sparse route factors
-    every level, and both runs read the same counts."""
+    9^3 its six levels each hold bound states, so the box factors every
+    level.  The route rule sends its well (|W| = 138 of 343 nodes) to the
+    Birman-Schwinger route; forced onto the sparse route, the box orders
+    once, factors every level as well, and reads the same counts."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
     lines = run_script(
         "shift_order_ladder.py", "--before", src, "--rungs", "band3d-9", "--repeats", "1",
-        cwd=tmp_path,
+        "--route", "sparse", cwd=tmp_path,
     )
-    assert [line.split()[0] for line in lines[1:]] == ["band3d-9"] * 2
-    rung = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]["band3d-9"]
+    assert [line.split()[0] for line in lines[1:]] == ["band3d-9@sparse"] * 2
+    rungs = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]
+    rung = rungs["band3d-9@sparse"]
     assert rung["digest_equal"] and rung["reports_equal"]
     counts = json.loads(rung["after"]["digest"])
     assert len(counts) == 6 and min(counts) >= 1 and counts == sorted(counts)
-    for side in ("before", "after"):
+    for side, route, orderings in (("before", "birman-schwinger", 0), ("after", "sparse", 1)):
         run = rung[side]
-        assert run["box_route"] == "sparse" and run["mmd_orderings"] == 1
+        assert run["box_route"] == route and run["mmd_orderings"] == orderings
         assert sum(run["factorizations"].values()) == 6
         assert run["layers"]["box"]["calls"] >= 1 and run["violations"] is None
+
+def _assigned(path, name):
+    """The literal value assigned to the module-level ``name`` in ``path``,
+    read without importing the file."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_traced_layers_name_callables_of_the_package():
+    """Every layer that the benchmark traces (``TRACED``, "module.function")
+    and that the ladder times (``LAYERS``, module and function or
+    "Class.method") is a callable of wellspectra, a method looked up on its
+    class, so that deleting or renaming one breaks this test and not a
+    later measurement."""
+    traced = _assigned(ROOT / "perfbench" / "worker.py", "TRACED")
+    layers = _assigned(SCRIPTS / "shift_order_ladder.py", "LAYERS")
+    names = [tuple(name.split(".", 1)) for name in traced] + list(layers.values())
+    assert len(names) >= 20
+    for module_name, attr in names:
+        owner = importlib.import_module(f"wellspectra.{module_name}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"wellspectra.{module_name} has no {attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"wellspectra.{module_name}.{attr} is not callable"
