@@ -9,13 +9,16 @@ A rung is one scenario config built from perfbench/workloads.py:
 ``levels-2d`` (the 2D three-well landscape with 32 levels), ``ball3d-R``
 (the 3D ball well at R^3, whose three levels share one plateau) or
 ``gauss3d-R`` (the ball3d-R config edited to a Gaussian well of width 0.8
-at levels -4, -7 and -10, on which no two levels share a plateau).  Two
+at levels -4, -7 and -10, on which no two levels share a plateau).  Three
 kinds of rung run the box layer alone, counted by one ``BoxOperator`` at
 the config's levels: ``box3d-R-RADIUS``, the ball3d-R well with its radius
-set to RADIUS, at its three levels; and ``band3d-R``, a band-limited random
-landscape at R^3 (seeded by --seed, cutoff 3, amplitude 300) at six
-levels from -150 to -20.  With seed 7, V < 0 on about 40 % of the box, so
-the box takes the sparse route, and at 25^3 it holds up to 98 bound states.
+set to RADIUS, at its three levels; ``spread3d-R``, the ball3d-R config with
+two balls of radius 0.3 and depth 60 centred at (-1.5)^3 and (1.5)^3 in
+place of its ball, a compact well whose bounding box is nearly the whole
+box; and ``band3d-R``, a band-limited random landscape at R^3 (seeded by
+--seed, cutoff 3, amplitude 300) at six levels from -150 to -20.  With
+seed 7, V < 0 on about 40 % of the box, so the box takes the sparse route,
+and at 25^3 it holds up to 98 bound states.
 Each (tree, rung) run is a fresh process that imports wellspectra from the
 tree, wraps ten layers at their import sites, the 3D sweep point's
 ``PinnedSpectrum.schur_form`` and the box operator's ``certify`` and
@@ -37,8 +40,8 @@ Per run it records:
   by ``import numpy``, numpy's OpenBLAS pool, spent during the scenario
   (``numpy_pool_ticks``; ``numpy_pool_threads`` of them, 0 without /proc);
 * the digest of the integer CSV columns (perfbench's ``rows_digest``);
-* a SHA-256 of the CSV and JSON report bytes; on a box3d or band3d rung
-  the box counts stand in for the digest and the reports.
+* a SHA-256 of the CSV and JSON report bytes; on a box-only rung the box
+  counts stand in for the digest and the reports.
 
 Beside each tree's runs it records ``src_lines``, the lines of the ``*.py``
 files under the tree.
@@ -116,8 +119,18 @@ BAND3D_EDITS = {
     "prefix = ball3d": "prefix = band3d",
 }
 
+#: ball3d -> spread3d: a compact well whose bounding box is nearly the box,
+#: two radius-0.3 balls in opposite corners (braces doubled for str.format)
+SPREAD3D_EDITS = {
+    "family = ball_well\ncenter = 0, 0, 0\nradius = 1.0\ndepth = 12.0":
+        'family = multi_well\nwells = [{{"name": "ball_well", "center": [-1.5, -1.5, -1.5], '
+        '"radius": 0.3, "depth": 60.0}}, {{"name": "ball_well", "center": [1.5, 1.5, 1.5], '
+        '"radius": 0.3, "depth": 60.0}}]',
+    "prefix = ball3d": "prefix = spread3d",
+}
+
 #: rungs that count the box operator alone
-BOX_RUNGS = ("box3d", "band3d")
+BOX_RUNGS = ("box3d", "band3d", "spread3d")
 
 
 def rung_config(rung: str, seed: int) -> str:
@@ -126,19 +139,19 @@ def rung_config(rung: str, seed: int) -> str:
     kind, _, resolution = rung.partition("-")
     resolution, _, radius = resolution.partition("-")
     if (
-        kind not in ("ball3d", "gauss3d", "box3d", "band3d")
+        kind not in ("ball3d", "gauss3d", "box3d", "band3d", "spread3d")
         or not resolution.isdigit()
         or bool(radius) != (kind == "box3d")
     ):
         raise SystemExit(
-            f"unknown rung {rung!r}: use levels-2d, ball3d-R, gauss3d-R, box3d-R-RADIUS "
-            "or band3d-R"
+            f"unknown rung {rung!r}: use levels-2d, ball3d-R, gauss3d-R, box3d-R-RADIUS, "
+            "band3d-R or spread3d-R"
         )
     text = ball3d_config(seed, resolution=int(resolution))
     if kind == "box3d":
         return text.replace("radius = 1.0", f"radius = {float(radius)!r}")
-    edits = {"gauss3d": GAUSS3D_EDITS, "band3d": BAND3D_EDITS}.get(kind, {})
-    for old, new in edits.items():
+    edits = {"gauss3d": GAUSS3D_EDITS, "band3d": BAND3D_EDITS, "spread3d": SPREAD3D_EDITS}
+    for old, new in edits.get(kind, {}).items():
         if old not in text:
             raise SystemExit(f"ball3d config has no {old!r} to edit into {kind}")
         text = text.replace(old, new.format(seed=seed))

@@ -24,9 +24,9 @@ with no sparse factor of the box.  The scaling by R matters: the
 unscaled |D|^{-1} - G_W, D = diag(V h^n), reaches 1e30 in a Gaussian's
 tails, and the pivot tolerance 1e-12 max|entry| then swamps every pivot.
 G_W is formed in SciPy's BLAS (dgemm, by ``eigcount.matmul``) from one
-dense 1-D sine matrix per axis: L0^{-1} = S diag(1/Lambda) S, and the unit
-columns of W, restricted to W's bounding box, are contracted one axis at a
-time.
+dense 1-D sine matrix per axis, L0^{-1} = S diag(1/Lambda) S, read only at
+the coordinates that W occupies: one product per axis, then one per run of
+W along the last axis, each filling that run's part of the lower triangle.
 
 The sparse route serves the rest: 1D and 2D boxes, where sparse fill stays
 far below N^2, and 3D wells that fill most of the box.  A level's count is
@@ -50,19 +50,21 @@ process's peak RSS, about 65 MB of it the imports; 2-core host, NumPy 2.4,
 SciPy 1.17):
 
     grid  radius   |W|   |W|^3/N^2   sparse            Birman-Schwinger
-    25^3   1.2    1551      25       0.90 s, 143 MB    0.34 s, 122 MB
-    25^3   1.3    1935      49       1.02 s, 143 MB    0.53 s, 132 MB
-    25^3   1.32   2103      63       0.94 s, 143 MB    0.53 s, 139 MB
-    25^3   1.35   2205      72       0.89 s, 143 MB    0.72 s, 155 MB
-    25^3   1.4    2517     108       0.97 s, 143 MB    1.03 s, 166 MB
-    33^3   1.15   3239      38       5.88 s, 375 MB    1.97 s, 238 MB
-    33^3   1.2    3743      59       5.63 s, 375 MB    2.80 s, 265 MB
-    33^3   1.3    4729     119       6.30 s, 375 MB    4.01 s, 357 MB
+    25^3   1.2    1551      25       0.97 s, 143 MB    0.24 s,  95 MB
+    25^3   1.3    1935      49       1.20 s, 143 MB    0.37 s, 106 MB
+    25^3   1.35   2205      72       1.23 s, 143 MB    0.53 s, 121 MB
+    25^3   1.4    2517     108       1.18 s, 143 MB    0.55 s, 132 MB
+    25^3   1.45   2777     145       1.25 s, 143 MB    0.77 s, 142 MB
+    25^3   1.5    3002     183       1.21 s, 143 MB    1.01 s, 152 MB
+    33^3   1.15   3239      38       7.24 s, 375 MB    1.26 s, 183 MB
+    33^3   1.2    3743      59       7.42 s, 376 MB    1.76 s, 210 MB
+    33^3   1.3    4729     119       6.78 s, 375 MB    3.07 s, 287 MB
+    33^3   1.35   5257     164       7.17 s, 375 MB    4.03 s, 328 MB
+    33^3   1.4    5887     230       7.30 s, 376 MB    5.72 s, 400 MB
 
-The dense route is faster through 72 at 25^3 (not at 108) and through 119
-at 33^3; its peak passes the sparse one's between 63 and 72 at 25^3.  At
-C = 60 it is no slower and no larger on every rung it takes, and so it was
-on the two rungs nearest C at 1 and at 6 levels.
+The dense route is faster on every rung.  Its peak passes the sparse
+one's between 145 and 183 at 25^3 and between 164 and 230 at 33^3.  At
+C = 140 it is no slower and no larger on every rung it takes.
 """
 
 from __future__ import annotations
@@ -82,10 +84,7 @@ ENUMERATION_LIMIT = 1e6
 
 #: a 3D box takes the Birman-Schwinger route when
 #: |W|^3 <= COMPACT_WELL_C * N^2 (see the module docstring)
-COMPACT_WELL_C = 60.0
-
-#: unit columns of G_W contracted per dgemm in ``birman_schwinger_matrix``
-_COLUMN_BLOCK = 128
+COMPACT_WELL_C = 140.0
 
 
 def _dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
@@ -159,12 +158,23 @@ def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
     node order; R = diag(sqrt(|V| h^n)) on W.
 
     L0^{-1} = S diag(1/Lambda) S in the n-D sine basis S = S_1 x ... x S_n.
-    Its (row, column) entry restricted to W's bounding box is a sum over the
-    modes k of prod_a S_a[c_a, k_a] S_a[i_a, k_a] / Lambda(k).  Axes 1..n-1
-    are summed first, for every (column, row) coordinate pair in the box,
-    each by one dgemm; the last axis is summed per block of W's columns by
-    one more, and the rows outside W are dropped.  The matrix is
-    Fortran-ordered, so that its factorization can overwrite it.
+    Its entry between two nodes of W is a sum over the modes k of
+    prod_a S_a[c_a, k_a] S_a[i_a, k_a] / Lambda(k).  Axes 1..n-1 are summed
+    first, each by one dgemm, for every pair of the u_a coordinates that W
+    occupies on the axis, into T.  W's nodes are in C order, so the nodes
+    that share all but their last coordinate are a run [a, b); one more
+    dgemm per run sums the last axis, between the run's nodes and every
+    node from a on.  That fills the lower triangle of the Fortran-ordered
+    result, which is all that its factorization reads and overwrites; above
+    the diagonal lie zeros, and within a run the mirrored entries.
+
+    Its footprint is known before the first allocation.  With m_a modes on
+    axis a, T holds A_j = u_1^2 ... u_j^2 m_{j+1} ... m_n doubles once j
+    axes are summed.  Summing axis j + 1 holds A_j, its reordered copy (for
+    j >= 1) and A_{j+1}.  Then the result, T and the runs hold
+    |W|^2 + A_{n-1} + 3 |W| m_n doubles at most (the last axis's rows and
+    one run's two products), and index vectors of |W| integers.  On a
+    compact well the |W|^2 result is most of it.
     """
     grid = V.grid
     n, h = grid.dimension, grid.spacing
@@ -177,43 +187,32 @@ def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
     if size == 0:
         return np.empty((0, 0))
     r = np.sqrt(-inner[well] * h**n)
-    lo = [int(c.min()) for c in coords]
     bases = [_sine_basis(m) for m in inner.shape]
-    rows = [S[a:int(c.max()) + 1] for (S, _), a, c in zip(bases, lo, coords)]
-    spectrum = -e * h**n
+    # T starts as 1/Lambda(k); its axes are the (column, row) pairs of the
+    # axes summed so far, latest first, then the modes of the axes still to sum
+    T = -e * h**n
     for axis, (_, lam) in enumerate(bases):
-        spectrum = spectrum + h ** (n - 2) * lam.reshape([-1 if a == axis else 1 for a in range(n)])
-    # T's axes: the (column, row) pairs of the axes summed so far, latest
-    # first, then the modes of the axes still to sum
-    T = 1.0 / spectrum
-    for axis in range(n - 1):
-        S = rows[axis]
+        T = T + h ** (n - 2) * lam.reshape([-1 if a == axis else 1 for a in range(n)])
+    T = 1.0 / T
+    occupied = [np.unique(c, return_inverse=True) for c in coords[:-1]]
+    for axis, (values, _) in enumerate(occupied):
+        S = bases[axis][0][values]
         pairs = (S[:, None, :] * S[None, :, :]).reshape(-1, S.shape[1])
         rest = T.shape[:axis] + T.shape[axis + 1:]
         T = matmul(pairs, np.moveaxis(T, axis, 0).reshape(S.shape[1], -1))
         T = T.reshape((pairs.shape[0],) + rest)
-    # to (column prefix, row prefix, last mode), each prefix in C order
-    widths = [S.shape[0] for S in rows[:-1]]
-    paired = [w for w in reversed(widths) for _ in range(2)]
-    order = [2 * (n - 2 - a) for a in range(n - 1)] + [2 * (n - 2 - a) + 1 for a in range(n - 1)]
-    prefix = int(np.prod(widths))
-    last = rows[-1]
-    T = T.reshape(paired + [last.shape[1]]).transpose(order + [2 * (n - 1)])
-    T = np.ascontiguousarray(T).reshape(prefix, prefix, last.shape[1])
-    column = np.zeros(size, dtype=np.intp)
-    for axis in range(n - 1):
-        column = column * widths[axis] + (coords[axis] - lo[axis])
-    depth = coords[-1] - lo[-1]
-    box_position = column * last.shape[0] + depth
-    out = np.empty((size, size), order="F")
-    for start in range(0, size, _COLUMN_BLOCK):
-        block = slice(start, start + _COLUMN_BLOCK)
-        Y = T[column[block]] * last[depth[block]][:, None, :]
-        G = matmul(Y.reshape(-1, last.shape[1]), last.T).reshape(Y.shape[0], -1)
-        # G_W is symmetric: these columns are also the block's rows
-        out[block] = G[:, box_position] * (-r[block, None] * r)
+    last = bases[-1][0][coords[-1]]
+    prefix = np.array(coords[:-1]).reshape(n - 1, size)
+    starts = [0, *(np.flatnonzero(np.any(prefix[:, 1:] != prefix[:, :-1], axis=0)) + 1)]
+    out = np.zeros((size, size))
+    for a, b in zip(starts, [*starts[1:], size]):
+        pair = tuple(inv[a:] * values.size + inv[a] for values, inv in reversed(occupied))
+        G = matmul(last[a:b], (T[pair] * last[a:]).T)
+        # out is C-ordered: these rows are the columns of the result
+        np.multiply(-r[a:b, None], r[a:], out=out[a:b, a:])
+        out[a:b, a:] *= G
     out[np.diag_indices(size)] += 1.0
-    return out
+    return out.T
 
 
 def _fresh(kind: type, message: str) -> Exception:

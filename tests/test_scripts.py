@@ -162,6 +162,26 @@ def test_shift_order_ladder_band_rung(tmp_path):
         assert sum(run["factorizations"].values()) == 6
         assert run["layers"]["box"]["calls"] >= 1 and run["violations"] is None
 
+
+def test_shift_order_ladder_spread_rung(tmp_path):
+    """A spread3d rung counts the box of two small balls in opposite
+    corners alone: at 9^3 each ball is one node, the box takes the
+    Birman-Schwinger route by the rule, and forced onto the sparse route it
+    reads the same two bound states at each of the three levels."""
+    src = str(Path(wellspectra.__file__).resolve().parents[1])
+    run_script(
+        "shift_order_ladder.py", "--before", src, "--rungs", "spread3d-9", "--repeats", "1",
+        "--route", "sparse", cwd=tmp_path,
+    )
+    rungs = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]
+    rung = rungs["spread3d-9@sparse"]
+    assert rung["digest_equal"] and json.loads(rung["after"]["digest"]) == [2, 2, 2]
+    for side, route in (("before", "birman-schwinger"), ("after", "sparse")):
+        run = rung[side]
+        assert run["box_route"] == route and sum(run["factorizations"].values()) == 3
+        assert run["violations"] is None
+
+
 def _assigned(path, name):
     """The literal value assigned to the module-level ``name`` in ``path``,
     read without importing the file."""
