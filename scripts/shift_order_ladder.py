@@ -9,13 +9,16 @@ A rung is one scenario config built from perfbench/workloads.py:
 ``levels-2d`` (the 2D three-well landscape with 32 levels), ``ball3d-R``
 (the 3D ball well at R^3, whose three levels share one plateau) or
 ``gauss3d-R`` (the ball3d-R config edited to a Gaussian well of width 0.8
-at levels -4, -7 and -10, on which no two levels share a plateau).  Three
+at levels -4, -7 and -10, on which no two levels share a plateau).  Four
 kinds of rung run the box layer alone, counted by one ``BoxOperator`` at
 the config's levels: ``box3d-R-RADIUS``, the ball3d-R well with its radius
 set to RADIUS, at its three levels; ``spread3d-R``, the ball3d-R config with
 two balls of radius 0.3 and depth 60 centred at (-1.5)^3 and (1.5)^3 in
 place of its ball, a compact well whose bounding box is nearly the whole
-box; and ``band3d-R``, a band-limited random landscape at R^3 (seeded by
+box; ``lattice3d-R-RADIUS``, the ball3d-R config with 64 balls of radius
+RADIUS and depth 60, centred on the lattice {-1.35, -0.45, 0.45, 1.35}^3,
+in place of its ball, a well that occupies most coordinates of every axis;
+and ``band3d-R``, a band-limited random landscape at R^3 (seeded by
 --seed, cutoff 3, amplitude 300) at six levels from -150 to -20.  With
 seed 7, V < 0 on about 40 % of the box, so the box takes the sparse route,
 and at 25^3 it holds up to 98 bound states.
@@ -61,6 +64,7 @@ last run.
 import argparse
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import platform
@@ -129,8 +133,11 @@ SPREAD3D_EDITS = {
     "prefix = ball3d": "prefix = spread3d",
 }
 
+#: ball3d -> lattice3d: the centres of its balls on each axis
+LATTICE3D_CENTRES = (-1.35, -0.45, 0.45, 1.35)
+
 #: rungs that count the box operator alone
-BOX_RUNGS = ("box3d", "band3d", "spread3d")
+BOX_RUNGS = ("box3d", "band3d", "spread3d", "lattice3d")
 
 
 def rung_config(rung: str, seed: int) -> str:
@@ -139,17 +146,26 @@ def rung_config(rung: str, seed: int) -> str:
     kind, _, resolution = rung.partition("-")
     resolution, _, radius = resolution.partition("-")
     if (
-        kind not in ("ball3d", "gauss3d", "box3d", "band3d", "spread3d")
+        kind not in ("ball3d", "gauss3d", "box3d", "band3d", "spread3d", "lattice3d")
         or not resolution.isdigit()
-        or bool(radius) != (kind == "box3d")
+        or bool(radius) != (kind in ("box3d", "lattice3d"))
     ):
         raise SystemExit(
             f"unknown rung {rung!r}: use levels-2d, ball3d-R, gauss3d-R, box3d-R-RADIUS, "
-            "band3d-R or spread3d-R"
+            "band3d-R, spread3d-R or lattice3d-R-RADIUS"
         )
     text = ball3d_config(seed, resolution=int(resolution))
     if kind == "box3d":
         return text.replace("radius = 1.0", f"radius = {float(radius)!r}")
+    if kind == "lattice3d":
+        wells = [
+            {"name": "ball_well", "center": list(centre), "radius": float(radius), "depth": 60.0}
+            for centre in itertools.product(LATTICE3D_CENTRES, repeat=3)
+        ]
+        return text.replace("prefix = ball3d", "prefix = lattice3d").replace(
+            "family = ball_well\ncenter = 0, 0, 0\nradius = 1.0\ndepth = 12.0",
+            f"family = multi_well\nwells = {json.dumps(wells)}",
+        )
     edits = {"gauss3d": GAUSS3D_EDITS, "band3d": BAND3D_EDITS, "spread3d": SPREAD3D_EDITS}
     for old, new in edits.get(kind, {}).items():
         if old not in text:

@@ -25,8 +25,7 @@ unscaled |D|^{-1} - G_W, D = diag(V h^n), reaches 1e30 in a Gaussian's
 tails, and the pivot tolerance 1e-12 max|entry| then swamps every pivot.
 G_W is formed in SciPy's BLAS (dgemm, by ``eigcount.matmul``) from one
 dense 1-D sine matrix per axis, L0^{-1} = S diag(1/Lambda) S, read only at
-the coordinates that W occupies: one product per axis, then one per run of
-W along the last axis, each filling that run's part of the lower triangle.
+the coordinates that W occupies.
 
 The sparse route serves the rest: 1D and 2D boxes, where sparse fill stays
 far below N^2, and 3D wells that fill most of the box.  A level's count is
@@ -43,28 +42,28 @@ levels below it are still factored.
 The rule: a 3D box of N interior nodes takes the Birman-Schwinger route
 when |W|^3 <= COMPACT_WELL_C * N^2.  Both routes make one factor per level,
 so the number of levels does not enter; the dense inertia costs |W|^3/3
-per level, and the sparse LU of a 3D box grows about as N^2.  Ball wells of
-depth 12 at levels -0.5, -2 and -6, each route forced, the box counted
-alone (BENCH_box_rule.json: medians of 5 processes; time, and the
-process's peak RSS, about 65 MB of it the imports; 2-core host, NumPy 2.4,
-SciPy 1.17):
+per level, and the sparse LU of a 3D box grows about as N^2.  The rule
+reads |W| alone: beyond the |W|^2 matrix, the construction's memory is
+small whatever W's shape.  BENCH_box_rule.json forces each route on balls
+of depth 12 and on lattice3d wells, 64 balls of depth 60 that occupy
+most coordinates of every axis, at levels -0.5, -2 and -6, the box
+counted alone (medians of 5 processes; time, and the process's peak RSS,
+about 65 MB of it the imports; 2-core host, NumPy 2.4, SciPy 1.17).  On
+each well and grid, the dense route is faster and smaller on every rung
+up to the first row below, and loses on the next rung, the second:
 
-    grid  radius   |W|   |W|^3/N^2   sparse            Birman-Schwinger
-    25^3   1.2    1551      25       0.97 s, 143 MB    0.24 s,  95 MB
-    25^3   1.3    1935      49       1.20 s, 143 MB    0.37 s, 106 MB
-    25^3   1.35   2205      72       1.23 s, 143 MB    0.53 s, 121 MB
-    25^3   1.4    2517     108       1.18 s, 143 MB    0.55 s, 132 MB
-    25^3   1.45   2777     145       1.25 s, 143 MB    0.77 s, 142 MB
-    25^3   1.5    3002     183       1.21 s, 143 MB    1.01 s, 152 MB
-    33^3   1.15   3239      38       7.24 s, 375 MB    1.26 s, 183 MB
-    33^3   1.2    3743      59       7.42 s, 376 MB    1.76 s, 210 MB
-    33^3   1.3    4729     119       6.78 s, 375 MB    3.07 s, 287 MB
-    33^3   1.35   5257     164       7.17 s, 375 MB    4.03 s, 328 MB
-    33^3   1.4    5887     230       7.30 s, 376 MB    5.72 s, 400 MB
+    well     grid    |W|   |W|^3/N^2   sparse            Birman-Schwinger
+    ball     25^3   3002      183      1.20 s, 143 MB    1.05 s, 137 MB
+    ball     25^3   3407      267      0.92 s, 143 MB    1.35 s, 157 MB
+    lattice  25^3   3096      200      1.23 s, 143 MB    1.17 s, 142 MB
+    lattice  25^3   3744      355      1.15 s, 143 MB    1.77 s, 176 MB
+    ball     33^3   5887      230      6.86 s, 375 MB    5.53 s, 338 MB
+    ball     33^3   6619      327      6.77 s, 375 MB    7.38 s, 405 MB
+    lattice  33^3   5328      170      7.65 s, 376 MB    4.21 s, 287 MB
+    lattice  33^3   6440      301      6.93 s, 376 MB    6.28 s, 391 MB
 
-The dense route is faster on every rung.  Its peak passes the sparse
-one's between 145 and 183 at 25^3 and between 164 and 230 at 33^3.  At
-C = 140 it is no slower and no larger on every rung it takes.
+C = 170 is the largest ratio up to which every well on every grid was
+measured no slower and no larger.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ ENUMERATION_LIMIT = 1e6
 
 #: a 3D box takes the Birman-Schwinger route when
 #: |W|^3 <= COMPACT_WELL_C * N^2 (see the module docstring)
-COMPACT_WELL_C = 140.0
+COMPACT_WELL_C = 170.0
 
 
 def _dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
@@ -157,24 +156,21 @@ def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
     and columns run over the well W = {V < 0} of the box interior, in linear
     node order; R = diag(sqrt(|V| h^n)) on W.
 
-    L0^{-1} = S diag(1/Lambda) S in the n-D sine basis S = S_1 x ... x S_n.
-    Its entry between two nodes of W is a sum over the modes k of
-    prod_a S_a[c_a, k_a] S_a[i_a, k_a] / Lambda(k).  Axes 1..n-1 are summed
-    first, each by one dgemm, for every pair of the u_a coordinates that W
-    occupies on the axis, into T.  W's nodes are in C order, so the nodes
-    that share all but their last coordinate are a run [a, b); one more
-    dgemm per run sums the last axis, between the run's nodes and every
-    node from a on.  That fills the lower triangle of the Fortran-ordered
-    result, which is all that its factorization reads and overwrites; above
-    the diagonal lie zeros, and within a run the mirrored entries.
+    L0^{-1} = S diag(1/Lambda) S in the n-D sine basis (n >= 2); its entry
+    between two nodes c and i of W sums prod_a S_a[c_a, k_a] S_a[i_a, k_a]
+    / Lambda(k) over the modes k.  W's nodes are in C order: those that
+    share all but their last coordinate are a run [a, b), and the runs that
+    share their first coordinate a slab.  Per slab, one dgemm per axis sums
+    axes 1..n-1 into T, over the u_a coordinates that W occupies on each;
+    per run, one more sums the last axis against every node from a on.
+    That fills the lower triangle of the Fortran-ordered result, all that
+    its factor reads (above the diagonal: zeros, and a run's mirrored ones).
 
-    Its footprint is known before the first allocation.  With m_a modes on
-    axis a, T holds A_j = u_1^2 ... u_j^2 m_{j+1} ... m_n doubles once j
-    axes are summed.  Summing axis j + 1 holds A_j, its reordered copy (for
-    j >= 1) and A_{j+1}.  Then the result, T and the runs hold
-    |W|^2 + A_{n-1} + 3 |W| m_n doubles at most (the last axis's rows and
-    one run's two products), and index vectors of |W| integers.  On a
-    compact well the |W|^2 result is most of it.
+    In 3D, with m_a modes on axis a and N = m_1 m_2 m_3, it holds besides
+    the |W|^2 result at most 3N + u_1 u_2^2 m_3 + u_2^2 m_2 + 4 |W| m_3
+    doubles, 10 |W| index integers, the sine matrices and a few kB, known
+    before the first allocation; W's shape enters only these small terms
+    (m^4 doubles at most).  At most N / m_3 runs gather at most N |W| doubles.
     """
     grid = V.grid
     n, h = grid.dimension, grid.spacing
@@ -188,26 +184,30 @@ def birman_schwinger_matrix(V: PotentialField, e: float) -> np.ndarray:
         return np.empty((0, 0))
     r = np.sqrt(-inner[well] * h**n)
     bases = [_sine_basis(m) for m in inner.shape]
-    # T starts as 1/Lambda(k); its axes are the (column, row) pairs of the
-    # axes summed so far, latest first, then the modes of the axes still to sum
-    T = -e * h**n
+    inverse = -e * h**n  # 1/Lambda(k), over the modes of every axis
     for axis, (_, lam) in enumerate(bases):
-        T = T + h ** (n - 2) * lam.reshape([-1 if a == axis else 1 for a in range(n)])
-    T = 1.0 / T
-    occupied = [np.unique(c, return_inverse=True) for c in coords[:-1]]
-    for axis, (values, _) in enumerate(occupied):
-        S = bases[axis][0][values]
-        pairs = (S[:, None, :] * S[None, :, :]).reshape(-1, S.shape[1])
-        rest = T.shape[:axis] + T.shape[axis + 1:]
-        T = matmul(pairs, np.moveaxis(T, axis, 0).reshape(S.shape[1], -1))
-        T = T.reshape((pairs.shape[0],) + rest)
+        inverse = inverse + h ** (n - 2) * lam.reshape([-1 if a == axis else 1 for a in range(n)])
+    np.divide(1.0, inverse, out=inverse)
+    (first, first_inv), *occupied = [np.unique(c, return_inverse=True) for c in coords[:-1]]
+    pairs = [bases[axis][0][values] for axis, (values, _) in enumerate(occupied, 1)]
+    pairs = [(S[:, None, :] * S[None, :, :]).reshape(-1, S.shape[1]) for S in pairs]
     last = bases[-1][0][coords[-1]]
-    prefix = np.array(coords[:-1]).reshape(n - 1, size)
-    starts = [0, *(np.flatnonzero(np.any(prefix[:, 1:] != prefix[:, :-1], axis=0)) + 1)]
+    starts = [0, *(np.flatnonzero(np.any(np.diff(coords[:-1], axis=1) != 0, axis=0)) + 1)]
     out = np.zeros((size, size))
     for a, b in zip(starts, [*starts[1:], size]):
+        i = first_inv[a]
+        if a == 0 or i != first_inv[a - 1]:
+            # T's axes: the (column, row) pairs of axes n-2..1, the row's
+            # axis-0 coordinate (the i-th or past it), the last axis's modes
+            S = bases[0][0]
+            T = matmul(S[first[i]] * S[first[i:]], inverse.reshape(len(S), -1))
+            T = T.reshape((-1,) + inverse.shape[1:])
+            for axis, P in enumerate(pairs, 1):
+                rest = T.shape[:axis] + T.shape[axis + 1:]
+                T = matmul(P, np.moveaxis(T, axis, 0).reshape(T.shape[axis], -1))
+                T = T.reshape((P.shape[0],) + rest)
         pair = tuple(inv[a:] * values.size + inv[a] for values, inv in reversed(occupied))
-        G = matmul(last[a:b], (T[pair] * last[a:]).T)
+        G = matmul(last[a:b], (T[(*pair, first_inv[a:] - i)] * last[a:]).T)
         # out is C-ordered: these rows are the columns of the result
         np.multiply(-r[a:b, None], r[a:], out=out[a:b, a:])
         out[a:b, a:] *= G
@@ -316,9 +316,9 @@ def reduction_check(
     so clamping only strengthens the check.  The sublevel pencil reads V
     only where V < e <= 0, so it is the same for V and min(V, 0).
     ``pencil`` is the sublevel pencil of (V, e) if the caller already
-    assembled it.  ``box`` is the scenario's BoxOperator of V, which
-    counts the box operator once for all its levels, e among them.  Returns (N_operator,
-    N_weighted_full, inequality_holds).
+    assembled it.  ``box`` is the scenario's BoxOperator of V, which counts
+    the box operator once for all its levels, e among them.  Returns
+    (N_operator, N_weighted_full, inequality_holds).
     """
     if lam < 1.0:
         raise ValueError("the reduction needs lam >= 1")

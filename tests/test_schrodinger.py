@@ -595,6 +595,29 @@ def test_birman_schwinger_matrix_footprint_follows_the_well():
     assert inertia(A).n_minus == _direct_box_count(V, -0.5) >= 1
 
 
+def test_birman_schwinger_footprint_bound_holds_on_a_spanning_well():
+    """On a random landscape whose well occupies every coordinate of the
+    box, the construction's tracemalloc peak stays within the bound that
+    its docstring states: the |W|^2 result plus 3N + u_1 u_2^2 m_3 +
+    u_2^2 m_2 + 4 |W| m_3 doubles, 10 |W| index integers, the sine
+    matrices and a few kB."""
+    grid = GridSpec(box=((-2.0, 2.0),) * 3, resolution=(17,) * 3)
+    family = {"name": "band_limited_random", "seed": 3, "cutoff": 3, "amplitude": 300.0}
+    V = build_potential(family, grid)
+    coords = np.nonzero(schrodinger._interior(V) < 0)
+    size, m = coords[0].size, 15
+    u = [np.unique(c).size for c in coords]
+    assert u == [m] * 3
+    doubles = size**2 + 3 * m**3 + u[0] * u[1] ** 2 * m + u[1] ** 2 * m + 4 * size * m
+    tracemalloc.start()
+    try:
+        birman_schwinger_matrix(V, -40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (doubles + 10 * size + 3 * m * (m + 1)) + 16 * 2**10
+
+
 # --------------------------------------------------------------- box count
 
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wellspectra
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,19 +165,24 @@ def test_shift_order_ladder_band_rung(tmp_path):
         assert run["layers"]["box"]["calls"] >= 1 and run["violations"] is None
 
 
-def test_shift_order_ladder_spread_rung(tmp_path):
+@pytest.mark.parametrize(
+    "rung_name, counts",
+    [("spread3d-9", [2, 2, 2]), ("lattice3d-15-0.3", [175, 169, 117])],
+)
+def test_shift_order_ladder_spread_and_lattice_rungs(tmp_path, rung_name, counts):
     """A spread3d rung counts the box of two small balls in opposite
-    corners alone: at 9^3 each ball is one node, the box takes the
-    Birman-Schwinger route by the rule, and forced onto the sparse route it
-    reads the same two bound states at each of the three levels."""
+    corners alone (at 9^3 each ball is one node), and a lattice3d rung that
+    of 64 balls that span the box (at 15^3 with radius 0.3, 408 nodes).
+    Each box takes the Birman-Schwinger route by the rule, and forced onto
+    the sparse route it reads the same counts at the three levels."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
     run_script(
-        "shift_order_ladder.py", "--before", src, "--rungs", "spread3d-9", "--repeats", "1",
+        "shift_order_ladder.py", "--before", src, "--rungs", rung_name, "--repeats", "1",
         "--route", "sparse", cwd=tmp_path,
     )
     rungs = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]
-    rung = rungs["spread3d-9@sparse"]
-    assert rung["digest_equal"] and json.loads(rung["after"]["digest"]) == [2, 2, 2]
+    rung = rungs[f"{rung_name}@sparse"]
+    assert rung["digest_equal"] and json.loads(rung["after"]["digest"]) == counts
     for side, route in (("before", "birman-schwinger"), ("after", "sparse")):
         run = rung[side]
         assert run["box_route"] == route and sum(run["factorizations"].values()) == 3
