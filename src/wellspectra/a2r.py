@@ -202,10 +202,11 @@ class PinnedSpectrum:
     W is made by blocks of columns of s.eigenvectors, each scaled, and the
     norms by blocks of rows, entry for entry as from X.
     A later level of a plateau passes the run's first eigenvectors with
-    scale = sqrt(r) (see ``scenario._Run``).  The norms' call checks X
-    M_II-orthonormal, unless the caller has ``checked`` it.  Nothing keeps
-    the eigenvectors, so the |I|^2 array is freed once the caller lets go
-    of ``s``.
+    scale = sqrt(r) (see ``scenario._Run``), and with ``schur`` False when
+    it makes no sweep point: it then keeps neither W nor K_BB.  The norms'
+    call checks X M_II-orthonormal, unless the caller has ``checked`` it.
+    Nothing keeps the eigenvectors, so the |I|^2 array is freed once the
+    caller lets go of ``s``.
     """
 
     def __init__(
@@ -216,6 +217,7 @@ class PinnedSpectrum:
         *,
         scale: float = 1.0,
         checked: bool = False,
+        schur: bool = True,
     ):
         if s.count != p.n_interior:
             raise ValueError("the pinned spectrum needs all |I| eigenvalues")
@@ -226,6 +228,7 @@ class PinnedSpectrum:
             self.two_infinity = two_infinity_norm(
                 s, p.M_interior, t, scale=scale, check=not checked
             )
+        if X is not None and schur:
             K_BI = p.K_IB.T
             self._W = np.empty((p.n_boundary, X.shape[1]), order="F")
             for start in range(0, X.shape[1], _COLUMN_BLOCK):
@@ -236,7 +239,7 @@ class PinnedSpectrum:
     def schur_form(self, lam: float) -> np.ndarray | None:
         """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense and
         Fortran-ordered, lower triangle, zeros above, or None when the
-        spectrum came without eigenvectors: the eigenvalues below lam enter
+        spectrum holds no W: the eigenvalues below lam enter
         through one dsyrk and those above through another, each on W's
         columns scaled by |mu - lam|^(-1/2), into the lower triangle of
         K_BB.  A shift equal to a pinned eigenvalue is OnEigenvalue."""

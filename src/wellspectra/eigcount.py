@@ -134,11 +134,15 @@ class Factorization:
     can grow, so before the pivots are trusted one solve with a fixed
     right-hand side measures the normwise backward error
     ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf); above
-    BACKWARD_ERROR_TOL the factor is refused too.  The guard is skipped when
-    a pivot already lies within tau0, so a singular A keeps n_zero > 0.  A
-    refused or failed sparse factor falls back to the dense path up to order
-    DENSE_CAP.  Above it, SuperLU's "exactly singular" is OnEigenvalue: with
-    diag_pivot_thresh=0 it stops only at a pivot column that is zero
+    BACKWARD_ERROR_TOL the factor is refused too.  A pivot within tau0 does
+    not show that A is singular: diagonals that cancel exactly in the
+    fill-reducing order give a nonsingular A a zero pivot there.  Up to
+    order DENSE_CAP such a factor is refused as well; above it the guard is
+    skipped and the pivot is counted in n_zero, so a nonsingular A can read
+    as on the spectrum there.  A refused or failed sparse factor falls back
+    to the dense path up to order DENSE_CAP, whose Bunch-Kaufman pivots
+    decide n_zero.  Above it, SuperLU's "exactly singular" is OnEigenvalue:
+    with diag_pivot_thresh=0 it stops only at a pivot column that is zero
     throughout, so A is singular.  Any other refusal there is
     FactorizationBreakdown.
 
@@ -232,6 +236,8 @@ class Factorization:
                     f"unpivoted factor is unstable (backward error {error:.2e})"
                 )
             self.backward_error = error
+        elif A.shape[0] <= DENSE_CAP:
+            raise FactorizationBreakdown("a pivot lies within the rank tolerance")
         self._lu, self._perm = lu, perm
         return pivots
 

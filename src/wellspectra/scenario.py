@@ -18,9 +18,9 @@ report reads it.  A level holds its pinned spectrum in one
 ``a2r.PinnedSpectrum``: the eigenvalues, and in dimension >= 3, where the
 semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
 read the eigenvectors, the norms over the time grid (whose computation
-checks the eigenvectors w-orthonormal, once per run of levels) and
-W = K_BI X; the level lets go of its |I|^2 eigenvector array before its
-first sweep point.
+checks the eigenvectors w-orthonormal, once per run of levels) and, on a
+level that sweeps, W = K_BI X; the level lets go of its |I|^2 eigenvector
+array before its first sweep point.
 The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
 ``BoxOperator``, counted before the first level, while the resident set is
@@ -37,12 +37,21 @@ the pinned spectrum (mu, X) from its first level's pencil, exactly as that
 level would alone; a later level, whose interior mass is m_e = (e - V0) h^n,
 takes mu r and X sqrt(r) with r = m_1/m_e, read off X without a copy.  The
 run checks X once, at its first level, and estimates b once, from its first
-level: b does not change with the mass.  Every level still classifies its
-nodes and assembles its own pencil (the same nodes in the same order, so the
-shared P0 fits it), and takes its own boundary measures off P0,
-PinnedSpectrum (2->infinity norms and W included), sweep-point
-factorizations, box count and reduction check; no count is copied between
-levels.  The run lets go of X once its last level has built its spectrum.
+level: b does not change with the mass.  When the shift grid follows the
+spectrum (neither lambda_min nor lambda_max is configured), a plateau also
+sweeps once, at its first level.  A later level's pencils are the first
+level's with the masses over r, and its default grid is the first one
+times r, so it reports the first level's sweep points with lambda,
+a_lambda_norm and gamma times r and every count as it is.  Each count stays
+the inertia of the matrix it names, by congruence: K - (r lam)(M_1/r) =
+K - lam M_1, and S(0) - (r gamma)(mu_B/r) = S(0) - gamma mu_B (see
+``_Run.sweep``).  A run of one, a plateau whose grid is configured and a
+standalone ``_LevelRun`` sweep level by level.  Every level still
+classifies its nodes and assembles its own pencil (the same nodes in the
+same order, so the shared P0 fits it), and computes its own boundary
+measures off P0, 2->infinity norms, heat traces, bound columns, verdicts,
+box count and reduction check.  The run lets go of X once its last level
+has built its spectrum.
 
 Config schema::
 
@@ -68,6 +77,7 @@ import configparser
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -383,6 +393,26 @@ def _plateau_runs(V: PotentialField, levels) -> list:
     return runs
 
 
+class _Point(NamedTuple):
+    """The counts of one sweep point: the shift ``lam`` used (after any
+    nudge), N_full, N_dir, N_a2r_nonpos, the identity flag, a_lambda_norm
+    at ``lam``, the gamma used and N_a2r_gamma."""
+
+    lam: float
+    n_full: int
+    n_dir: int
+    n_bnd: int
+    identity: bool
+    norm: float
+    gamma: float
+    n_gamma: int
+
+    def scaled(self, r: float) -> _Point:
+        """The point of a pencil whose mass is this one's over r: the shift,
+        the norm and gamma times r, every count as it is."""
+        return self._replace(lam=self.lam * r, norm=self.norm * r, gamma=self.gamma * r)
+
+
 class _Run:
     """The sublevel problem of a run of consecutive levels (see
     ``_plateau_runs``), computed from the run's first level; a level that
@@ -390,12 +420,19 @@ class _Run:
 
     It keeps P0 with S(0) and c_P (value and pair count), the first level's
     pinned spectrum, with its eigenvectors until the run's last level has
-    read them, and b.
+    read them, and b.  A run of more than one level whose shift grid
+    follows the spectrum (``shares_sweep``: neither end of it configured)
+    also keeps its first level's sweep points (see ``sweep``).
     """
 
-    def __init__(self, levels: int = 1):
+    def __init__(self, levels: int = 1, shares_sweep: bool = False):
         self.levels_left = levels
-        self.zero = self.spectrum = self.mass = self.b = None
+        self.shares_sweep = shares_sweep and levels > 1
+        self.zero = self.spectrum = self.mass = self.b = self.points = None
+
+    def _ratio(self, pencil: AssembledPencil) -> float:
+        """r = m_1/m_e, the run's first interior mass over ``pencil``'s."""
+        return float(self.mass / pencil.M_interior[0])
 
     def poisson_zero(self, pencil: AssembledPencil):
         """The lam = 0 Poisson matrix P0 of the run's first pencil, S(0), and
@@ -426,21 +463,47 @@ class _Run:
         covers X_e: M_e = M_1/r, so X_e' M_e X_e = r X_1' (M_1/r) X_1 =
         X_1' M_1 X_1, up to the rounding of the scaling by sqrt(r) and of
         r itself (a few ulps, far below ORTHONORMALITY_TOL = 1e-8); so a run
-        makes one Gram check."""
+        makes one Gram check.  A later level of a run that shares its sweep
+        makes no sweep point, so its PinnedSpectrum forms no W."""
         first = self.spectrum
         if first is None:
             first = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
             self.mass = pencil.M_interior[0]
             spectrum = a2r.PinnedSpectrum(pencil, first, t)
         else:
-            r = float(self.mass / pencil.M_interior[0])
+            r = self._ratio(pencil)
             s = SpectralSummary(
                 eigenvalues=first.eigenvalues * r, eigenvectors=first.eigenvectors
             )
-            spectrum = a2r.PinnedSpectrum(pencil, s, t, scale=np.sqrt(r), checked=True)
+            spectrum = a2r.PinnedSpectrum(
+                pencil, s, t, scale=np.sqrt(r), checked=True, schur=not self.shares_sweep
+            )
         self.levels_left -= 1
         self.spectrum = first if self.levels_left else None
         return spectrum
+
+    def sweep(self, pencil: AssembledPencil, compute) -> list:
+        """The sweep points of ``pencil``'s level: ``compute()``, the level's
+        own sweep, or on a later level of a run that shares its sweep, the
+        first level's points scaled by r = m_1/m_e (``_Point.scaled``).
+
+        The later level's pencils are the first level's with the masses
+        over r, so N_e(lam) = N_1(lam/r), and its default grid, read off
+        mu_1 r, is the first level's times r.  Each count stays the inertia
+        of the matrix it names: K - (r lam_1)(M_1/r) = K - lam_1 M_1 gives
+        N_full, N_dir and, through its Schur complement, N_a2r_nonpos; and
+        with mu_B = m_1 P0' 1 the first level's boundary measure,
+        S(0) - (r gamma_1)(mu_B/r) = S(0) - gamma_1 mu_B gives N_a2r_gamma.
+        a_lambda_norm, homogeneous of degree 1 in (mu, lam), scales by r.
+        Such a level makes no sweep-point factorization and forms no
+        S(lam)."""
+        if self.points is not None:
+            r = self._ratio(pencil)
+            return [point.scaled(r) for point in self.points]
+        points = compute()
+        if self.shares_sweep:
+            self.points = points
+        return points
 
     def estimate_b(self, cfg: ScenarioConfig, bm: a2r.BoundaryMeasures, sigma) -> float:
         """The EMPIRICAL trace offset b of ``bounds.estimate_b`` from S(0) and
@@ -464,8 +527,10 @@ class _LevelRun:
 
     ``box`` is the scenario's BoxOperator of V; by default the level counts
     the box operator on its own.  ``shared`` is the _Run of levels whose
-    sublevel problem (P0, the pinned spectrum and b) the level reads; by
-    default the level is a run of one.
+    sublevel problem (P0, the pinned spectrum and b) the level reads, and
+    on a later level of a run that shares its sweep, the sweep points,
+    rescaled (``_Run.sweep``); by default the level is a run of one and
+    sweeps its own grid.
     """
 
     def __init__(
@@ -523,14 +588,12 @@ class _LevelRun:
         kernel_report = self._kernel_constant_report(kernel)
         self.consts = self._derive_constants()
 
-        lam_grid = lambda_grid(
-            self.spectrum.summary.eigenvalues, sweep.lambda_min, sweep.lambda_max, sweep.points
-        )
+        points = self.shared.sweep(pencil, self._sweep)
         two_inf = self.spectrum.two_infinity
         if two_inf is None:
             two_inf = [None] * len(t_grid)
-        for lam, t, two in zip(lam_grid, t_grid, two_inf):
-            row, reports = self._sweep_point(lam, t, two)
+        for point, t, two in zip(points, t_grid, two_inf):
+            row, reports = self._sweep_point(point, t, two)
             self.rows.append(row)
             self.reports.extend(reports)
             if row["identity_holds"] is not True:
@@ -589,7 +652,15 @@ class _LevelRun:
 
     # -- per sweep point ---------------------------------------------------
 
-    def _sweep_point(self, lam0: float, t: float, two_inf: float | None):
+    def _sweep(self) -> list:
+        """The _Point of each shift of the level's own grid."""
+        sweep = self.cfg.sweep
+        lam_grid = lambda_grid(
+            self.spectrum.summary.eigenvalues, sweep.lambda_min, sweep.lambda_max, sweep.points
+        )
+        return [self._counts(lam) for lam in lam_grid]
+
+    def _counts(self, lam0: float) -> _Point:
         def counting(lam):
             n_full, n_dir, n_bnd, identity = a2r.splitting_counts(
                 self.pencil, lam, self.spectrum
@@ -605,7 +676,11 @@ class _LevelRun:
             return count_below(self.S0, self.bm.mu, g)
 
         gamma, n_gamma = _nudged(boundary_count, gamma0, "gamma")
-        counting_ok = n_full <= n_dir + n_gamma
+        return _Point(lam, n_full, n_dir, n_bnd, bool(identity), gamma0, gamma, n_gamma)
+
+    def _sweep_point(self, point: _Point, t: float, two_inf: float | None):
+        lam, n_dir, gamma, n_gamma = point.lam, point.n_dir, point.gamma, point.n_gamma
+        counting_ok = point.n_full <= n_dir + n_gamma
 
         reports = []
         consts = self.consts
@@ -675,13 +750,13 @@ class _LevelRun:
             "scenario_id": self.scenario_id,
             "e": self.e,
             "lambda": lam,
-            "N_full": n_full,
+            "N_full": point.n_full,
             "N_dir": n_dir,
-            "N_a2r_nonpos": n_bnd,
-            "identity_holds": bool(identity),
+            "N_a2r_nonpos": point.n_bnd,
+            "identity_holds": point.identity,
             "gamma": gamma,
             "N_a2r_gamma": n_gamma,
-            "a_lambda_norm": gamma0,
+            "a_lambda_norm": point.norm,
             "bound_thm54": bound54,
             "bound_thm59": bound59,
             "heat_trace_t": trace_val,
@@ -777,13 +852,14 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
     V = build_potential(cfg.family, cfg.grid)
 
     runs = _plateau_runs(V, cfg.levels)
+    follows_spectrum = cfg.sweep.lambda_min is None and cfg.sweep.lambda_max is None
     box = BoxOperator(V, cfg.levels)
     box.certify()
     rows = []
     violations = []
     scenario_docs = []
     for run in runs:
-        shared = _Run(len(run))
+        shared = _Run(len(run), shares_sweep=follows_spectrum)
         for index in run:
             e = cfg.levels[index]
             level = _LevelRun(cfg, V, index, e, box=box, shared=shared).run()

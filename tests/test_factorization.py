@@ -281,6 +281,24 @@ def test_singular_sparse_matrix_above_the_dense_cap_counts_its_kernel():
     assert F.inertia.n_minus + F.inertia.n_zero == 1
 
 
+def test_a_sparse_diagonal_that_cancels_is_decided_by_the_dense_factor():
+    """The box operator of a 2x2x2 cube of nodes (h = 1/3, V = -60) shifted
+    by e = -6: its diagonal h*6 + V*h^3 - e*h^3 cancels to a rounding
+    residue, so SuperLU's diagonal pivots in the minimum-degree order lie
+    within tau0, although A is nonsingular (the cube graph's eigenvalues
+    scaled by h: +-1, +-1/3).  The factor is refused, and the dense
+    fallback reads n_zero = 0 and the dense inertia."""
+    h = 1.0 / 3.0
+    corners = np.array(list(np.ndindex(2, 2, 2)))
+    adjacent = np.abs(corners[:, None] - corners[None]).sum(axis=2) == 1
+    A = np.where(adjacent, -h, 0.0)
+    A[np.diag_indices(8)] = h * 6 + (-60.0) * h**3 - (-6.0) * h**3
+    assert 0.0 < A[0, 0] < 1e-12
+    F = Factorization(sp.csr_matrix(A))
+    assert F.path == "dense-fallback"
+    assert F.inertia == Factorization(A).inertia == eigvalsh_inertia(A) == Inertia(4, 0, 4)
+
+
 @pytest.mark.parametrize("n", [900, eigcount.DENSE_CAP + 500])
 def test_exactly_singular_sparse_matrix_is_on_the_spectrum(n):
     """The path-graph Neumann Laplacian has the constants in its kernel and

@@ -893,8 +893,9 @@ def test_3d_ball_plateau_makes_one_pinned_eigendecomposition_and_one_pinned_solv
 
 def test_2d_ball_plateau_shares_its_values_only_spectrum(tmp_path, monkeypatch):
     """On a 31^2 ball the one shared pinned spectrum comes by the
-    values-only band route; every sweep point still solves for its own
-    Poisson matrix, and each level reads what it would read alone."""
+    values-only band route; each sweep point of the first level solves for
+    its own Poisson matrix, the later levels read the first level's sweep
+    and solve for none, and each level reads what it would read alone."""
     path = _write(tmp_path, BALL_PLATEAU_2D)
     cfg = load_config(path)
     eigs, poisson, _ = _count_pinned_work(monkeypatch)
@@ -903,7 +904,7 @@ def test_2d_ball_plateau_shares_its_values_only_spectrum(tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert len(eigs) == 1 and np.array_equal(eigs[0], _first_masses(cfg, [0])[0])
     assert poisson.count(0.0) == 1
-    assert len(poisson) == 1 + len(result.rows)
+    assert len(poisson) == 1 + cfg.sweep.points and len(result.rows) == 3 * cfg.sweep.points
     _assert_levels_run_alone_alike(cfg, result)
 
 
@@ -938,15 +939,18 @@ def test_plateaus_share_nothing_across_a_level_on_another_set(tmp_path, monkeypa
     _assert_levels_run_alone_alike(cfg, result)
 
 
-def test_plateau_eigenvectors_are_gone_by_the_last_levels_first_sweep_point(
+def test_plateau_eigenvectors_are_gone_once_the_last_level_has_built_its_spectrum(
     tmp_path, monkeypatch
 ):
     """The run keeps its first level's eigenvectors X for its later levels
-    and lets go of them once its last level has built its spectrum."""
+    and lets go of them once its last level has built its spectrum.  Only
+    the first level makes sweep points, with X alive."""
     vectors = []
     alive_at_sweep = []
+    alive_after_spectrum = []
     levels_started = []
     real_eigs, real_split, real_run = scenario.pencil_eigs, a2r.splitting_counts, _LevelRun.run
+    real_spectrum = scenario._Run.pinned_spectrum
 
     def eigs(*args, **kwargs):
         s = real_eigs(*args, **kwargs)
@@ -961,13 +965,19 @@ def test_plateau_eigenvectors_are_gone_by_the_last_levels_first_sweep_point(
         levels_started.append(self.e)
         return real_run(self)
 
+    def spectrum(self, *args, **kwargs):
+        built = real_spectrum(self, *args, **kwargs)
+        alive_after_spectrum.append(vectors[0]() is not None)
+        return built
+
     monkeypatch.setattr(scenario, "pencil_eigs", eigs)
     monkeypatch.setattr(a2r, "splitting_counts", split)
     monkeypatch.setattr(_LevelRun, "run", run)
+    monkeypatch.setattr(scenario._Run, "pinned_spectrum", spectrum)
     result = run_scenario(_write(tmp_path, BALL_PLATEAU_3D), out_dir=tmp_path / "out")
     assert result.exit_code == 0 and len(vectors) == 1
-    alive = {level: {flag for lv, flag in alive_at_sweep if lv == level} for level in (1, 2, 3)}
-    assert alive == {1: {True}, 2: {True}, 3: {False}}
+    assert alive_at_sweep and set(alive_at_sweep) == {(1, True)}
+    assert alive_after_spectrum == [True, True, False]
 
 
 def test_a_plateau_estimates_b_once(tmp_path, monkeypatch):
@@ -1010,16 +1020,17 @@ def test_a_plateaus_first_level_is_the_level_run_alone(tmp_path, text):
 
 
 def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_path):
-    """A later level of the 13^3 ball's plateau builds its PinnedSpectrum off
-    the run's first eigenvectors X_1 and sqrt(r): beyond the W and the
-    sparse K_BB it keeps, it allocates less than half an |I|^2 array at its peak, and its
-    2->infinity norms and W equal, bit for bit, those of a PinnedSpectrum
-    of the copy X_1 sqrt(r) with mu_1 r."""
+    """A later level of the 13^3 ball's plateau, which shares its run's
+    sweep, builds its PinnedSpectrum off the run's first eigenvectors X_1
+    and sqrt(r): it forms no W and keeps no K_BB, it allocates less than
+    half an |I|^2 array at its peak, and its 2->infinity norms equal, bit
+    for bit, those of a PinnedSpectrum of the copy X_1 sqrt(r) with
+    mu_1 r."""
     cfg = load_config(_write(tmp_path, BALL_PLATEAU_3D))
     V = build_potential(cfg.family, cfg.grid)
     pencils = [assemble_pencil(classify_nodes(V, e), V, e) for e in cfg.levels]
     t = np.geomspace(cfg.sweep.t_min, cfg.sweep.t_max, cfg.sweep.points)
-    run = scenario._Run(len(pencils))
+    run = scenario._Run(len(pencils), shares_sweep=True)
     run.pinned_spectrum(pencils[0], True, t)
     first = run.spectrum
     n = first.eigenvectors.shape[0]
@@ -1030,9 +1041,9 @@ def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_pa
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        K_BB = spectrum._K_BB
-        kept = spectrum._W.nbytes + K_BB.data.nbytes + K_BB.indices.nbytes + K_BB.indptr.nbytes
-        assert peak - kept < 0.5 * n * n * 8
+        assert spectrum._W is None and spectrum._K_BB is None
+        assert spectrum.schur_form(1.0) is None
+        assert peak < 0.5 * n * n * 8
         r = float(pencils[0].M_interior[0] / p.M_interior[0])
         copy = SpectralSummary(
             eigenvalues=first.eigenvalues * r, eigenvectors=first.eigenvectors * np.sqrt(r)
@@ -1040,8 +1051,96 @@ def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_pa
         reference = a2r.PinnedSpectrum(p, copy, t)
         assert np.array_equal(spectrum.summary.eigenvalues, reference.summary.eigenvalues)
         assert np.array_equal(spectrum.two_infinity, reference.two_infinity)
-        assert np.array_equal(spectrum._W, reference._W)
     assert run.spectrum is None
+
+
+def _count_sweep_work(monkeypatch):
+    """Per level started (0 before the first), the orders of the
+    Factorizations made and the number of splitting counts and S(lam)
+    formed from eigenpairs; and the levels run, kept alive."""
+    work, levels = [Counter()], []
+    real_init, real_split = eigcount.Factorization.__init__, a2r.splitting_counts
+    real_schur, real_run = a2r.PinnedSpectrum.schur_form, _LevelRun.run
+
+    def init(self, A, *args, **kwargs):
+        work[-1][("factor", A.shape[0])] += 1
+        real_init(self, A, *args, **kwargs)
+
+    def split(*args, **kwargs):
+        work[-1]["splitting_counts"] += 1
+        return real_split(*args, **kwargs)
+
+    def schur(self, lam):
+        work[-1]["schur_form"] += 1
+        return real_schur(self, lam)
+
+    def run(self):
+        work.append(Counter())
+        levels.append(self)
+        return real_run(self)
+
+    monkeypatch.setattr(eigcount.Factorization, "__init__", init)
+    monkeypatch.setattr(a2r, "splitting_counts", split)
+    monkeypatch.setattr(a2r.PinnedSpectrum, "schur_form", schur)
+    monkeypatch.setattr(_LevelRun, "run", run)
+    return work, levels
+
+
+@pytest.mark.parametrize("text", [BALL_PLATEAU_3D, BALL_PLATEAU_2D], ids=["3d", "2d"])
+def test_a_later_plateau_level_reads_what_it_would_read_alone(tmp_path, monkeypatch, text):
+    """On the 13^3 and 31^2 ball plateaus only the first level sweeps: one
+    splitting count per sweep point.  Each later level reports the first
+    level's counts at its rescaled shifts, and reads, row for row and
+    report for report, what a standalone _LevelRun of it reads: integer
+    columns equal, floats to rtol 1e-10."""
+    path = _write(tmp_path, text)
+    cfg = load_config(path)
+    work, _ = _count_sweep_work(monkeypatch)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    monkeypatch.undo()
+    assert result.exit_code == 0
+    assert [w["splitting_counts"] for w in work[1:]] == [cfg.sweep.points, 0, 0]
+    _assert_levels_run_alone_alike(cfg, result)
+
+
+def test_a_later_plateau_level_makes_no_sweep_point_factorization_and_no_w(
+    tmp_path, monkeypatch
+):
+    """On the 13^3 ball's plateau the first level factors the full pencil,
+    the pinned block and S(lam) at each sweep point.  A later level makes
+    one Factorization, that of its reduction check's weighted pencil at
+    lambda = 1, forms no S(lam), and its PinnedSpectrum holds the
+    2->infinity norms but no W."""
+    work, levels = _count_sweep_work(monkeypatch)
+    result = run_scenario(_write(tmp_path, BALL_PLATEAU_3D), out_dir=tmp_path / "out")
+    monkeypatch.undo()
+    assert result.exit_code == 0 and len(levels) == 3
+    p = levels[0].pencil
+    points = len(levels[0].rows)
+    first = work[1]
+    for order in (p.order, p.n_interior, p.n_boundary):
+        assert first[("factor", order)] >= points
+    assert first["schur_form"] == points and levels[0].spectrum._W is not None
+    for level, later in zip(levels[1:], work[2:]):
+        assert later == Counter({("factor", level.pencil.order): 1})
+        assert level.spectrum._W is None and level.spectrum.two_infinity is not None
+
+
+@pytest.mark.parametrize("given", ["lambda_min = 0.5", "lambda_max = 3.0"])
+def test_a_plateau_with_a_configured_shift_end_sweeps_every_level(tmp_path, monkeypatch, given):
+    """A configured end of the shift grid does not follow the spectrum, so
+    each level of the 13^3 ball's plateau sweeps its own grid, and reads
+    what it would read alone."""
+    path = _write(tmp_path, BALL_PLATEAU_3D.replace("points = 2", f"points = 2\n    {given}"))
+    cfg = load_config(path)
+    assert (cfg.sweep.lambda_min, cfg.sweep.lambda_max) != (None, None)
+    work, levels = _count_sweep_work(monkeypatch)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    monkeypatch.undo()
+    assert result.exit_code == 0
+    assert [w["splitting_counts"] for w in work[1:]] == [cfg.sweep.points] * 3
+    assert all(level.spectrum._W is not None for level in levels)
+    _assert_levels_run_alone_alike(cfg, result)
 
 
 def test_a_run_checks_its_eigenvectors_once(tmp_path, monkeypatch):
