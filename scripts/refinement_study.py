@@ -11,27 +11,37 @@ would reveal itself here by a rising margin.
 
 import argparse
 
-from wellspectra import bounds
-from wellspectra.eigcount import count_below, heat_trace
+from wellspectra import a2r, bounds
+from wellspectra.assemble import assemble_pencil, classify_nodes
+from wellspectra.eigcount import count_below, heat_trace, pencil_eigs
 from wellspectra.model import GridSpec, build_potential
-from wellspectra.scenario import ConstantsSpec, ScenarioConfig, SweepSpec, _LevelRun, _nudged
+from wellspectra.scenario import _nudged
 
 DEPTH, RADIUS, LEVEL, P = 12.0, 1.0, -0.5, 3.0
+B_SAMPLES, SEED = 200, 7
 
 
 def measure(resolution, lams, ts, gammas):
-    """The rows of one resolution, read off one scenario level (b from 200
-    samples, seed 7)."""
-    cfg = ScenarioConfig(
-        grid=GridSpec(box=((-2.0, 2.0),) * 3, resolution=(resolution,) * 3),
-        family={"name": "ball_well", "center": [0.0, 0.0, 0.0], "radius": RADIUS, "depth": DEPTH},
-        levels=[LEVEL],
-        sweep=SweepSpec(points=1),
-        constants=ConstantsSpec(p=P),
-        seed=7,
+    """The rows of one resolution.  Only what they print is built: the
+    level's pencil, its pinned eigenvalues (no eigenvectors), the lam = 0
+    Poisson matrix with S(0) and the boundary measure mu_B, and the bound
+    constants, with b estimated as a scenario estimates it (200 samples,
+    seed 7)."""
+    grid = GridSpec(box=((-2.0, 2.0),) * 3, resolution=(resolution,) * 3)
+    family = {"name": "ball_well", "center": [0.0, 0.0, 0.0], "radius": RADIUS, "depth": DEPTH}
+    V = build_potential(family, grid)
+    pencil = assemble_pencil(classify_nodes(V, LEVEL), V, LEVEL)
+    spec = pencil_eigs(pencil.K_II, pencil.M_interior)
+    P0 = a2r.poisson_matrix(pencil, 0.0)
+    S0 = a2r.schur_form(pencil, 0.0, P0)
+    bm = a2r.boundary_measures(pencil, P0)
+    q, S_trace = bounds.trace_sobolev_constants(3, bounds.SPHERE_AREA)
+    b = bounds.estimate_b(S0, bm, pencil.sigma, q, S_trace, B_SAMPLES, seed=SEED)
+    dmu_p, _, dnu_dmu_inf = a2r.radon_nikodym_report(bm, P)
+    c = bounds.BoundConstants.derive(
+        3, P, V.norm(LEVEL, 1.0), V.norm(LEVEL, P),
+        dmu_dsigma_p=dmu_p, dnu_dmu_inf=dnu_dmu_inf, b=b,
     )
-    level = _LevelRun(cfg, build_potential(cfg.family, cfg.grid), 0, LEVEL).run()
-    pencil, spec, S0, bm, c = level.pencil, level.spectrum.summary, level.S0, level.bm, level.consts
 
     rows = []
     for lam in lams:

@@ -33,7 +33,15 @@ Per run it records:
 
 * the wall time of the worker's ``from wellspectra import ...`` (numpy is
   loaded by then);
-* the scenario wall time;
+* the scenario wall time, and its exit code as the command line would
+  give it: 0, 1 on a violation, or 2 when the program raised one of its own
+  errors (``SizeCap`` among them), named in ``error`` (the digest and the
+  reports are then None);
+* the symmetry group the first pinned spectrum was solved in:
+  ``group_order``, and the orders of its sectors of the interior and of
+  the boundary (``interior_sectors``, ``boundary_sectors``); order 1, with
+  one sector each of |I| and |B|, for a pencil solved in the node basis
+  (every level of a tree without sectors), and None on a box-only rung;
 * the factorizations by path (``Factorization.path``);
 * the route the box operator took (``BoxOperator.route``; "sparse" for a
   tree that has only that route);
@@ -227,7 +235,8 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
     unless that is "rule"."""
     sys.path.insert(0, tree)
     start = time.perf_counter()
-    from wellspectra import eigcount, scenario, schrodinger
+    from wellspectra import a2r, eigcount, scenario, schrodinger
+    from wellspectra.errors import WellSpectraError
 
     imported = time.perf_counter() - start
     if route != "rule":
@@ -274,36 +283,62 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
 
     eigcount.Factorization.__init__ = counting_init
     eigcount.splu = counting_splu
+
+    sectors = {"group_order": None, "interior_sectors": None, "boundary_sectors": None}
+    real_spectrum = a2r.PinnedSpectrum.__init__
+
+    def spectrum_init(self, p, *args, **kwargs):
+        real_spectrum(self, p, *args, **kwargs)
+        if sectors["group_order"] is None:
+            found = kwargs.get("sectors")
+            sectors["group_order"] = 1 if found is None else found.group_order
+            sectors["interior_sectors"] = (
+                [p.n_interior] if found is None else list(found.interior_orders)
+            )
+            sectors["boundary_sectors"] = (
+                [p.n_boundary] if found is None else list(found.boundary_orders)
+            )
+
+    a2r.PinnedSpectrum.__init__ = spectrum_init
+    digest = reports = violations = error = None
+    exit_code = 0
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "rung.cfg"
         config.write_text(rung_config(rung, seed))
         ticks = numpy_pool_ticks()
         start = time.perf_counter()
-        if rung.partition("-")[0] in BOX_RUNGS:
-            counts = _box_counts(schrodinger, scenario, config)
+        try:
+            if rung.partition("-")[0] in BOX_RUNGS:
+                counts = _box_counts(schrodinger, scenario, config)
+                wall = time.perf_counter() - start
+                digest = json.dumps(counts, separators=(",", ":"))
+                reports = digest.encode()
+            else:
+                result = scenario.run_scenario(config, out_dir=tmp)
+                wall = time.perf_counter() - start
+                digest = rows_digest(result.csv_path.read_text())
+                reports = result.csv_path.read_bytes() + result.json_path.read_bytes()
+                violations = len(result.violations)
+                exit_code = result.exit_code
+        except WellSpectraError as exc:  # the command line's exit code 2
             wall = time.perf_counter() - start
-            digest = json.dumps(counts, separators=(",", ":"))
-            reports = digest.encode()
-            violations = None
-        else:
-            result = scenario.run_scenario(config, out_dir=tmp)
-            wall = time.perf_counter() - start
-            digest = rows_digest(result.csv_path.read_text())
-            reports = result.csv_path.read_bytes() + result.json_path.read_bytes()
-            violations = len(result.violations)
+            error, exit_code = f"{type(exc).__name__}: {exc}", 2
         ticks = numpy_pool_ticks() - ticks
     return {
         "import_s": imported,
         "scenario_s": wall,
+        "exit_code": exit_code,
+        "error": error,
+        **sectors,
         "layers": totals,
-        "box_route": routes[0],
+        "box_route": routes[0] if routes else None,
         "factorizations": dict(sorted(paths.items())),
         "mmd_orderings": orderings["MMD_AT_PLUS_A"],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "numpy_pool_threads": len(NUMPY_POOL),
         "numpy_pool_ticks": ticks,
         "digest": digest,
-        "reports_sha256": hashlib.sha256(reports).hexdigest(),
+        "reports_sha256": None if reports is None else hashlib.sha256(reports).hexdigest(),
         "violations": violations,
     }
 
@@ -407,7 +442,8 @@ def main(argv=None) -> int:
                   f"{r['layers']['splitting_counts']['s']:>9.3f}"
                   f"{r['layers']['box']['s']:>8.3f}"
                   f"{sum(r['factorizations'].values()):>9}{r['mmd_orderings']:>6}"
-                  f"{r['peak_rss_mb']:>8.1f}  {r['box_route']}  {r['digest'][:12]}")
+                  f"{r['peak_rss_mb']:>8.1f}  {r['box_route']}  "
+                  f"{r['digest'][:12] if r['digest'] else 'exit %d' % r['exit_code']}")
     return 0
 
 

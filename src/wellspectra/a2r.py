@@ -38,11 +38,21 @@ BLAS (see ``eigcount``).  N_full and N_dir still come from their own
 factorizations, and n_minus(S) from its own Bunch-Kaufman factorization,
 so the identity stays an independent check.  Without eigenvectors (2D
 levels, P0, single counts) S(lam) comes from the Poisson matrix, symmetric.
+
+A pinned spectrum solved in the sectors of a symmetry group G of the well
+(see ``symmetry``) holds, per sector chi with orbit bases P_chi of I and
+Q_chi of B, its eigenpairs (mu_chi, Y_chi), W_chi = Q_chi' K_BI P_chi Y_chi
+and Q_chi' K_BB Q_chi.  B is G-invariant, so the Q_chi block-diagonalise
+S(lam) and n_minus(S(lam)) is the sum of the strict counts of the blocks
+S_chi(lam) = Q_chi' K_BB Q_chi - W_chi diag(1/(mu_chi - lam)) W_chi', each
+with a Bunch-Kaufman factor of its own.  N_full and N_dir keep their
+node-basis sparse factors, so at every sweep point the splitting identity
+also checks the sector reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -188,73 +198,104 @@ _COLUMN_BLOCK = 16
 
 
 class PinnedSpectrum:
-    """The one holder of a level's pinned spectrum, built from all |I|
-    eigenvalues ``s = pencil_eigs(K_II, M_II)`` and the sweep's time grid
-    ``t``.
+    """The one holder of a level's pinned spectrum, built from ``parts``,
+    one spectrum per sector of the pinned pencil under a symmetry group G of
+    the well (see ``symmetry``), together holding all |I| eigenvalues, and
+    the sweep's time grid ``t``.  With ``sectors``, the pencil's
+    ``symmetry.Sectors``, part chi is that of (P' K_II P, P' M_II P) with P
+    the sector's orbit basis, whose eigenvectors Y are the orbit-basis
+    coordinates of X = P Y.  Without, ``parts`` is the one node-basis
+    spectrum ``[pencil_eigs(K_II, M_II)]``: P and Q below are the identity,
+    never multiplied in, each node its own orbit.
 
-    ``summary`` holds the eigenvalues alone (the shift grid, a_lambda_norm
-    and the heat trace read them).  When ``s`` carries eigenvectors, the
-    level's eigenvectors are X = ``scale`` * s.eigenvectors: ``two_infinity``
-    holds the semigroup's 2->infinity norms at the times ``t``, and the
-    boundary coupling W = K_BI X is formed once, Fortran-ordered, so that
-    the BLAS reads it in place, and K_BB is kept sparse, as its lower
+    ``summary`` holds the eigenvalues alone, sorted from the union of the
+    parts' (the shift grid, a_lambda_norm and the heat trace read them).
+    When the parts carry eigenvectors, the level's eigenvectors are, per
+    sector, X = P Y with Y = ``scale`` * part.eigenvectors: ``two_infinity``
+    holds the semigroup's 2->infinity norms at the times ``t`` (one
+    ``two_infinity_norm`` call, whose diagonal is summed over the sectors
+    per orbit), and per sector the boundary coupling W = Q' K_BI P Y, Q the
+    sector's boundary orbit basis, is formed once, Fortran-ordered, so that
+    the BLAS reads it in place, with Q' K_BB Q kept sparse, as its lower
     triangle; otherwise ``two_infinity`` is None.  X itself is never formed:
-    W is made by blocks of columns of s.eigenvectors, each scaled, and the
-    norms by blocks of rows, entry for entry as from X.
+    W is made by blocks of columns of Y, each scaled, and the norms by
+    blocks of rows, entry for entry as from X; with sectors no |I|^2 array
+    exists at all.
     A later level of a plateau passes the run's first eigenvectors with
     scale = sqrt(r) (see ``scenario._Run``), and with ``schur`` False when
     it makes no sweep point: it then keeps neither W nor K_BB.  The norms'
-    call checks X M_II-orthonormal, unless the caller has ``checked`` it.
-    Nothing keeps the eigenvectors, so the |I|^2 array is freed once the
-    caller lets go of ``s``.
+    call checks X M_II-orthonormal (per sector, Y against P' M_II P),
+    unless the caller has ``checked`` it.  Nothing keeps the eigenvectors,
+    so their arrays are freed once the caller lets go of ``parts``.
     """
 
     def __init__(
         self,
         p: AssembledPencil,
-        s: SpectralSummary,
+        parts: list,
         t,
         *,
         scale: float = 1.0,
         checked: bool = False,
         schur: bool = True,
+        sectors=None,
     ):
-        if s.count != p.n_interior:
+        if sum(part.count for part in parts) != p.n_interior:
             raise ValueError("the pinned spectrum needs all |I| eigenvalues")
-        self.summary = replace(s, eigenvectors=None)
+        self._mu = [part.eigenvalues for part in parts]
+        mu = self._mu[0] if len(parts) == 1 else np.sort(np.concatenate(self._mu))
+        self.summary = SpectralSummary(eigenvalues=mu)
         self.two_infinity = self._W = self._K_BB = None
-        X = s.eigenvectors
-        if X is not None:
-            self.two_infinity = two_infinity_norm(
-                s, p.M_interior, t, scale=scale, check=not checked
-            )
-        if X is not None and schur:
-            K_BI = p.K_IB.T
-            self._W = np.empty((p.n_boundary, X.shape[1]), order="F")
-            for start in range(0, X.shape[1], _COLUMN_BLOCK):
+        if parts[0].eigenvectors is None:
+            return
+        if sectors is None:
+            masses, orbits = [p.M_interior], [np.arange(p.n_interior)]
+        else:
+            masses, orbits = sectors.masses(p), sectors.orbits
+        self.two_infinity = two_infinity_norm(
+            parts, masses, t, scale=scale, check=not checked, orbits=orbits
+        )
+        if not schur:
+            return
+        K_BI = p.K_IB.T
+        self._W, self._K_BB = [], []
+        for k, part in enumerate(parts):
+            coupling, K_BB = K_BI, p.K_BB
+            if sectors is not None:
+                P, Q = sectors.interior[k], sectors.boundary[k]
+                coupling, K_BB = Q.T @ K_BI @ P, Q.T @ K_BB @ Q
+            Y = part.eigenvectors
+            W = np.empty((coupling.shape[0], Y.shape[1]), order="F")
+            for start in range(0, Y.shape[1], _COLUMN_BLOCK):
                 cols = slice(start, start + _COLUMN_BLOCK)
-                self._W[:, cols] = K_BI @ (X[:, cols] * scale)
-            self._K_BB = sp.tril(p.K_BB, format="csc")
+                W[:, cols] = coupling @ (Y[:, cols] * scale)
+            self._W.append(W)
+            self._K_BB.append(sp.tril(K_BB, format="csc"))
 
-    def schur_form(self, lam: float) -> np.ndarray | None:
-        """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, dense and
-        Fortran-ordered, lower triangle, zeros above, or None when the
-        spectrum holds no W: the eigenvalues below lam enter
+    def schur_form(self, lam: float) -> list | None:
+        """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, one block per sector
+        with boundary nodes (one block without sectors), each dense and
+        Fortran-ordered, lower triangle, zeros above; or None when the
+        spectrum holds no W.  In each block the eigenvalues below lam enter
         through one dsyrk and those above through another, each on W's
         columns scaled by |mu - lam|^(-1/2), into the lower triangle of
         K_BB.  A shift equal to a pinned eigenvalue is OnEigenvalue."""
         if self._W is None:
             return None
-        mu, W = self.summary.eigenvalues, self._W
-        below = int(np.searchsorted(mu, lam))
-        if below < mu.size and mu[below] == lam:
-            raise OnEigenvalue(f"shift {lam!r} coincides with a pinned eigenvalue")
-        scale = 1.0 / np.sqrt(np.abs(mu - lam))
-        S = self._K_BB.toarray(order="F")
-        for alpha, cols in ((-1.0, slice(below, mu.size)), (1.0, slice(0, below))):
-            if cols.start < cols.stop:
-                S = dsyrk(alpha, W[:, cols] * scale[cols], beta=1.0, c=S, lower=1, overwrite_c=1)
-        return S
+        blocks = []
+        for mu, W, K_BB in zip(self._mu, self._W, self._K_BB):
+            below = int(np.searchsorted(mu, lam))
+            if below < mu.size and mu[below] == lam:
+                raise OnEigenvalue(f"shift {lam!r} coincides with a pinned eigenvalue")
+            if not W.shape[0]:
+                continue
+            scale = 1.0 / np.sqrt(np.abs(mu - lam))
+            S = K_BB.toarray(order="F")
+            for alpha, cols in ((-1.0, slice(below, mu.size)), (1.0, slice(0, below))):
+                if cols.start < cols.stop:
+                    S = dsyrk(alpha, W[:, cols] * scale[cols], beta=1.0, c=S, lower=1, overwrite_c=1)
+            blocks.append(S)
+        return blocks
 
 
 def boundary_measures(
@@ -338,11 +379,13 @@ def splitting_counts(
     n_full = strict_count(p.full_shifts.factor(lam).inertia, "full pencil")
     factor = p.pinned_shifts.factor(lam)
     n_dir = strict_count(factor.inertia, "pinned")
-    S = None if spectrum is None else spectrum.schur_form(lam)
-    if S is None:
+    blocks = None if spectrum is None else spectrum.schur_form(lam)
+    if blocks is None:
         # exactly symmetric, so its transpose, Fortran-ordered, is S itself
-        S = schur_form(p, lam, poisson_matrix(p, lam, factor)).T
-    n_bnd = strict_count(inertia(S, overwrite_a=True), "boundary form")
+        blocks = [schur_form(p, lam, poisson_matrix(p, lam, factor)).T]
+    n_bnd = 0
+    while blocks:
+        n_bnd += strict_count(inertia(blocks.pop(), overwrite_a=True), "boundary form")
     return n_full, n_dir, n_bnd, (n_full == n_dir + n_bnd)
 
 

@@ -516,7 +516,9 @@ def matmul(a: np.ndarray, b: np.ndarray):
 
 def pencil_eigs(K, M, want_vectors: bool = False) -> SpectralSummary:
     """All finite generalized eigenvalues of (K, diag M), sorted ascending;
-    order capped at DENSE_CAP = 4000.
+    order capped at DENSE_CAP = 4000.  The cap reads the order of the K
+    given, so a caller that solves a pencil in the sectors of its symmetry
+    group (see ``symmetry``), one call per sector, meets it per sector.
 
     Zero-mass nodes are eliminated exactly: with z the mass-free nodes and p
     the rest, the finite spectrum is that of the condensed pencil
@@ -635,7 +637,9 @@ def _check_orthonormal(X: np.ndarray, w: np.ndarray, scale: float) -> None:
         raise ValueError("eigenvectors are not w-orthonormal")
 
 
-def two_infinity_norm(s: SpectralSummary, w, t, *, scale: float = 1.0, check: bool = True):
+def two_infinity_norm(
+    s: SpectralSummary, w, t, *, scale: float = 1.0, check: bool = True, orbits=None
+):
     """Exact 2->infinity operator norm of the discrete semigroup exp(-tL) on
     the weighted space l2(w): max over nodes x of
     (sum_k exp(-2 t mu_k) u_k(x)^2)^(1/2), with mu_k the eigenvalues of
@@ -648,36 +652,50 @@ def two_infinity_norm(s: SpectralSummary, w, t, *, scale: float = 1.0, check: bo
     already passes check=False (a later level of a plateau: see
     ``a2r.PinnedSpectrum``).
 
+    With ``orbits``, ``s`` and ``w`` are sequences, one spectrum (with its
+    orbit-basis eigenvectors Y) and one mass vector per sector of a
+    symmetry group (see ``symmetry``), and ``orbits[k]`` numbers the orbit
+    of each row of sector k's Y.  A node's row of the node-basis
+    eigenvectors P Y is +-1 times its orbit's row of Y, so the sum above is
+    the same on every node of an orbit: each sector's share of it is summed
+    per orbit, over the sectors, before the max.  Without ``orbits`` the
+    one spectrum ``s`` is in the node basis, each node its own orbit.
+
     Nothing of order^2 is formed but the Gram matrix of the check, which is
-    let go before the norms: they are the running maximum, over blocks of
-    rows of U, of (B*B) @ exp(-2 mu t), each block's product taken in
-    SciPy's BLAS by ``matmul``, and each row's sum is the one that the
-    product over all rows gives (see _SMALL_PRODUCT), so the norms are bit
-    for bit those of numpy's (U*U) @ exp(-2 mu t).
+    let go before the norms: each sector's shares are (B*B) @ exp(-2 mu t)
+    over blocks of rows of U, each block's product taken in SciPy's BLAS
+    by ``matmul``, and each row's sum is the one that the product over all
+    rows gives (see _SMALL_PRODUCT).  In the node basis each node's share
+    is added to 0, so the norms are bit for bit those of numpy's
+    (U*U) @ exp(-2 mu t).
     """
-    if s.eigenvectors is None:
-        raise MissingVectors("the 2->infinity norm needs eigenvectors")
-    X = s.eigenvectors
-    w = np.asarray(w, dtype=float)
-    if w.shape != X.shape[:1]:
-        raise ValueError("one weight per eigenvector entry")
+    if orbits is None:
+        s, w, orbits = [s], [w], [np.arange(np.size(w))]
+    for part, weight in zip(s, w):
+        if part.eigenvectors is None:
+            raise MissingVectors("the 2->infinity norm needs eigenvectors")
+        if np.shape(weight) != part.eigenvectors.shape[:1]:
+            raise ValueError("one weight per eigenvector entry")
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("needs t > 0")
     if check:
-        _check_orthonormal(X, w, scale)
-    decay = np.exp(-2.0 * np.multiply.outer(s.eigenvalues, ts.ravel()))
-    n = X.shape[0]
-    if decay.shape[1] == 1:
-        rows = max(n, 1)
-    elif n * decay.size <= _SMALL_PRODUCT:
-        rows = _ROW_ALIGN
-    else:
-        rows = -(-(_SMALL_PRODUCT // decay.size + 1) // _ROW_ALIGN) * _ROW_ALIGN
-    squares = np.zeros(decay.shape[1])
-    for block in _row_blocks(n, rows):
-        B = X[block] * scale
-        B *= B
-        np.maximum(squares, matmul(B, decay).max(axis=0), out=squares)
-    norms = np.sqrt(squares)
+        for part, weight in zip(s, w):
+            _check_orthonormal(part.eigenvectors, np.asarray(weight, dtype=float), scale)
+    shares = np.zeros((max(o.max(initial=-1) for o in orbits) + 1, ts.size))
+    for part, orbit in zip(s, orbits):
+        X = part.eigenvectors
+        decay = np.exp(-2.0 * np.multiply.outer(part.eigenvalues, ts.ravel()))
+        n = X.shape[0]
+        if decay.shape[1] == 1:
+            rows = max(n, 1)
+        elif n * decay.size <= _SMALL_PRODUCT:
+            rows = _ROW_ALIGN
+        else:
+            rows = -(-(_SMALL_PRODUCT // decay.size + 1) // _ROW_ALIGN) * _ROW_ALIGN
+        for block in _row_blocks(n, rows):
+            B = X[block] * scale
+            B *= B
+            shares[orbit[block]] += matmul(B, decay)
+    norms = np.sqrt(shares.max(axis=0, initial=0.0))
     return float(norms[0]) if ts.ndim == 0 else norms

@@ -19,8 +19,13 @@ report reads it.  A level holds its pinned spectrum in one
 semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
 read the eigenvectors, the norms over the time grid (whose computation
 checks the eigenvectors w-orthonormal, once per run of levels) and, on a
-level that sweeps, W = K_BI X; the level lets go of its |I|^2 eigenvector
-array before its first sweep point.
+level that sweeps, W = K_BI X; the level lets go of its eigenvector arrays
+before its first sweep point.  A 3D well whose sampled values some grid
+reflections or axis transpositions fix (``symmetry``) has its pinned pencil
+solved in the sectors of that group, one smaller eigenproblem each, and
+every sweep point counts S(lambda) as the sum of its sector blocks' counts;
+a well with no such symmetry, and every 1D and 2D level, takes the node
+basis, as before.
 The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
 ``BoxOperator``, counted before the first level, while the resident set is
@@ -98,6 +103,7 @@ from .model import (
     build_potential,
 )
 from .schrodinger import BoxOperator, reduction_check
+from .symmetry import Sectors, symmetry_group
 
 #: pinned CSV column order (stable external interface)
 CSV_COLUMNS = [
@@ -428,7 +434,7 @@ class _Run:
     def __init__(self, levels: int = 1, shares_sweep: bool = False):
         self.levels_left = levels
         self.shares_sweep = shares_sweep and levels > 1
-        self.zero = self.spectrum = self.mass = self.b = self.points = None
+        self.zero = self.spectrum = self.sectors = self.mass = self.b = self.points = None
 
     def _ratio(self, pencil: AssembledPencil) -> float:
         """r = m_1/m_e, the run's first interior mass over ``pencil``'s."""
@@ -451,32 +457,46 @@ class _Run:
         return self.zero
 
     def pinned_spectrum(
-        self, pencil: AssembledPencil, want_vectors: bool, t
+        self, pencil: AssembledPencil, want_vectors: bool, t, V: PotentialField
     ) -> a2r.PinnedSpectrum:
         """The PinnedSpectrum of ``pencil`` over the time grid ``t``, with
         the eigenvectors when asked for.  The first call computes the
         spectrum (mu_1, X_1) of the run's first pencil, and its
-        PinnedSpectrum checks X_1 M_1-orthonormal.  A later level's interior
-        mass is the constant m_e, so its spectrum is the first one rescaled
-        by r = m_1/m_e: mu_1 r, with X_e = X_1 sqrt(r), which its
-        PinnedSpectrum reads off X_1 without a copy.  The check of X_1
-        covers X_e: M_e = M_1/r, so X_e' M_e X_e = r X_1' (M_1/r) X_1 =
+        PinnedSpectrum checks X_1 M_1-orthonormal.  With the eigenvectors
+        and the potential ``V``, whose symmetry group G (read off V alone:
+        ``symmetry.symmetry_group``) is other than {id}, it solves the
+        pencil in G's sectors, one ``pencil_eigs`` per sector, and the run
+        keeps the sectors for its later levels, whose sets I and B are the
+        first level's; otherwise in the node basis, as one part.  A later
+        level's interior mass is the constant m_e, so its spectrum is the
+        first one rescaled by r = m_1/m_e: mu_1 r, with X_e = X_1 sqrt(r),
+        which its PinnedSpectrum reads off X_1 without a copy.  The check of
+        X_1 covers X_e: M_e = M_1/r, so X_e' M_e X_e = r X_1' (M_1/r) X_1 =
         X_1' M_1 X_1, up to the rounding of the scaling by sqrt(r) and of
         r itself (a few ulps, far below ORTHONORMALITY_TOL = 1e-8); so a run
         makes one Gram check.  A later level of a run that shares its sweep
         makes no sweep point, so its PinnedSpectrum forms no W."""
         first = self.spectrum
         if first is None:
-            first = pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)
+            group = symmetry_group(V) if want_vectors else None
+            if group is not None and group.order > 1:
+                self.sectors = Sectors(pencil, group)
+                first = [
+                    pencil_eigs(K, m, want_vectors=True) for K, m in self.sectors.pencils(pencil)
+                ]
+            else:
+                first = [pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)]
             self.mass = pencil.M_interior[0]
-            spectrum = a2r.PinnedSpectrum(pencil, first, t)
+            spectrum = a2r.PinnedSpectrum(pencil, first, t, sectors=self.sectors)
         else:
             r = self._ratio(pencil)
-            s = SpectralSummary(
-                eigenvalues=first.eigenvalues * r, eigenvectors=first.eigenvectors
-            )
+            scaled = [
+                SpectralSummary(eigenvalues=part.eigenvalues * r, eigenvectors=part.eigenvectors)
+                for part in first
+            ]
             spectrum = a2r.PinnedSpectrum(
-                pencil, s, t, scale=np.sqrt(r), checked=True, schur=not self.shares_sweep
+                pencil, scaled, t, scale=np.sqrt(r), checked=True,
+                schur=not self.shares_sweep, sectors=self.sectors,
             )
         self.levels_left -= 1
         self.spectrum = first if self.levels_left else None
@@ -578,7 +598,7 @@ class _LevelRun:
         sweep = self.cfg.sweep
         t_grid = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
         self.spectrum = self.shared.pinned_spectrum(
-            pencil, self.cfg.grid.dimension >= 3, t_grid
+            pencil, self.cfg.grid.dimension >= 3, t_grid, self.V
         )
         # P0 lives as long as the run: dropped before the sweep, it doubled
         # the minor page faults of a levels-2d run under glibc's malloc

@@ -348,13 +348,13 @@ def test_spectral_schur_form_matches_the_poisson_route(res, family, e):
     triangles within the stated bound, and equal splitting counts."""
     _, p = make_pencil(3, res, family, e)
     s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
-    pinned = PinnedSpectrum(p, s, 1.0)
+    pinned = PinnedSpectrum(p, [s], 1.0)
     mus = s.eigenvalues
     shifts = list(lambda_grid(mus, None, None, 6))
     for k in (0, 1, 4, 9):
         shifts += [mus[k] * (1.0 - 1e-6), mus[k] * (1.0 + 1e-6)]
     for lam in shifts:
-        poisson, spectral = schur_form(p, lam), pinned.schur_form(lam)
+        poisson, (spectral,) = schur_form(p, lam), pinned.schur_form(lam)
         assert not np.triu(spectral, 1).any()
         assert inertia(spectral) == inertia(poisson)
         cond = mus[-1] / np.abs(mus - lam).min()
@@ -383,17 +383,17 @@ def test_spectral_schur_form_needs_the_whole_checked_basis(ball3d):
     s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
     head = SpectralSummary(eigenvalues=s.eigenvalues[:5], eigenvectors=s.eigenvectors[:, :5])
     with pytest.raises(ValueError):
-        PinnedSpectrum(p, head, 1.0)
+        PinnedSpectrum(p, [head], 1.0)
     scaled = SpectralSummary(eigenvalues=s.eigenvalues, eigenvectors=2.0 * s.eigenvectors)
     with pytest.raises(ValueError):
-        PinnedSpectrum(p, scaled, 1.0)
+        PinnedSpectrum(p, [scaled], 1.0)
     ts = np.array([0.5, 2.0])
-    pinned = PinnedSpectrum(p, s, ts)
+    pinned = PinnedSpectrum(p, [s], ts)
     assert pinned.summary.eigenvalues is s.eigenvalues and pinned.summary.eigenvectors is None
     assert np.array_equal(pinned.two_infinity, two_infinity_norm(s, p.M_interior, ts))
     with pytest.raises(OnEigenvalue):
         pinned.schur_form(float(s.eigenvalues[3]))
-    values = PinnedSpectrum(p, pencil_eigs(p.K_II, p.M_interior), ts)
+    values = PinnedSpectrum(p, [pencil_eigs(p.K_II, p.M_interior)], ts)
     lam = 0.5 * float(s.eigenvalues[0] + s.eigenvalues[1])
     assert values.two_infinity is None and values.schur_form(lam) is None
     assert splitting_counts(p, lam, values) == splitting_counts(p, lam)
@@ -419,7 +419,7 @@ def test_splitting_counts_factor_the_boundary_form_in_place(ball3d, disk2d, monk
     for pencil, vectors in ((ball3d, True), (disk2d, False)):
         _, p = pencil
         s = pencil_eigs(p.K_II, p.M_interior, want_vectors=vectors)
-        spectrum = PinnedSpectrum(p, s, 1.0)
+        spectrum = PinnedSpectrum(p, [s], 1.0)
         lam = 0.5 * float(s.eigenvalues[0] + s.eigenvalues[1])
         expected = splitting_counts(p, lam, spectrum)
         monkeypatch.setattr(a2r, "inertia", recording)

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wellspectra import a2r, bounds, eigcount, scenario, schrodinger
+from wellspectra import a2r, bounds, eigcount, scenario, schrodinger, symmetry
 from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.errors import ConfigError, OnEigenvalue
 from wellspectra.model import HOLDS, NOT_APPLICABLE, Inertia, SpectralSummary, build_potential
+from wellspectra.symmetry import Sectors, symmetry_group
 from wellspectra.scenario import (
     CSV_COLUMNS,
     _fmt,
@@ -423,7 +424,8 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     assembled once, K_II is factored once (for P0), no factorization
     outlives the call that used it although the level keeps its pencil,
     shift families and box operator, S(lam) is still formed (from the
-    level's pinned spectrum) and factored on its own, and each of the pinned
+    level's pinned spectrum, one block per sector of the 9^3 ball's mirror
+    group Z_2^3) and each block factored on its own, and each of the pinned
     block and the full pencil is ordered by minimum degree once; the box
     operator of the compact ball takes the Birman-Schwinger route, which
     orders nothing."""
@@ -475,7 +477,10 @@ def test_level_factors_each_shift_once(tmp_path, monkeypatch):
     for row in level.rows:
         lam = row["lambda"]
         assert times_factored((p.K_II - lam * sp.diags(p.M_interior)).toarray()) == 1
-        assert times_factored(level.spectrum.schur_form(lam)) == 1
+        blocks = level.spectrum.schur_form(lam)  # one per sector of the ball's group
+        assert len(blocks) == 8
+        for S in blocks:
+            assert times_factored(S) == sum(np.array_equal(S, T) for T in blocks)
         assert times_factored((p.K - lam * sp.diags(p.M)).toarray()) == 1
     assert orderings == {p.n_interior: 1, p.order: 1}
     assert level.box.route == "birman-schwinger"
@@ -630,9 +635,10 @@ def test_3d_level_makes_one_multi_column_pinned_solve(tmp_path, monkeypatch):
 
 
 def test_3d_level_frees_its_eigenvectors_once_the_spectrum_is_built(tmp_path, monkeypatch):
-    """The |I|^2 pinned eigenvector array is gone by the first sweep point:
-    the level's PinnedSpectrum keeps the eigenvalues, the 2->infinity norms
-    and W = K_BI X, and nothing keeps X."""
+    """The pinned eigenvector arrays, one per sector of the well's group,
+    are gone by the first sweep point: the level's PinnedSpectrum keeps the
+    eigenvalues, the 2->infinity norms and each sector's W, and nothing
+    keeps an eigenvector array."""
     cfg = load_config(_write(tmp_path, SMALL_3D))
     V = build_potential(cfg.family, cfg.grid)
     vectors = []
@@ -646,13 +652,14 @@ def test_3d_level_frees_its_eigenvectors_once_the_spectrum_is_built(tmp_path, mo
 
     def split(*args, **kwargs):
         gc.collect()
-        alive_at_sweep.append(vectors[0]() is not None)
+        alive_at_sweep.append(any(ref() is not None for ref in vectors))
         return real_split(*args, **kwargs)
 
     monkeypatch.setattr(scenario, "pencil_eigs", eigs)
     monkeypatch.setattr(a2r, "splitting_counts", split)
     level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
-    assert len(vectors) == 1 and level.violations == []
+    # one eigenvector array per sector of the 9^3 ball's mirror group Z_2^3
+    assert len(vectors) == 8 and level.violations == []
     assert alive_at_sweep and not any(alive_at_sweep)
     assert level.spectrum.two_infinity is not None
 
@@ -676,7 +683,8 @@ def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeyp
     monkeypatch.setattr(scenario, "pencil_eigs", eigs)
     result = run_scenario(_write(tmp_path, SMALL_3D), out_dir=tmp_path / "out")
     assert result.exit_code == 0
-    assert events == ["box", "pencil_eigs"]
+    # the pinned pencil is solved in the 8 sectors of the 9^3 ball's group
+    assert events == ["box"] + ["pencil_eigs"] * 8
 
 
 def test_a_failed_box_certificate_is_reported_by_the_first_level_that_counts(
@@ -852,6 +860,22 @@ def _first_masses(cfg, indices):
     ]
 
 
+def _sector_masses(cfg, indices):
+    """The masses of the 3D pinned pencils of the levels ``indices``, one
+    per sector of the well's symmetry group, in solve order."""
+    V = build_potential(cfg.family, cfg.grid)
+    sectors = []
+    for i in indices:
+        p = assemble_pencil(classify_nodes(V, cfg.levels[i]), V, cfg.levels[i])
+        sectors += Sectors(p, symmetry_group(V)).masses(p)
+    return sectors
+
+
+def _assert_masses(eigs, expected):
+    assert len(eigs) == len(expected)
+    assert all(np.array_equal(m, f) for m, f in zip(eigs, expected))
+
+
 def test_plateau_runs_need_one_set_and_one_value_of_v(tmp_path):
     """A level joins the previous level's run only when both carve one set
     on which V is constant: every level of the ball, no two levels of a
@@ -874,9 +898,9 @@ def test_3d_ball_plateau_makes_one_pinned_eigendecomposition_and_one_pinned_solv
     tmp_path, monkeypatch
 ):
     """The three levels of a 13^3 ball carve one set at one value of V: one
-    pinned eigendecomposition, with the first level's masses, and one
-    multi-column pinned solve (P0) serve all three, and each level reads
-    what it would read alone."""
+    pinned eigendecomposition, with the first level's masses, in the
+    sectors of the well's group, and one multi-column pinned solve (P0)
+    serve all three, and each level reads what it would read alone."""
     path = _write(tmp_path, BALL_PLATEAU_3D)
     cfg = load_config(path)
     eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
@@ -884,8 +908,8 @@ def test_3d_ball_plateau_makes_one_pinned_eigendecomposition_and_one_pinned_solv
     monkeypatch.undo()
     assert result.exit_code == 0
     ni, nb = (result.document["scenarios"][0][k] for k in ("n_interior", "n_boundary"))
-    (first,) = _first_masses(cfg, [0])
-    assert len(eigs) == 1 and np.array_equal(eigs[0], first)
+    _assert_masses(eigs, _sector_masses(cfg, [0]))  # the two sectors of <x<->y>
+    assert len(eigs) == 2
     assert poisson == [0.0]
     assert block_solves == [(ni, nb)]
     _assert_levels_run_alone_alike(cfg, result)
@@ -910,7 +934,8 @@ def test_2d_ball_plateau_shares_its_values_only_spectrum(tmp_path, monkeypatch):
 
 def test_gaussian_levels_each_make_their_own_eigendecomposition(tmp_path, monkeypatch):
     """No two levels of a Gaussian well share a set at one value of V: each
-    computes its pinned spectrum with its own masses, and its own P0."""
+    computes its pinned spectrum with its own masses, in the two sectors of
+    the 13^3 well's group <x<->y>, and its own P0."""
     text = BALL_PLATEAU_3D.replace("ball_well", "gaussian_well").replace(
         "radius = 1.0", "width = 0.6"
     )
@@ -918,23 +943,24 @@ def test_gaussian_levels_each_make_their_own_eigendecomposition(tmp_path, monkey
     result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / "out")
     monkeypatch.undo()
     assert result.exit_code == 0
-    assert len(eigs) == 3 and not any(np.all(m == 1.0) for m in eigs)
+    cfg = load_config(_write(tmp_path, text))
+    _assert_masses(eigs, _sector_masses(cfg, [0, 1, 2]))
+    assert len(eigs) == 3 * 2 and not any(np.all(m == 1.0) for m in eigs)
     assert poisson == [0.0] * 3 and len(block_solves) == 3
 
 
 def test_plateaus_share_nothing_across_a_level_on_another_set(tmp_path, monkeypatch):
     """Levels -5, -6 and -7, -8 carve the inner step; -1 between them
     carves the outer set.  Each run computes its own sublevel problem with
-    the masses of its first level (-5, -1 and -7), and every level reads
-    what it would read alone."""
+    the masses of its first level (-5, -1 and -7), in the sectors of the
+    well's group, and every level reads what it would read alone."""
     path = _write(tmp_path, NESTED_STEPS_3D)
     cfg = load_config(path)
     eigs, poisson, block_solves = _count_pinned_work(monkeypatch)
     result = run_scenario(path, out_dir=tmp_path / "out")
     monkeypatch.undo()
     assert result.exit_code == 0
-    first = _first_masses(cfg, [0, 2, 3])
-    assert len(eigs) == 3 and all(np.array_equal(m, f) for m, f in zip(eigs, first))
+    _assert_masses(eigs, _sector_masses(cfg, [0, 2, 3]))
     assert poisson == [0.0] * 3 and len(block_solves) == 3
     _assert_levels_run_alone_alike(cfg, result)
 
@@ -957,8 +983,11 @@ def test_plateau_eigenvectors_are_gone_once_the_last_level_has_built_its_spectru
         vectors.append(weakref.ref(s.eigenvectors))
         return s
 
+    def alive():
+        return [ref() is not None for ref in vectors]
+
     def split(*args, **kwargs):
-        alive_at_sweep.append((len(levels_started), vectors[0]() is not None))
+        alive_at_sweep.append((len(levels_started), *alive()))
         return real_split(*args, **kwargs)
 
     def run(self):
@@ -967,7 +996,7 @@ def test_plateau_eigenvectors_are_gone_once_the_last_level_has_built_its_spectru
 
     def spectrum(self, *args, **kwargs):
         built = real_spectrum(self, *args, **kwargs)
-        alive_after_spectrum.append(vectors[0]() is not None)
+        alive_after_spectrum.append(alive())
         return built
 
     monkeypatch.setattr(scenario, "pencil_eigs", eigs)
@@ -975,9 +1004,10 @@ def test_plateau_eigenvectors_are_gone_once_the_last_level_has_built_its_spectru
     monkeypatch.setattr(_LevelRun, "run", run)
     monkeypatch.setattr(scenario._Run, "pinned_spectrum", spectrum)
     result = run_scenario(_write(tmp_path, BALL_PLATEAU_3D), out_dir=tmp_path / "out")
-    assert result.exit_code == 0 and len(vectors) == 1
-    assert alive_at_sweep and set(alive_at_sweep) == {(1, True)}
-    assert alive_after_spectrum == [True, True, False]
+    # one eigenvector array per sector of the 13^3 ball's group <x<->y>
+    assert result.exit_code == 0 and len(vectors) == 2
+    assert alive_at_sweep and set(alive_at_sweep) == {(1, True, True)}
+    assert alive_after_spectrum == [[True, True], [True, True], [False, False]]
 
 
 def test_a_plateau_estimates_b_once(tmp_path, monkeypatch):
@@ -1019,25 +1049,30 @@ def test_a_plateaus_first_level_is_the_level_run_alone(tmp_path, text):
     assert result.document["scenarios"][0]["reports"] == [rep.to_dict() for rep in alone.reports]
 
 
-def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_path):
+def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(
+    tmp_path, monkeypatch
+):
     """A later level of the 13^3 ball's plateau, which shares its run's
     sweep, builds its PinnedSpectrum off the run's first eigenvectors X_1
     and sqrt(r): it forms no W and keeps no K_BB, it allocates less than
     half an |I|^2 array at its peak, and its 2->infinity norms equal, bit
     for bit, those of a PinnedSpectrum of the copy X_1 sqrt(r) with
-    mu_1 r."""
+    mu_1 r.  The run is held to the node basis: its group is taken as
+    {id}, not the ball's <x<->y>."""
     cfg = load_config(_write(tmp_path, BALL_PLATEAU_3D))
     V = build_potential(cfg.family, cfg.grid)
+    identity = symmetry.Group((np.arange(cfg.grid.num_nodes),), (0,), ())
+    monkeypatch.setattr(scenario, "symmetry_group", lambda V: identity)
     pencils = [assemble_pencil(classify_nodes(V, e), V, e) for e in cfg.levels]
     t = np.geomspace(cfg.sweep.t_min, cfg.sweep.t_max, cfg.sweep.points)
     run = scenario._Run(len(pencils), shares_sweep=True)
-    run.pinned_spectrum(pencils[0], True, t)
-    first = run.spectrum
+    run.pinned_spectrum(pencils[0], True, t, V)
+    (first,) = run.spectrum
     n = first.eigenvectors.shape[0]
     for p in pencils[1:]:
         tracemalloc.start()
         try:
-            spectrum = run.pinned_spectrum(p, True, t)
+            spectrum = run.pinned_spectrum(p, True, t, V)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1048,7 +1083,7 @@ def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_pa
         copy = SpectralSummary(
             eigenvalues=first.eigenvalues * r, eigenvectors=first.eigenvectors * np.sqrt(r)
         )
-        reference = a2r.PinnedSpectrum(p, copy, t)
+        reference = a2r.PinnedSpectrum(p, [copy], t)
         assert np.array_equal(spectrum.summary.eigenvalues, reference.summary.eigenvalues)
         assert np.array_equal(spectrum.two_infinity, reference.two_infinity)
     assert run.spectrum is None

@@ -55,15 +55,17 @@ def test_weyl_ratio(tmp_path):
     assert ratios == sorted(ratios) and ratios[-1] < 1.0
 
 
-def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
+def _check_ladder(tmp_path, rung_name, eigs, kernels, route, sectors):
     """Run the ladder on ``rung_name`` (three levels) with this tree on both
     sides and two repeats, and check each run's layer counts: ``eigs``
     pencil_eigs calls, ``kernels`` c_P computations (one per run of
     levels), and the box ``route``, which orders the box by minimum degree
     on the sparse route only.  Only a run's first level sweeps its six
     points, and each 3D sweep point forms S(lam) from the pinned
-    eigenpairs, inside its splitting count.  Each side records the lines
-    of the tree's *.py files."""
+    eigenpairs, inside its splitting count.  ``sectors`` is the order of
+    the well's group and the orders of the first level's interior and
+    boundary sectors, which each run records; it exits 0 with no error.
+    Each side records the lines of the tree's *.py files."""
     src = str(Path(wellspectra.__file__).resolve().parents[1])
     src_lines = sum(len(path.read_text().splitlines()) for path in Path(src).rglob("*.py"))
     lines = run_script(
@@ -83,7 +85,10 @@ def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
     for side in ("before", "after"):
         run = rung[side]
         assert run["src_lines"] == src_lines
-        assert run["violations"] == 0
+        assert run["violations"] == 0 and run["exit_code"] == 0 and run["error"] is None
+        group_order, interior, boundary = sectors
+        assert run["group_order"] == group_order and len(interior) == group_order
+        assert (run["interior_sectors"], run["boundary_sectors"]) == (interior, boundary)
         assert run["layers"]["splitting_counts"]["calls"] == 6 * runs
         pinned, split = run["layers"]["pinned_schur_form"], run["layers"]["splitting_counts"]
         assert pinned["calls"] == split["calls"] and pinned["s"] <= split["s"]
@@ -104,22 +109,49 @@ def _check_ladder(tmp_path, rung_name, eigs, kernels, route):
 def test_shift_order_ladder(tmp_path):
     """At 9^3 both runs read the same counts and reports; the three levels
     (one plateau of the ball) compute the pinned spectrum, b and c_P once
-    (two pencil_eigs calls: the pinned one and the one in b), and the sweep
-    once, at the first level's six points; each level classifies,
+    (nine pencil_eigs calls: one per sector of the mirror-exact ball's group
+    Z_2^3, whose sectors split |I| = 27 and |B| = 54, and the one in b),
+    and the sweep once, at the first level's six points; each level classifies,
     assembles and orders its full pencil once, the first level alone
     orders its pinned block (later levels factor none), the compact
     ball's box operator takes the Birman-Schwinger route and
     orders nothing, and every median (the import time among them) lies
     between its recorded minimum and maximum."""
-    _check_ladder(tmp_path, "ball3d-9", eigs=2, kernels=1, route="birman-schwinger")
+    _check_ladder(
+        tmp_path, "ball3d-9", eigs=8 + 1, kernels=1, route="birman-schwinger",
+        sectors=(8, [8, 4, 4, 2, 4, 2, 2, 1], [12, 8, 8, 5, 8, 5, 5, 3]),
+    )
 
 
 def test_shift_order_ladder_gauss3d(tmp_path):
     """The same on the 9^3 Gaussian well, whose levels share no plateau:
-    each level is a run of one with its own pinned spectrum, b and c_P, and
-    the Gaussian fills the box, whose operator takes the sparse route and is
-    ordered once for the scenario."""
-    _check_ladder(tmp_path, "gauss3d-9", eigs=6, kernels=3, route="sparse")
+    each level is a run of one with its own pinned spectrum (in the 8
+    sectors of the mirror-exact well's group), b and c_P, and the Gaussian
+    fills the box, whose operator takes the sparse route and is ordered
+    once for the scenario."""
+    _check_ladder(
+        tmp_path, "gauss3d-9", eigs=3 * (8 + 1), kernels=3, route="sparse",
+        sectors=(8, [17, 9, 9, 4, 9, 4, 4, 1], [15, 10, 10, 6, 10, 6, 6, 3]),
+    )
+
+
+def test_shift_order_ladder_records_the_sectors_of_the_ball_at_25(tmp_path):
+    """At 25^3 the ball's coordinates are not mirror-exact, and its group is
+    the transposition x <-> y alone: the ladder records order 2, with
+    |I| = 907 split into 494 + 413 and |B| = 426 into 223 + 203."""
+    src = str(Path(wellspectra.__file__).resolve().parents[1])
+    run_script(
+        "shift_order_ladder.py", "--before", src, "--rungs", "ball3d-25", "--repeats", "1",
+        cwd=tmp_path,
+    )
+    rung = json.loads((tmp_path / "BENCH_shift_order.json").read_text())["rungs"]["ball3d-25"]
+    assert rung["digest_equal"] and rung["reports_equal"]
+    for side in ("before", "after"):
+        run = rung[side]
+        assert (run["group_order"], run["interior_sectors"], run["boundary_sectors"]) == (
+            2, [494, 413], [223, 203]
+        )
+        assert run["layers"]["pencil_eigs"]["calls"] == 2 + 1
 
 
 def test_shift_order_ladder_box_rung(tmp_path):
@@ -141,6 +173,7 @@ def test_shift_order_ladder_box_rung(tmp_path):
     assert rung["before"]["box_route"] == "birman-schwinger"
     assert rung["after"]["box_route"] == "sparse"
     assert rung["digest_equal"] and rung["after"]["digest"].startswith("[")
+    assert rung["after"]["exit_code"] == 0 and rung["after"]["group_order"] is None
     assert rung["after"]["mmd_orderings"] == 1 and rung["before"]["mmd_orderings"] == 0
 
 
