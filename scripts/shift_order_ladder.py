@@ -9,7 +9,9 @@ A rung is one scenario config built from perfbench/workloads.py:
 ``levels-2d`` (the 2D three-well landscape with 32 levels), ``ball3d-R``
 (the 3D ball well at R^3, whose three levels share one plateau) or
 ``gauss3d-R`` (the ball3d-R config edited to a Gaussian well of width 0.8
-at levels -4, -7 and -10, on which no two levels share a plateau).  Four
+at levels -4, -7 and -10, on which no two levels share a plateau) or
+``offgauss3d-R`` (gauss3d-R with its centre moved to (0.3, 0.1, -0.2), off
+every mirror plane and every diagonal, so that its group is {id}).  Four
 kinds of rung run the box layer alone, counted by one ``BoxOperator`` at
 the config's levels: ``box3d-R-RADIUS``, the ball3d-R well with its radius
 set to RADIUS, at its three levels; ``spread3d-R``, the ball3d-R config with
@@ -40,8 +42,9 @@ Per run it records:
 * the symmetry group the first pinned spectrum was solved in:
   ``group_order``, and the orders of its sectors of the interior and of
   the boundary (``interior_sectors``, ``boundary_sectors``); order 1, with
-  one sector each of |I| and |B|, for a pencil solved in the node basis
-  (every level of a tree without sectors), and None on a box-only rung;
+  one sector each of |I| and |B|, for G = {id} and for a spectrum passed
+  no sectors (1D and 2D levels, and every level of a tree without
+  sectors), and None on a box-only rung;
 * the factorizations by path (``Factorization.path``);
 * the route the box operator took (``BoxOperator.route``; "sparse" for a
   tree that has only that route);
@@ -123,6 +126,13 @@ GAUSS3D_EDITS = {
     "prefix = ball3d": "prefix = gauss3d",
 }
 
+#: ball3d -> offgauss3d: gauss3d centred off every mirror plane and diagonal
+OFFGAUSS3D_EDITS = {
+    **GAUSS3D_EDITS,
+    "center = 0, 0, 0": "center = 0.3, 0.1, -0.2",
+    "prefix = ball3d": "prefix = offgauss3d",
+}
+
 #: ball3d -> band3d: a landscape whose box holds many bound states
 BAND3D_EDITS = {
     "family = ball_well\ncenter = 0, 0, 0\nradius = 1.0\ndepth = 12.0":
@@ -154,13 +164,14 @@ def rung_config(rung: str, seed: int) -> str:
     kind, _, resolution = rung.partition("-")
     resolution, _, radius = resolution.partition("-")
     if (
-        kind not in ("ball3d", "gauss3d", "box3d", "band3d", "spread3d", "lattice3d")
+        kind not in ("ball3d", "gauss3d", "offgauss3d", "box3d", "band3d", "spread3d",
+                     "lattice3d")
         or not resolution.isdigit()
         or bool(radius) != (kind in ("box3d", "lattice3d"))
     ):
         raise SystemExit(
-            f"unknown rung {rung!r}: use levels-2d, ball3d-R, gauss3d-R, box3d-R-RADIUS, "
-            "band3d-R, spread3d-R or lattice3d-R-RADIUS"
+            f"unknown rung {rung!r}: use levels-2d, ball3d-R, gauss3d-R, offgauss3d-R, "
+            "box3d-R-RADIUS, band3d-R, spread3d-R or lattice3d-R-RADIUS"
         )
     text = ball3d_config(seed, resolution=int(resolution))
     if kind == "box3d":
@@ -174,7 +185,10 @@ def rung_config(rung: str, seed: int) -> str:
             "family = ball_well\ncenter = 0, 0, 0\nradius = 1.0\ndepth = 12.0",
             f"family = multi_well\nwells = {json.dumps(wells)}",
         )
-    edits = {"gauss3d": GAUSS3D_EDITS, "band3d": BAND3D_EDITS, "spread3d": SPREAD3D_EDITS}
+    edits = {
+        "gauss3d": GAUSS3D_EDITS, "offgauss3d": OFFGAUSS3D_EDITS, "band3d": BAND3D_EDITS,
+        "spread3d": SPREAD3D_EDITS,
+    }
     for old, new in edits.get(kind, {}).items():
         if old not in text:
             raise SystemExit(f"ball3d config has no {old!r} to edit into {kind}")

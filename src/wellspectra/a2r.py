@@ -39,11 +39,12 @@ factorizations, and n_minus(S) from its own Bunch-Kaufman factorization,
 so the identity stays an independent check.  Without eigenvectors (2D
 levels, P0, single counts) S(lam) comes from the Poisson matrix, symmetric.
 
-A pinned spectrum solved in the sectors of a symmetry group G of the well
-(see ``symmetry``) holds, per sector chi with orbit bases P_chi of I and
-Q_chi of B, its eigenpairs (mu_chi, Y_chi), W_chi = Q_chi' K_BI P_chi Y_chi
-and Q_chi' K_BB Q_chi.  B is G-invariant, so the Q_chi block-diagonalise
-S(lam) and n_minus(S(lam)) is the sum of the strict counts of the blocks
+A pinned spectrum with eigenvectors is solved in the sectors of a symmetry
+group G of the well (see ``symmetry``; G = {id} is one sector) and holds,
+per sector chi with orbit bases P_chi of I and Q_chi of B, its eigenpairs
+(mu_chi, Y_chi), W_chi = Q_chi' K_BI P_chi Y_chi and Q_chi' K_BB Q_chi.
+B is G-invariant, so the Q_chi block-diagonalise S(lam) and
+n_minus(S(lam)) is the sum of the strict counts of the blocks
 S_chi(lam) = Q_chi' K_BB Q_chi - W_chi diag(1/(mu_chi - lam)) W_chi', each
 with a Bunch-Kaufman factor of its own.  N_full and N_dir keep their
 node-basis sparse factors, so at every sweep point the splitting identity
@@ -67,6 +68,7 @@ from .eigcount import (
     two_infinity_norm,
 )
 from .model import AssembledPencil, SpectralSummary
+from .symmetry import Group, Sectors
 
 #: relative residual contract for harmonic extensions and form identities
 RESIDUAL_TOL = 1e-10
@@ -201,12 +203,10 @@ class PinnedSpectrum:
     """The one holder of a level's pinned spectrum, built from ``parts``,
     one spectrum per sector of the pinned pencil under a symmetry group G of
     the well (see ``symmetry``), together holding all |I| eigenvalues, and
-    the sweep's time grid ``t``.  With ``sectors``, the pencil's
-    ``symmetry.Sectors``, part chi is that of (P' K_II P, P' M_II P) with P
-    the sector's orbit basis, whose eigenvectors Y are the orbit-basis
-    coordinates of X = P Y.  Without, ``parts`` is the one node-basis
-    spectrum ``[pencil_eigs(K_II, M_II)]``: P and Q below are the identity,
-    never multiplied in, each node its own orbit.
+    the sweep's time grid ``t``.  ``sectors`` is the pencil's
+    ``symmetry.Sectors`` (by default those of G = {id}); part chi is that
+    of (P' K_II P, P' M_II P) with P the sector's orbit basis, whose
+    eigenvectors Y are the orbit-basis coordinates of X = P Y.
 
     ``summary`` holds the eigenvalues alone, sorted from the union of the
     parts' (the shift grid, a_lambda_norm and the heat trace read them).
@@ -219,14 +219,14 @@ class PinnedSpectrum:
     the BLAS reads it in place, with Q' K_BB Q kept sparse, as its lower
     triangle; otherwise ``two_infinity`` is None.  X itself is never formed:
     W is made by blocks of columns of Y, each scaled, and the norms by
-    blocks of rows, entry for entry as from X; with sectors no |I|^2 array
-    exists at all.
-    A later level of a plateau passes the run's first eigenvectors with
-    scale = sqrt(r) (see ``scenario._Run``), and with ``schur`` False when
-    it makes no sweep point: it then keeps neither W nor K_BB.  The norms'
-    call checks X M_II-orthonormal (per sector, Y against P' M_II P),
-    unless the caller has ``checked`` it.  Nothing keeps the eigenvectors,
-    so their arrays are freed once the caller lets go of ``parts``.
+    blocks of rows, entry for entry as from X.
+    Every level of a run passes the run's first eigenvectors with
+    scale = sqrt(r) (see ``scenario._Run``; r = 1.0 on the first), and a
+    later level passes ``schur`` False when it makes no sweep point: it then
+    keeps neither W nor K_BB.  The norms' call checks X M_II-orthonormal
+    (per sector, Y against P' M_II P), unless the caller has ``checked`` it.
+    Nothing keeps the eigenvectors, so their arrays are freed once the
+    caller lets go of ``parts``.
     """
 
     def __init__(
@@ -249,33 +249,27 @@ class PinnedSpectrum:
         if parts[0].eigenvectors is None:
             return
         if sectors is None:
-            masses, orbits = [p.M_interior], [np.arange(p.n_interior)]
-        else:
-            masses, orbits = sectors.masses(p), sectors.orbits
+            sectors = Sectors(p, Group.trivial(p.grid.num_nodes))
         self.two_infinity = two_infinity_norm(
-            parts, masses, t, scale=scale, check=not checked, orbits=orbits
+            parts, sectors.masses(p), t, scale=scale, check=not checked, orbits=sectors.orbits
         )
         if not schur:
             return
-        K_BI = p.K_IB.T
         self._W, self._K_BB = [], []
-        for k, part in enumerate(parts):
-            coupling, K_BB = K_BI, p.K_BB
-            if sectors is not None:
-                P, Q = sectors.interior[k], sectors.boundary[k]
-                coupling, K_BB = Q.T @ K_BI @ P, Q.T @ K_BB @ Q
+        for part, P, Q in zip(parts, sectors.interior, sectors.boundary):
+            coupling = Q.T @ p.K_IB.T @ P
             Y = part.eigenvectors
             W = np.empty((coupling.shape[0], Y.shape[1]), order="F")
             for start in range(0, Y.shape[1], _COLUMN_BLOCK):
                 cols = slice(start, start + _COLUMN_BLOCK)
                 W[:, cols] = coupling @ (Y[:, cols] * scale)
             self._W.append(W)
-            self._K_BB.append(sp.tril(K_BB, format="csc"))
+            self._K_BB.append(sp.tril(Q.T @ p.K_BB @ Q, format="csc"))
 
     def schur_form(self, lam: float) -> list | None:
         """S(lam) = K_BB - W diag(1/(mu - lam)) W^T, one block per sector
-        with boundary nodes (one block without sectors), each dense and
-        Fortran-ordered, lower triangle, zeros above; or None when the
+        with boundary nodes, each dense and Fortran-ordered, lower
+        triangle, zeros above; or None when the
         spectrum holds no W.  In each block the eigenvalues below lam enter
         through one dsyrk and those above through another, each on W's
         columns scaled by |mu - lam|^(-1/2), into the lower triangle of

@@ -652,21 +652,21 @@ def two_infinity_norm(
     already passes check=False (a later level of a plateau: see
     ``a2r.PinnedSpectrum``).
 
-    With ``orbits``, ``s`` and ``w`` are sequences, one spectrum (with its
-    orbit-basis eigenvectors Y) and one mass vector per sector of a
-    symmetry group (see ``symmetry``), and ``orbits[k]`` numbers the orbit
-    of each row of sector k's Y.  A node's row of the node-basis
-    eigenvectors P Y is +-1 times its orbit's row of Y, so the sum above is
-    the same on every node of an orbit: each sector's share of it is summed
-    per orbit, over the sectors, before the max.  Without ``orbits`` the
-    one spectrum ``s`` is in the node basis, each node its own orbit.
+    ``s`` and ``w`` are sequences, one spectrum (with its orbit-basis
+    eigenvectors Y) and one mass vector per sector of a symmetry group
+    (see ``symmetry``), and ``orbits[k]`` numbers the orbit of each row of
+    sector k's Y.  A node's row of the node-basis eigenvectors P Y is +-1
+    times its orbit's row of Y, so the sum above is the same on every node
+    of an orbit: each sector's share of it is summed per orbit, over the
+    sectors, before the max.  Without ``orbits``, ``s`` and ``w`` are
+    those of the one sector of G = {id}, each node its own orbit.
 
     Nothing of order^2 is formed but the Gram matrix of the check, which is
     let go before the norms: each sector's shares are (B*B) @ exp(-2 mu t)
     over blocks of rows of U, each block's product taken in SciPy's BLAS
     by ``matmul``, and each row's sum is the one that the product over all
-    rows gives (see _SMALL_PRODUCT).  In the node basis each node's share
-    is added to 0, so the norms are bit for bit those of numpy's
+    rows gives (see _SMALL_PRODUCT).  With G = {id} each node's share is
+    added to 0, so the norms are bit for bit those of numpy's
     (U*U) @ exp(-2 mu t).
     """
     if orbits is None:

@@ -20,12 +20,11 @@ semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
 read the eigenvectors, the norms over the time grid (whose computation
 checks the eigenvectors w-orthonormal, once per run of levels) and, on a
 level that sweeps, W = K_BI X; the level lets go of its eigenvector arrays
-before its first sweep point.  A 3D well whose sampled values some grid
-reflections or axis transpositions fix (``symmetry``) has its pinned pencil
-solved in the sectors of that group, one smaller eigenproblem each, and
-every sweep point counts S(lambda) as the sum of its sector blocks' counts;
-a well with no such symmetry, and every 1D and 2D level, takes the node
-basis, as before.
+before its first sweep point.  A 3D level solves its pinned pencil in the
+sectors of the group of grid reflections and axis transpositions that fix
+its sampled values (``symmetry``; G = {id} is one sector), one eigenproblem
+each, and every sweep point counts S(lambda) as the sum of its sector
+blocks' counts; 1D and 2D levels compute eigenvalues alone, in no sectors.
 The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
 ``BoxOperator``, counted before the first level, while the resident set is
@@ -39,8 +38,9 @@ takes one value V0 (a plateau), or else a run of one.  On a plateau the
 weight (V - e)_- is the constant e - V0, so K, P0 and the pinned
 eigenvectors do not depend on the level.  The run computes P0, S(0), c_P and
 the pinned spectrum (mu, X) from its first level's pencil, exactly as that
-level would alone; a later level, whose interior mass is m_e = (e - V0) h^n,
-takes mu r and X sqrt(r) with r = m_1/m_e, read off X without a copy.  The
+level would alone; each level, whose interior mass is m_e = (e - V0) h^n,
+takes mu r and X sqrt(r) with r = m_1/m_e (1.0 on the first), read off X
+without a copy.  The
 run checks X once, at its first level, and estimates b once, from its first
 level: b does not change with the mass.  When the shift grid follows the
 spectrum (neither lambda_min nor lambda_max is configured), a plateau also
@@ -461,46 +461,44 @@ class _Run:
     ) -> a2r.PinnedSpectrum:
         """The PinnedSpectrum of ``pencil`` over the time grid ``t``, with
         the eigenvectors when asked for.  The first call computes the
-        spectrum (mu_1, X_1) of the run's first pencil, and its
-        PinnedSpectrum checks X_1 M_1-orthonormal.  With the eigenvectors
-        and the potential ``V``, whose symmetry group G (read off V alone:
-        ``symmetry.symmetry_group``) is other than {id}, it solves the
-        pencil in G's sectors, one ``pencil_eigs`` per sector, and the run
+        spectrum (mu_1, X_1) of the run's first pencil: with eigenvectors,
+        one ``pencil_eigs`` per sector of the group G of the potential
+        ``V`` (read off V alone: ``symmetry.symmetry_group``; G = {id} is
+        one sector whose orbit bases are identity matrices), and the run
         keeps the sectors for its later levels, whose sets I and B are the
-        first level's; otherwise in the node basis, as one part.  A later
-        level's interior mass is the constant m_e, so its spectrum is the
-        first one rescaled by r = m_1/m_e: mu_1 r, with X_e = X_1 sqrt(r),
-        which its PinnedSpectrum reads off X_1 without a copy.  The check of
-        X_1 covers X_e: M_e = M_1/r, so X_e' M_e X_e = r X_1' (M_1/r) X_1 =
+        first level's; without, the values alone, and no sectors.  Level e,
+        whose interior mass is the constant m_e, reads it rescaled by
+        r = m_1/m_e: mu_1 r, with X_e = X_1 sqrt(r), which its
+        PinnedSpectrum reads off X_1 without a copy.  On the first level
+        r = m_1/m_1 = 1.0, and the products by 1.0 and sqrt(1.0) leave every
+        bit.  Its PinnedSpectrum checks X_1 M_1-orthonormal, which covers
+        X_e: M_e = M_1/r, so X_e' M_e X_e = r X_1' (M_1/r) X_1 =
         X_1' M_1 X_1, up to the rounding of the scaling by sqrt(r) and of
         r itself (a few ulps, far below ORTHONORMALITY_TOL = 1e-8); so a run
         makes one Gram check.  A later level of a run that shares its sweep
         makes no sweep point, so its PinnedSpectrum forms no W."""
-        first = self.spectrum
-        if first is None:
-            group = symmetry_group(V) if want_vectors else None
-            if group is not None and group.order > 1:
-                self.sectors = Sectors(pencil, group)
-                first = [
+        later = self.spectrum is not None
+        if not later:
+            if want_vectors:
+                self.sectors = Sectors(pencil, symmetry_group(V))
+                self.spectrum = [
                     pencil_eigs(K, m, want_vectors=True) for K, m in self.sectors.pencils(pencil)
                 ]
             else:
-                first = [pencil_eigs(pencil.K_II, pencil.M_interior, want_vectors=want_vectors)]
+                self.spectrum = [pencil_eigs(pencil.K_II, pencil.M_interior)]
             self.mass = pencil.M_interior[0]
-            spectrum = a2r.PinnedSpectrum(pencil, first, t, sectors=self.sectors)
-        else:
-            r = self._ratio(pencil)
-            scaled = [
-                SpectralSummary(eigenvalues=part.eigenvalues * r, eigenvectors=part.eigenvectors)
-                for part in first
-            ]
-            spectrum = a2r.PinnedSpectrum(
-                pencil, scaled, t, scale=np.sqrt(r), checked=True,
-                schur=not self.shares_sweep, sectors=self.sectors,
-            )
+        r = self._ratio(pencil)
+        scaled = [
+            SpectralSummary(eigenvalues=part.eigenvalues * r, eigenvectors=part.eigenvectors)
+            for part in self.spectrum
+        ]
         self.levels_left -= 1
-        self.spectrum = first if self.levels_left else None
-        return spectrum
+        if not self.levels_left:
+            self.spectrum = None
+        return a2r.PinnedSpectrum(
+            pencil, scaled, t, scale=np.sqrt(r), checked=later,
+            schur=not (later and self.shares_sweep), sectors=self.sectors,
+        )
 
     def sweep(self, pencil: AssembledPencil, compute) -> list:
         """The sweep points of ``pencil``'s level: ``compute()``, the level's

@@ -23,6 +23,8 @@ Sylvester's law gives n_-(A) = sum_chi n_-(P_chi' A P_chi).  A diagonal mass
 stays diagonal (each orbit's masses summed), the pinned pencil's eigenvalues
 are the union of the sectors' ones, and with Y_chi the sector's
 eigenvectors, P_chi Y_chi are eigenvectors of the pencil in the node basis.
+G = {id} (``Group.trivial``) has one sector, P and Q identity matrices:
+its products by them, and sums over its orbits, give every bit as it is.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ class Group:
     elements: tuple
     masks: tuple
     generators: tuple
+
+    @classmethod
+    def trivial(cls, num_nodes: int) -> Group:
+        """G = {id} on a grid of ``num_nodes`` nodes."""
+        return cls((np.arange(num_nodes),), (0,), ())
 
     @property
     def order(self) -> int:

@@ -370,7 +370,10 @@ def test_inertia_counts_match_dense_oracle_on_random_pencils(report):
 
 
 def test_reports_byte_identical_across_runs(tmp_path, report):
-    configs = ["ball_well_3d.cfg", "gaussian_well_2d.cfg", "empty_level_1d.cfg"]
+    configs = [
+        "ball_well_3d.cfg", "gaussian_well_2d.cfg", "empty_level_1d.cfg",
+        "gaussian_offcentre_3d.cfg",
+    ]
     identical = True
     for name in configs:
         pair = []

@@ -37,6 +37,7 @@ CONFIGS = {
     "ball3d": "ball_well_3d.cfg",
     "gauss2d": "gaussian_well_2d.cfg",
     "empty1d": "empty_level_1d.cfg",
+    "goff3d": "gaussian_offcentre_3d.cfg",
 }
 
 

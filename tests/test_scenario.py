@@ -1057,12 +1057,13 @@ def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(
     and sqrt(r): it forms no W and keeps no K_BB, it allocates less than
     half an |I|^2 array at its peak, and its 2->infinity norms equal, bit
     for bit, those of a PinnedSpectrum of the copy X_1 sqrt(r) with
-    mu_1 r.  The run is held to the node basis: its group is taken as
-    {id}, not the ball's <x<->y>."""
+    mu_1 r.  The run is held to one sector: its group is taken as {id},
+    not the ball's <x<->y>."""
     cfg = load_config(_write(tmp_path, BALL_PLATEAU_3D))
     V = build_potential(cfg.family, cfg.grid)
-    identity = symmetry.Group((np.arange(cfg.grid.num_nodes),), (0,), ())
-    monkeypatch.setattr(scenario, "symmetry_group", lambda V: identity)
+    monkeypatch.setattr(
+        scenario, "symmetry_group", lambda V: symmetry.Group.trivial(cfg.grid.num_nodes)
+    )
     pencils = [assemble_pencil(classify_nodes(V, e), V, e) for e in cfg.levels]
     t = np.geomspace(cfg.sweep.t_min, cfg.sweep.t_max, cfg.sweep.points)
     run = scenario._Run(len(pencils), shares_sweep=True)

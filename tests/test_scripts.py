@@ -135,6 +135,17 @@ def test_shift_order_ladder_gauss3d(tmp_path):
     )
 
 
+def test_shift_order_ladder_offgauss3d(tmp_path):
+    """The same on the 13^3 Gaussian centred off every mirror plane and
+    every diagonal: its group is {id}, so each level's pinned spectrum is
+    one sector, of |I| = 187 with |B| = 157 at the first level, solved with
+    one pencil_eigs call beside b's."""
+    _check_ladder(
+        tmp_path, "offgauss3d-13", eigs=3 * (1 + 1), kernels=3, route="sparse",
+        sectors=(1, [187], [157]),
+    )
+
+
 def test_shift_order_ladder_records_the_sectors_of_the_ball_at_25(tmp_path):
     """At 25^3 the ball's coordinates are not mirror-exact, and its group is
     the transposition x <-> y alone: the ladder records order 2, with

@@ -1,6 +1,8 @@
 """The exact symmetry group of a sampled well, and the pinned spectrum and
 boundary counts solved in its sectors against the node basis."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,12 @@ from wellspectra.assemble import assemble_pencil, classify_nodes
 from wellspectra.eigcount import count_below, pencil_eigs
 from wellspectra.errors import OnEigenvalue, SizeCap
 from wellspectra.model import GridSpec, PotentialField, build_potential
-from wellspectra.scenario import ConstantsSpec, ScenarioConfig, SweepSpec, _LevelRun, lambda_grid
-from wellspectra.symmetry import Sectors, symmetry_group
+from wellspectra.scenario import (
+    ConstantsSpec, ScenarioConfig, SweepSpec, _LevelRun, lambda_grid, load_config,
+)
+from wellspectra.symmetry import Group, Sectors, symmetry_group
 
+ROOT = Path(__file__).resolve().parents[1]
 BALL = {"name": "ball_well", "center": [0.0, 0.0, 0.0], "radius": 1.0, "depth": 12.0}
 MIRRORS = ("flip x", "flip y", "flip z")
 
@@ -87,10 +92,20 @@ def test_the_ball_group_is_read_off_its_sampled_values(resolution, generators):
 )
 def test_a_one_ulp_change_at_one_node_leaves_the_identity_alone(V, node):
     """Every candidate moves the node, so a one-ulp change there fixes no
-    candidate: G = {id}, and the scenario solves in the node basis."""
+    candidate: G = {id}, and the scenario solves one sector."""
     assert symmetry_group(V).order > 1
     G = symmetry_group(_moved(V, node))
     assert G.order == 1 and G.generators == ()
+
+
+def test_the_offcentre_gaussian_config_has_no_symmetry():
+    """The bundled Gaussian centred at (0.3, 0.1, -0.2), off every mirror
+    plane and every diagonal, has G = {id}: its golden covers the one
+    sector of the trivial group."""
+    cfg = load_config(ROOT / "configs" / "gaussian_offcentre_3d.cfg")
+    G = symmetry_group(build_potential(cfg.family, cfg.grid))
+    assert G.order == 1 and G.generators == ()
+    assert np.array_equal(G.elements[0], np.arange(cfg.grid.num_nodes))
 
 
 def test_a_one_ulp_change_keeps_the_candidates_that_fix_its_node():
@@ -138,6 +153,42 @@ def test_the_orbit_bases_are_signed_orbit_indicators():
     for a, b in zip(edges[:-1], edges[1:]):
         blocks[a:b, a:b] = 0.0
     assert not blocks.any()
+
+
+def test_the_trivial_group_is_one_sector_of_identity_bases():
+    """Under G = {id} there is one sector: its P and Q are identity
+    matrices, its masses are M_II bit for bit and its orbits number the
+    interior nodes in order."""
+    _, p = make_pencil(3, 9, BALL, -0.5)
+    sectors = Sectors(p, Group.trivial(p.grid.num_nodes))
+    assert sectors.group_order == 1
+    assert (sectors.interior_orders, sectors.boundary_orders) == (
+        (p.n_interior,), (p.n_boundary,)
+    )
+    (P,), (Q,), (orbits,) = sectors.interior, sectors.boundary, sectors.orbits
+    assert np.array_equal(P.toarray(), np.eye(p.n_interior))
+    assert np.array_equal(Q.toarray(), np.eye(p.n_boundary))
+    (mass,) = sectors.masses(p)
+    assert np.array_equal(mass.view(np.uint64), p.M_interior.view(np.uint64))
+    assert np.array_equal(orbits, np.arange(p.n_interior))
+
+
+def test_a_pinned_spectrum_defaults_to_the_trivial_sectors():
+    """A PinnedSpectrum built with no ``sectors`` and one built with the
+    sectors of G = {id} give bit-equal 2->infinity norms and S(lam) blocks,
+    and the norms are those of the node-basis ``two_infinity_norm``."""
+    _, p = make_pencil(3, 9, BALL, -0.5)
+    t = np.geomspace(0.05, 5.0, 6)
+    s = pencil_eigs(p.K_II, p.M_interior, want_vectors=True)
+    default = PinnedSpectrum(p, [s], t)
+    trivial = PinnedSpectrum(p, [s], t, sectors=Sectors(p, Group.trivial(p.grid.num_nodes)))
+    assert np.array_equal(default.two_infinity, trivial.two_infinity)
+    assert np.array_equal(default.two_infinity, eigcount.two_infinity_norm(s, p.M_interior, t))
+    mu = s.eigenvalues
+    for lam in (0.5 * mu[0], 0.5 * (mu[0] + mu[1]), 0.5 * (mu[-2] + mu[-1])):
+        (a,), (b,) = default.schur_form(lam), trivial.schur_form(lam)
+        assert a.flags.f_contiguous and np.array_equal(a, b)
+        assert splitting_counts(p, lam, default) == splitting_counts(p, lam)
 
 
 # -- counts and spectra in sectors against the node basis ------------------------
@@ -243,8 +294,9 @@ def test_a_symmetric_level_matches_its_node_basis_run(monkeypatch):
     cfg = _config(13)
     V = build_potential(cfg.family, cfg.grid)
     sectored = _LevelRun(cfg, V, 0, -0.5).run()
-    identity = symmetry.Group((np.arange(cfg.grid.num_nodes),), (0,), ())
-    monkeypatch.setattr(scenario, "symmetry_group", lambda V: identity)
+    monkeypatch.setattr(
+        scenario, "symmetry_group", lambda V: Group.trivial(cfg.grid.num_nodes)
+    )
     node = _LevelRun(cfg, V, 0, -0.5).run()
     assert (len(sectored.spectrum._mu), len(node.spectrum._mu)) == (2, 1)
     assert sectored.violations == node.violations == []
