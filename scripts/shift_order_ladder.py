@@ -26,11 +26,13 @@ seed 7, V < 0 on about 40 % of the box, so the box takes the sparse route,
 and at 25^3 it holds up to 98 bound states.
 Each (tree, rung) run is a fresh process that imports wellspectra from the
 tree, wraps ten layers at their import sites, the 3D sweep point's
-``PinnedSpectrum.schur_form`` and the box operator's ``certify`` and
-``count_below`` (outermost calls only), and runs the scenario, or the box,
-once.  The trees alternate, before first.  Per layer it records calls and
-inclusive wall time; ``poisson_matrix`` and ``pinned_schur_form`` also run
-inside ``splitting_counts``, and ``pencil_eigs`` inside ``estimate_b``.
+``PinnedSpectrum.schur_form`` and the box operator's construction and
+public methods (``count_below``, and in an older tree the method that
+counts the levels; outermost calls only), and runs the scenario, or the
+box, once.  The trees alternate, before first.  Per layer it records
+calls and inclusive wall time; ``poisson_matrix`` and
+``pinned_schur_form`` also run inside ``splitting_counts``, and
+``pencil_eigs`` inside ``estimate_b``.
 Per run it records:
 
 * the wall time of the worker's ``from wellspectra import ...`` (numpy is
@@ -272,16 +274,18 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
             if name.startswith("wellspectra") and getattr(module, attr, None) is original:
                 setattr(module, attr, wrapper)
 
-    routes = []
+    boxes = []
     box_class = schrodinger.BoxOperator
-    real_certify = box_class.certify
+    real_box = box_class.__init__
 
-    def certify(self):
-        real_certify(self)
-        routes.append(getattr(self, "route", "sparse"))
+    def box_init(self, *args, **kwargs):
+        real_box(self, *args, **kwargs)
+        boxes.append(self)
 
-    box_class.certify = _timed(certify, totals["box"], active["box"])
-    box_class.count_below = _timed(box_class.count_below, totals["box"], active["box"])
+    box_class.__init__ = _timed(box_init, totals["box"], active["box"])
+    for attr, fn in list(vars(box_class).items()):  # an older tree counts after construction
+        if callable(fn) and not attr.startswith("_"):
+            setattr(box_class, attr, _timed(fn, totals["box"], active["box"]))
 
     paths = Counter()
     orderings = Counter()
@@ -345,7 +349,7 @@ def measure(tree: str, rung: str, seed: int, route: str = "rule") -> dict:
         "error": error,
         **sectors,
         "layers": totals,
-        "box_route": routes[0] if routes else None,
+        "box_route": getattr(boxes[0], "route", "sparse") if boxes else None,
         "factorizations": dict(sorted(paths.items())),
         "mmd_orderings": orderings["MMD_AT_PLUS_A"],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

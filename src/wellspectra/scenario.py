@@ -27,10 +27,11 @@ each, and every sweep point counts S(lambda) as the sum of its sector
 blocks' counts; 1D and 2D levels compute eigenvalues alone, in no sectors.
 The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
-``BoxOperator``, counted before the first level, while the resident set is
-smallest: one inertia per level, on a route that the well W = {V < 0}
-alone picks (the schrodinger module docstring has the rule).  A level
-whose box factor raised skips its reduction report with that error.
+``BoxOperator``, which counts them when it is built, before the first
+level, while the resident set is smallest: one inertia per level, on a
+route that the well W = {V < 0} alone picks (the schrodinger module
+docstring has the rule).  A level whose box factor raised skips its
+reduction report with that error.
 
 Every level takes P0 (with S(0) and c_P), its pinned spectrum and b from its
 run: a run of consecutive levels whose sets {V < e} are equal and on which V
@@ -356,27 +357,13 @@ def _fmt(value) -> str:
 
 
 def _empty_level_row(scenario_id: str, e: float) -> dict:
-    return {
-        "scenario_id": scenario_id,
-        "e": e,
-        "lambda": None,
-        "N_full": 0,
-        "N_dir": 0,
-        "N_a2r_nonpos": 0,
-        "identity_holds": True,
-        "gamma": None,
-        "N_a2r_gamma": 0,
-        "a_lambda_norm": None,
-        "bound_thm54": None,
-        "bound_thm59": None,
-        "heat_trace_t": None,
-        "trace_bound": None,
-        "t": None,
-        "verdict_counting": NOT_APPLICABLE,
-        "verdict_thm54": NOT_APPLICABLE,
-        "verdict_thm59": NOT_APPLICABLE,
-        "verdict_trace": NOT_APPLICABLE,
-    }
+    """The row of a level with no sublevel nodes: every count 0, every
+    verdict not applicable, no sweep point."""
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(scenario_id=scenario_id, e=e, identity_holds=True)
+    row.update(dict.fromkeys(("N_full", "N_dir", "N_a2r_nonpos", "N_a2r_gamma"), 0))
+    row.update({col: NOT_APPLICABLE for col in CSV_COLUMNS if col.startswith("verdict_")})
+    return row
 
 
 def _plateau_runs(V: PotentialField, levels) -> list:
@@ -543,12 +530,12 @@ class _Run:
 class _LevelRun:
     """All computations for one energy level of one scenario.
 
-    ``box`` is the scenario's BoxOperator of V; by default the level counts
-    the box operator on its own.  ``shared`` is the _Run of levels whose
-    sublevel problem (P0, the pinned spectrum and b) the level reads, and
-    on a later level of a run that shares its sweep, the sweep points,
-    rescaled (``_Run.sweep``); by default the level is a run of one and
-    sweeps its own grid.
+    ``box`` is the scenario's BoxOperator of V; by default the level builds
+    its own, which counts the box operator below e before any other work.
+    ``shared`` is the _Run of levels whose sublevel problem (P0, the pinned
+    spectrum and b) the level reads, and on a later level of a run that
+    shares its sweep, the sweep points, rescaled (``_Run.sweep``); by
+    default the level is a run of one and sweeps its own grid.
     """
 
     def __init__(
@@ -872,7 +859,6 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
     runs = _plateau_runs(V, cfg.levels)
     follows_spectrum = cfg.sweep.lambda_min is None and cfg.sweep.lambda_max is None
     box = BoxOperator(V, cfg.levels)
-    box.certify()
     rows = []
     violations = []
     scenario_docs = []

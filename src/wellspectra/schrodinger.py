@@ -231,35 +231,29 @@ class BoxOperator:
     the nonpositive levels of one scenario, on the route that
     ``compact_well`` picks (see the module docstring).
 
-    ``certify``, or the first ``count_below``, counts every level at once
-    into one table: a level's count, or the type and message of the error
-    that its own factor raised, which ``count_below`` raises afresh each
-    time (a kept exception's traceback would keep the frames, and the
-    factor, that raised it).  A failure to pick the route or to assemble
-    the box is every level's outcome.  ``route`` names the route taken
-    ("birman-schwinger" or "sparse"); it is None until then, and when the
-    box could not be assembled.
+    Construction picks the route and counts every level, once, from the top
+    down, into one table: a level's count, or the type and message of the
+    error that its own factor raised, which ``count_below`` raises afresh
+    each time (a kept exception's traceback would keep the frames, and the
+    factor, that raised it).  Below a strict count of 0 every level counts
+    0 as well (Sylvester monotonicity), unfactored; a level whose factor
+    raised has no count, so the levels below it are factored.  A failure
+    to pick the route or to assemble the box is every level's outcome.
+    ``route`` names the route taken ("birman-schwinger" or "sparse"); it is
+    None when the box could not be assembled.
     """
 
     def __init__(self, V: PotentialField, levels):
         self.potential = V
         self.levels = sorted({float(e) for e in levels if e <= 0})
         self.route = None
-        self._shifts = self._outcomes = None
-
-    def certify(self):
-        """Pick the route and count every level, once, from the top down.
-        Below a strict count of 0 every level counts 0 as well (Sylvester
-        monotonicity), unfactored; a level whose factor raised has no
-        count, so the levels below it are factored."""
-        if self._outcomes is not None:
-            return
+        self._shifts = None
         try:
-            well_size = int(np.count_nonzero(_interior(self.potential) < 0))
-            if compact_well(self.potential.grid, well_size):
+            well_size = int(np.count_nonzero(_interior(V) < 0))
+            if compact_well(V.grid, well_size):
                 self.route = "birman-schwinger"
             else:
-                self._shifts = ShiftFamily(*assemble_schrodinger(_clamped(self.potential)))
+                self._shifts = ShiftFamily(*assemble_schrodinger(_clamped(V)))
                 self.route = "sparse"
         except Exception as exc:
             self._outcomes = dict.fromkeys(self.levels, (type(exc), str(exc)))
@@ -284,7 +278,6 @@ class BoxOperator:
         e = float(e)
         if e > 0:
             raise ValueError(f"the box operator is counted below levels e <= 0, got {e!r}")
-        self.certify()
         if e not in self._outcomes:
             raise ValueError(f"the box operator was not counted below {e!r}")
         outcome = self._outcomes[e]

@@ -584,6 +584,14 @@ def test_a_weighted_pencil_singular_at_lambda_one_nudges_the_reduction_once(
     cfg = load_config(_write(tmp_path, SMALL_2D))
     V = build_potential(cfg.family, cfg.grid)
     e = cfg.levels[0]
+    box_levels = []
+    real_box_factor = schrodinger.BoxOperator._factor
+
+    def box_factor(self, level_e):
+        box_levels.append(level_e)
+        return real_box_factor(self, level_e)
+
+    monkeypatch.setattr(schrodinger.BoxOperator, "_factor", box_factor)
     level = _LevelRun(cfg, V, 0, e)
     level.pencil = assemble_pencil(classify_nodes(V, e), V, e)
     family = level.pencil.full_shifts
@@ -597,14 +605,6 @@ def test_a_weighted_pencil_singular_at_lambda_one_nudges_the_reduction_once(
         return factor
 
     family.factor = singular_at_one
-    box_levels = []
-    real_box_factor = schrodinger.BoxOperator._factor
-
-    def box_factor(self, level_e):
-        box_levels.append(level_e)
-        return real_box_factor(self, level_e)
-
-    monkeypatch.setattr(schrodinger.BoxOperator, "_factor", box_factor)
     level._reduction_report()
     (rep,) = level.reports
     assert rep.name == "operator-reduction"
@@ -664,9 +664,9 @@ def test_3d_level_frees_its_eigenvectors_once_the_spectrum_is_built(tmp_path, mo
     assert level.spectrum.two_infinity is not None
 
 
-def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeypatch):
-    """The box operator is factored and certified before any level computes
-    its pinned spectrum, so its factor never sits on top of one."""
+def _box_and_eigs_events(monkeypatch) -> list:
+    """Record, in order, "box" for every box factor and "pencil_eigs" for
+    every pinned eigenproblem."""
     events = []
     real_factor = schrodinger.BoxOperator._factor
     real_eigs = scenario.pencil_eigs
@@ -681,8 +681,32 @@ def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeyp
 
     monkeypatch.setattr(schrodinger.BoxOperator, "_factor", factor)
     monkeypatch.setattr(scenario, "pencil_eigs", eigs)
+    return events
+
+
+def test_run_scenario_certifies_the_box_before_the_first_level(tmp_path, monkeypatch):
+    """The box operator is factored and certified before any level computes
+    its pinned spectrum, so its factor never sits on top of one."""
+    events = _box_and_eigs_events(monkeypatch)
     result = run_scenario(_write(tmp_path, SMALL_3D), out_dir=tmp_path / "out")
     assert result.exit_code == 0
+    # the pinned pencil is solved in the 8 sectors of the 9^3 ball's group
+    assert events == ["box"] + ["pencil_eigs"] * 8
+
+
+def test_a_standalone_level_counts_its_box_before_the_first_level_work(
+    tmp_path, monkeypatch
+):
+    """A level run on its own, with the default box, counts the box
+    operator when it builds the box, before it computes its pinned
+    spectrum: the box's factor never sits on top of P0, W or the level's
+    factors."""
+    events = _box_and_eigs_events(monkeypatch)
+    cfg = load_config(_write(tmp_path, SMALL_3D))
+    V = build_potential(cfg.family, cfg.grid)
+    level = _LevelRun(cfg, V, 0, cfg.levels[0]).run()
+    assert level.violations == []
+    assert [rep.name for rep in level.reports].count("operator-reduction") == 1
     # the pinned pencil is solved in the 8 sectors of the 9^3 ball's group
     assert events == ["box"] + ["pencil_eigs"] * 8
 

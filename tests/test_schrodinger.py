@@ -314,7 +314,6 @@ def test_level_on_the_box_spectrum_on_both_routes(route, monkeypatch):
     assert direct[:2] == [0, 0] and direct[2] >= 1
     made = _box_factors(monkeypatch, zero_at=-57.0)
     box = BoxOperator(V, levels)
-    box.certify()
     assert box.route == route
     for _ in range(2):
         with pytest.raises(OnEigenvalue, match=r"box operator spectrum \(n_zero=1\)"):
@@ -387,6 +386,57 @@ def test_a_failed_box_assembly_is_every_levels_outcome(monkeypatch):
     assert box.route is None and made == []
 
 
+def _constant_well_spectrum(grid, c):
+    """The eigenvalues of the box operator of V = -c on the box, in closed
+    form: h^-2 sum_a 4 sin^2(pi k_a / (2 (R_a - 1))) - c, k_a = 1..R_a - 2."""
+    total = -c
+    for r in grid.resolution:
+        k = np.arange(1, r - 1)
+        lam = 4.0 * np.sin(np.pi * k / (2 * (r - 1))) ** 2 / grid.spacing**2
+        total = np.add.outer(total, lam)
+    return np.sort(total.ravel())
+
+
+@pytest.mark.parametrize(
+    "dim, res, c, rule",
+    [
+        (1, 41, 200.0, "sparse"),
+        (2, 21, 100.0, "sparse"),
+        (3, 7, 30.0, "birman-schwinger"),  # N = 125
+        (3, 9, 30.0, "sparse"),  # N = 343
+    ],
+)
+def test_box_counts_of_a_constant_well_equal_the_closed_form(dim, res, c, rule, monkeypatch):
+    """With V = -c on the whole box, the box operator is the pinned
+    Laplacian shifted by -c, whose spectrum is known in closed form.  At
+    seeded levels <= 0, each midway between two distinct eigenvalues, the
+    box counts exactly the eigenvalues below the level: on the route the
+    rule picks, and in 3D on the other route too.  Every shifted operator
+    is indefinite."""
+    grid = GridSpec(box=((-2.0, 2.0),) * dim, resolution=(res,) * dim)
+    V = PotentialField(grid=grid, values=np.full(grid.shape, -c))
+    spectrum = _constant_well_spectrum(grid, c)
+    distinct = spectrum[np.flatnonzero(np.diff(spectrum) > 1e-6 * np.abs(spectrum).max())]
+    distinct = np.append(distinct, spectrum[-1])
+    middles = (distinct[:-1] + distinct[1:]) / 2
+    middles = middles[middles <= 0]
+    rng = np.random.default_rng(dim * 100 + res)
+    levels = sorted(rng.choice(middles, size=6, replace=False))
+    expected = [int(np.count_nonzero(spectrum < e)) for e in levels]
+    assert 0 < min(expected) and max(expected) < spectrum.size
+
+    def counts(route):
+        box = BoxOperator(V, levels)
+        assert box.route == route
+        return [box.count_below(e) for e in levels]
+
+    assert counts(rule) == expected
+    if dim == 3:
+        other = "sparse" if rule == "birman-schwinger" else "birman-schwinger"
+        monkeypatch.setattr(schrodinger, "compact_well", lambda *args: other != "sparse")
+        assert counts(other) == expected
+
+
 # ------------------------------------------------ the Birman-Schwinger route
 
 
@@ -411,7 +461,6 @@ def test_compact_ball_counts_equal_direct_factorization(radius):
     box operator."""
     V, levels = _ball_3d(radius, seed=int(10 * radius))
     box = BoxOperator(V, levels)
-    box.certify()
     assert box.route == "birman-schwinger"
     direct = [_direct_box_count(V, e) for e in levels]
     assert [_box_outcome(box, e) for e in levels] == direct
@@ -452,9 +501,7 @@ def test_box_route_rule():
     |W|^3 <= COMPACT_WELL_C * N^2 in 3D, whatever the number of levels."""
 
     def route(V, levels):
-        box = BoxOperator(V, levels)
-        box.certify()
-        return box.route
+        return BoxOperator(V, levels).route
 
     V, levels = _ball_3d(1.0, seed=0)
     assert route(V, levels) == "birman-schwinger"
@@ -496,7 +543,6 @@ def test_birman_schwinger_levels_hold_one_matrix_at_a_time(monkeypatch):
     monkeypatch.setattr(schrodinger, "Factorization", Recording)
     monkeypatch.setattr(schrodinger, "birman_schwinger_matrix", matrix)
     box = BoxOperator(V, levels)
-    box.certify()
     assert box.route == "birman-schwinger"
     assert alive == [[], [False], [False, False]]
     for _ in range(2):
