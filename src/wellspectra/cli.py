@@ -31,8 +31,11 @@ finite is a configuration error.  So are a positive ``--level``, a
 not, a ``--lambda-grid`` below 1, a
 ``--lambda-min``/``--lambda-max`` that is not finite and > 0, ``oracle
 box-count`` arguments outside n in {1, 2, 3}, side > 0 and mu >= 0 (all
-finite), and ``report`` files that cannot be read or are not scenario
-reports; each is refused before any work.  Scenario CSV columns are
+finite), ``report`` files that cannot be read or are not scenario
+reports, a scenario config that ``scenario.load_config`` refuses (an
+unknown section or key among them) and a potential that
+``model.build_potential`` cannot build (a missing family parameter or one
+that breaks its rule); each is refused before any work.  Scenario CSV columns are
 documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON report document
 carries ``schema_version`` 1.
 """

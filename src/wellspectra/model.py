@@ -11,14 +11,16 @@ also feed the scenario report JSON.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import UnknownFamily
+from .errors import ConfigError, UnknownFamily
 
 DEFAULT_NODE_CAP = 200_000
 
@@ -154,8 +156,6 @@ class PotentialField:
 
 def _radial2(grid: GridSpec, center) -> np.ndarray:
     center = np.asarray(center, dtype=float)
-    if center.shape != (grid.dimension,):
-        raise ValueError("center must have one coordinate per axis")
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
     r2 = np.zeros(grid.shape)
     for ax, m in enumerate(mesh):
@@ -170,26 +170,27 @@ def _check_support_inside(grid: GridSpec, center, extent: float, name: str):
             return
 
 
-def _ball_well(grid, center, radius, depth):
-    if depth <= 0:
-        raise ValueError("well depth must be positive")
+def _ball_well(grid, center, depth, radius):
     _check_support_inside(grid, np.asarray(center, float), float(radius), "ball_well")
     return np.where(_radial2(grid, center) < float(radius) ** 2, -float(depth), 0.0)
 
 
-def _gaussian_well(grid, center, width, depth):
-    if depth <= 0 or width <= 0:
-        raise ValueError("gaussian well needs positive width and depth")
+def _gaussian_well(grid, center, depth, width):
     _check_support_inside(grid, np.asarray(center, float), 3.0 * float(width), "gaussian_well")
     return -float(depth) * np.exp(-_radial2(grid, center) / (2.0 * float(width) ** 2))
+
+
+def _multi_well(grid, wells):
+    vals = np.zeros(grid.shape)
+    for part in wells:
+        vals = vals + _sample(part, grid)
+    return vals
 
 
 def _band_limited_random(grid, seed, cutoff, amplitude):
     """Zero-at-edge random field: clipped band-limited cosine sum times a
     sine-squared envelope.  Deterministic in the seed."""
     cutoff = int(cutoff)
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
     rng = np.random.default_rng(int(seed))
     n = grid.dimension
     ks = [k for k in np.ndindex(*((cutoff + 1,) * n)) if any(k)]
@@ -213,34 +214,105 @@ def _band_limited_random(grid, seed, cutoff, amplitude):
     return envelope * np.minimum(raw, 0.0)
 
 
+class Family(NamedTuple):
+    """A potential family: its sampler, which takes the grid and then the
+    parameters in the order a config lists them and a report prints them."""
+
+    build: Callable
+    params: tuple
+
+
+#: every potential family the package samples
+FAMILIES = {
+    "ball_well": Family(_ball_well, ("center", "depth", "radius")),
+    "gaussian_well": Family(_gaussian_well, ("center", "depth", "width")),
+    "multi_well": Family(_multi_well, ("wells",)),
+    "band_limited_random": Family(_band_limited_random, ("seed", "cutoff", "amplitude")),
+}
+
+
+def _floats(text: str) -> list:
+    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def _finite(value, n=None) -> bool:
+    """Whether ``value`` is a finite real number, or with ``n``, a list of n."""
+    if n is not None:
+        return isinstance(value, (list, tuple, np.ndarray)) and len(value) == n and all(
+            map(_finite, value)
+        )
+    return isinstance(value, (int, float, np.integer, np.floating)) and bool(np.isfinite(value))
+
+
+def _families(value, grid) -> bool:
+    """Whether ``value`` is a non-empty list of families; each is checked."""
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(part, dict) and part.get("name") in FAMILIES and _check_family(part, grid)
+        for part in value
+    )
+
+
+class Parameter(NamedTuple):
+    """A family parameter: ``read`` turns its config text into its value,
+    and ``holds(value, grid)`` is its rule, which ``rule`` says in words."""
+
+    read: Callable
+    holds: Callable
+    rule: str
+
+
+#: the parameters of the families in FAMILIES
+PARAMETERS = {
+    "center": Parameter(
+        _floats, lambda v, grid: _finite(v, grid.dimension), "finite, one coordinate per axis"
+    ),
+    "depth": Parameter(float, lambda v, grid: _finite(v) and v > 0, "finite and > 0"),
+    "radius": Parameter(float, lambda v, grid: _finite(v), "finite"),
+    "width": Parameter(float, lambda v, grid: _finite(v) and v > 0, "finite and > 0"),
+    "wells": Parameter(json.loads, _families, "a non-empty list of families"),
+    "seed": Parameter(int, lambda v, grid: _finite(v) and v >= 0, "finite and >= 0"),
+    "cutoff": Parameter(int, lambda v, grid: _finite(v) and v >= 1, "finite and >= 1"),
+    "amplitude": Parameter(float, lambda v, grid: _finite(v), "finite"),
+}
+
+
+def _check_family(family: dict, grid: GridSpec) -> bool:
+    """True; else UnknownFamily, or a ConfigError naming the family and the
+    parameter that is missing or breaks its rule."""
+    name = family.get("name")
+    if name not in FAMILIES:
+        raise UnknownFamily(f"unknown potential family {name!r}")
+    for key in FAMILIES[name].params:
+        if key not in family:
+            raise ConfigError(f"potential family {name}: missing parameter {key!r}")
+        if not PARAMETERS[key].holds(family[key], grid):
+            raise ConfigError(
+                f"potential family {name}: {key} must be {PARAMETERS[key].rule}, "
+                f"got {family[key]!r:.80}"
+            )
+    return True
+
+
+def _sample(family: dict, grid: GridSpec) -> np.ndarray:
+    build, params = FAMILIES[family["name"]]
+    return build(grid, *(family[key] for key in params))
+
+
 def build_potential(family: dict, grid: GridSpec) -> PotentialField:
     """Sample an analytic potential family at the grid nodes.
 
-    Families: ``ball_well(center, radius, depth)``,
-    ``gaussian_well(center, width, depth)``, ``multi_well(wells=[...])``,
-    ``band_limited_random(seed, cutoff, amplitude)``.  All produce V <= 0
-    decaying toward the box edge (a warning is emitted if a well's support
-    reaches the edge).
+    Families (``FAMILIES``): ``ball_well(center, depth, radius)``,
+    ``gaussian_well(center, depth, width)``, ``multi_well(wells=[...])``, the
+    sum of its parts, and ``band_limited_random(seed, cutoff, amplitude)``.
+    All produce V <= 0 decaying toward the box edge (a warning is emitted if
+    a well's support reaches the edge).  The family is checked before any
+    node is sampled: a name that is not in FAMILIES is UnknownFamily, and a
+    missing parameter or one that breaks its rule (``PARAMETERS``; every
+    part of a multi_well is checked the same way) is a ConfigError naming
+    the family and the parameter.
     """
-    name = family.get("name")
-    if name == "ball_well":
-        vals = _ball_well(grid, family["center"], family["radius"], family["depth"])
-    elif name == "gaussian_well":
-        vals = _gaussian_well(grid, family["center"], family["width"], family["depth"])
-    elif name == "multi_well":
-        wells = family["wells"]
-        if not wells:
-            raise ValueError("multi_well needs at least one component")
-        vals = np.zeros(grid.shape)
-        for sub in wells:
-            vals = vals + build_potential(sub, grid).values
-    elif name == "band_limited_random":
-        vals = _band_limited_random(
-            grid, family["seed"], family["cutoff"], family["amplitude"]
-        )
-    else:
-        raise UnknownFamily(f"unknown potential family {name!r}")
-    return PotentialField(grid=grid, values=vals, family=dict(family))
+    _check_family(family, grid)
+    return PotentialField(grid=grid, values=_sample(family, grid), family=dict(family))
 
 
 @dataclass

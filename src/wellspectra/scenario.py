@@ -59,20 +59,21 @@ measures off P0, 2->infinity norms, heat traces, bound columns, verdicts,
 box count and reduction check.  The run lets go of X once its last level
 has built its spectrum.
 
-Config schema::
+Config schema (a section or key not listed is a ConfigError)::
 
     [grid]       dimension, box (lo:hi per axis, comma separated),
                  resolution (comma separated), node_cap (optional)
-    [potential]  family = ball_well | gaussian_well | multi_well |
-                 band_limited_random, plus family parameters
-                 (center/radius/depth/width/seed/cutoff/amplitude/wells)
+    [potential]  family, a key of ``model.FAMILIES``, and that family's
+                 parameters; ``build_potential`` checks them
+                 (``model.PARAMETERS``)
     [levels]     values = comma separated energies, or count/min/max (all
                  finite and <= 0)
-    [sweeps]     points (shared grid length), lambda_min, lambda_max
-                 (each finite and > 0, min <= max), t_min, t_max (each finite
-                 and > 0; all optional)
-    [constants]  p (finite, > 0), L_n (finite, > 0), b (finite),
-                 omega_convention, b_samples (>= 1)
+    [sweeps]     points, lambda_min, lambda_max, t_min, t_max (optional,
+                 with the rules of ``_OPTIONAL``; given shift ends also
+                 min <= max)
+    [constants]  p, L_n, b, omega_convention, b_samples (optional, with
+                 the rules of ``_OPTIONAL``); c_P and cp_samples are retired,
+                 accepted and ignored
     [output]     directory, prefix
     [seed]       value
 """
@@ -97,10 +98,14 @@ from .model import (
     NOT_APPLICABLE,
     VIOLATED,
     AssembledPencil,
+    DEFAULT_NODE_CAP,
+    FAMILIES,
+    PARAMETERS,
     BoundReport,
     GridSpec,
     PotentialField,
     SpectralSummary,
+    _floats,
     build_potential,
 )
 from .schrodinger import BoxOperator, reduction_check
@@ -179,20 +184,47 @@ class ScenarioResult:
         return 1 if self.violations else 0
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
-
-
 def _ints(text: str) -> list:
     return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
-def _get(cp, section, key, default=None):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key).strip()
-        if raw:
-            return raw
-    return default
+def _positive(x) -> bool:
+    return 0 < x < np.inf
+
+
+#: the optional [sweeps] and [constants] keys: (section, key, reader, rule,
+#: the rule in words).  A key left out or empty keeps its SweepSpec or
+#: ConstantsSpec default; a value that is not None and breaks its rule is a
+#: ConfigError.  The shift range has its own check, ``check_shift_range``.
+_OPTIONAL = (
+    ("sweeps", "points", int, lambda n: n >= 1, ">= 1"),
+    ("sweeps", "lambda_min", float, None, None),
+    ("sweeps", "lambda_max", float, None, None),
+    ("sweeps", "t_min", float, _positive, "finite and > 0"),
+    ("sweeps", "t_max", float, _positive, "finite and > 0"),
+    ("constants", "p", float, _positive, "finite and > 0"),
+    ("constants", "L_n", float, _positive, "finite and > 0"),
+    ("constants", "b", float, np.isfinite, "finite"),
+    ("constants", "omega_convention", str,
+     lambda s: s in (bounds.SPHERE_AREA, bounds.BALL_VOLUME),
+     f"{bounds.SPHERE_AREA} or {bounds.BALL_VOLUME}"),
+    ("constants", "b_samples", int, lambda n: n >= 1, ">= 1"),
+)
+
+#: the keys of every section, lowercase as configparser reads them; the
+#: retired [constants] keys c_P and cp_samples are accepted and ignored,
+#: [potential] takes ``family`` and that family's parameters (model.FAMILIES)
+#: and [DEFAULT], which configparser lends to every section, takes none
+_KEYS = {
+    "DEFAULT": set(),
+    "grid": {"dimension", "box", "resolution", "node_cap"},
+    "levels": {"values", "count", "min", "max"},
+    "sweeps": {key.lower() for section, key, *_ in _OPTIONAL if section == "sweeps"},
+    "constants": {"c_p", "cp_samples"}
+    | {key.lower() for section, key, *_ in _OPTIONAL if section == "constants"},
+    "output": {"directory", "prefix"},
+    "seed": {"value"},
+}
 
 
 def check_shift_range(lo: float | None, hi: float | None) -> None:
@@ -209,6 +241,17 @@ def load_config(path) -> ScenarioConfig:
     try:
         if not cp.read(path):
             raise ConfigError(f"cannot read config file {path}")
+        name = cp.get("potential", "family")
+        if name not in FAMILIES:
+            raise ConfigError(f"unknown potential family {name!r}")
+        known = {**_KEYS, "potential": {"family", *FAMILIES[name].params}}
+        for section in cp:
+            if section not in known:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in cp[section]:
+                if key not in known[section]:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+
         dim = cp.getint("grid", "dimension")
         box_raw = cp.get("grid", "box")
         box = tuple(
@@ -219,29 +262,12 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError(
                 f"grid dimension {dim} does not match box/resolution lengths"
             )
-        kwargs = {}
-        cap = _get(cp, "grid", "node_cap")
-        if cap is not None:
-            kwargs["node_cap"] = int(cap)
-        grid = GridSpec(box=box, resolution=resolution, **kwargs)
+        cap = int(cp.get("grid", "node_cap", fallback="") or DEFAULT_NODE_CAP)
+        grid = GridSpec(box=box, resolution=resolution, node_cap=cap)
 
-        name = cp.get("potential", "family")
         family = {"name": name}
-        if name in ("ball_well", "gaussian_well"):
-            family["center"] = _floats(cp.get("potential", "center"))
-            family["depth"] = cp.getfloat("potential", "depth")
-            if name == "ball_well":
-                family["radius"] = cp.getfloat("potential", "radius")
-            else:
-                family["width"] = cp.getfloat("potential", "width")
-        elif name == "multi_well":
-            family["wells"] = json.loads(cp.get("potential", "wells"))
-        elif name == "band_limited_random":
-            family["seed"] = cp.getint("potential", "seed")
-            family["cutoff"] = cp.getint("potential", "cutoff")
-            family["amplitude"] = cp.getfloat("potential", "amplitude")
-        else:
-            raise ConfigError(f"unknown potential family {name!r}")
+        for key in FAMILIES[name].params:
+            family[key] = PARAMETERS[key].read(cp.get("potential", key))
 
         spanned = not cp.has_option("levels", "values")
         if spanned:
@@ -258,51 +284,20 @@ def load_config(path) -> ScenarioConfig:
         if any(e > 0 for e in levels):
             raise ConfigError(f"energy levels must be nonpositive, got {max(levels)!r}")
 
-        sweep = SweepSpec()
-        if cp.has_section("sweeps"):
-            sweep.points = int(_get(cp, "sweeps", "points", sweep.points))
-            for key in ("lambda_min", "lambda_max"):
-                val = _get(cp, "sweeps", key)
-                if val is not None:
-                    setattr(sweep, key, float(val))
-            sweep.t_min = float(_get(cp, "sweeps", "t_min", sweep.t_min))
-            sweep.t_max = float(_get(cp, "sweeps", "t_max", sweep.t_max))
-        if sweep.points < 1:
-            raise ConfigError("sweeps.points must be >= 1")
+        specs = {"sweeps": SweepSpec(), "constants": ConstantsSpec()}
+        for section, key, read, holds, rule in _OPTIONAL:
+            raw = cp.get(section, key, fallback="")
+            if raw:
+                setattr(specs[section], key, read(raw))
+            value = getattr(specs[section], key)
+            if holds is not None and value is not None and not holds(value):
+                raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
+        sweep, consts = specs["sweeps"], specs["constants"]
         check_shift_range(sweep.lambda_min, sweep.lambda_max)
-        if not (0 < sweep.t_min < np.inf and 0 < sweep.t_max < np.inf):
-            raise ConfigError(
-                "sweeps.t_min and t_max must be finite and > 0, "
-                f"got {sweep.t_min} and {sweep.t_max}"
-            )
 
-        consts = ConstantsSpec()
-        if cp.has_section("constants"):
-            consts.p = float(_get(cp, "constants", "p", consts.p))
-            for key in ("L_n", "b"):
-                val = _get(cp, "constants", key)
-                if val is not None:
-                    setattr(consts, key, float(val))
-            consts.omega_convention = _get(
-                cp, "constants", "omega_convention", consts.omega_convention
-            )
-            consts.b_samples = int(_get(cp, "constants", "b_samples", consts.b_samples))
-        if not 0 < consts.p < np.inf:
-            raise ConfigError(f"constants.p must be finite and > 0, got {consts.p}")
-        if consts.L_n is not None and not 0 < consts.L_n < np.inf:
-            raise ConfigError(f"constants.L_n must be finite and > 0, got {consts.L_n}")
-        if consts.b is not None and not np.isfinite(consts.b):
-            raise ConfigError(f"constants.b must be finite, got {consts.b}")
-        if consts.b_samples < 1:
-            raise ConfigError(f"constants.b_samples must be >= 1, got {consts.b_samples}")
-        if consts.omega_convention not in (bounds.SPHERE_AREA, bounds.BALL_VOLUME):
-            raise ConfigError(
-                f"unknown omega_convention {consts.omega_convention!r}"
-            )
-
-        out_dir = _get(cp, "output", "directory", "out")
-        prefix = _get(cp, "output", "prefix", Path(str(path)).stem)
-        seed = int(_get(cp, "seed", "value", 0))
+        out_dir = cp.get("output", "directory", fallback="") or "out"
+        prefix = cp.get("output", "prefix", fallback="") or Path(str(path)).stem
+        seed = int(cp.get("seed", "value", fallback="") or 0)
     except ConfigError:
         raise
     except Exception as exc:

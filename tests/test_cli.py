@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from wellspectra import cli, eigcount, model
-from wellspectra.scenario import CSV_COLUMNS
+from wellspectra.scenario import CSV_COLUMNS, load_config
 
 from test_scenario import SMALL_2D, SMALL_3D
 
@@ -189,6 +189,93 @@ def test_a_bad_argument_is_a_config_error(cfg2d, tmp_path, monkeypatch, capsys, 
     assert captured.out == "" and captured.err.startswith("config error:")
     assert "Traceback" not in captured.err
     assert loaded == []
+
+
+#: SMALL_3D's [potential] block, and one buildable block for each family
+BALL_3D_POTENTIAL = "family = ball_well\n    center = 0, 0, 0\n    radius = 1.0\n    depth = 12.0"
+POTENTIALS = {
+    "ball_well": {"center": "0, 0, 0", "radius": "1", "depth": "1"},
+    "gaussian_well": {"center": "0, 0, 0", "width": "1", "depth": "1"},
+    "band_limited_random": {"seed": "1", "cutoff": "2", "amplitude": "1"},
+    "multi_well": {
+        "wells": '[{"name": "ball_well", "center": [0, 0, 0], "radius": 1, "depth": 1}]'
+    },
+}
+
+
+def _potential_config(tmp_path, family, params):
+    """SMALL_3D with this family and these parameters in [potential]."""
+    assert BALL_3D_POTENTIAL in SMALL_3D
+    lines = [f"family = {family}", *(f"{k} = {v}" for k, v in params.items())]
+    path = tmp_path / f"{family}.cfg"
+    path.write_text(textwrap.dedent(SMALL_3D.replace(BALL_3D_POTENTIAL, "\n    ".join(lines))))
+    return path
+
+
+_PART = '{"name": "ball_well", "center": [0.0, 0.0, 0.0], "depth": 12.0}'
+#: blocks that cannot be built on SMALL_3D's 9^3 grid: a family, the key
+#: that breaks it and its value, and what the error names (by default the
+#: family and the key; a multi_well part's error names the part's family)
+UNBUILDABLE = {
+    "ball-negative-depth": ("ball_well", "depth", "-3"),
+    "ball-infinite-depth": ("ball_well", "depth", "inf"),
+    "ball-nan-radius": ("ball_well", "radius", "nan"),
+    "ball-2d-center": ("ball_well", "center", "0, 0"),
+    "ball-nan-center": ("ball_well", "center", "0, nan, 0"),
+    "gaussian-zero-width": ("gaussian_well", "width", "0"),
+    "gaussian-infinite-width": ("gaussian_well", "width", "inf"),
+    "band-zero-cutoff": ("band_limited_random", "cutoff", "0"),
+    "band-negative-seed": ("band_limited_random", "seed", "-1"),
+    "band-infinite-amplitude": ("band_limited_random", "amplitude", "inf"),
+    "multi-no-wells": ("multi_well", "wells", "[]"),
+    "multi-not-a-list": ("multi_well", "wells", _PART),
+    "multi-not-families": ("multi_well", "wells", '[{"name": "volcano"}]'),
+    "multi-part-without-radius": (
+        "multi_well", "wells", f"[{_PART}]", "ball_well: missing parameter 'radius'"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "assemble", "splitting", "bounds"])
+@pytest.mark.parametrize("case", UNBUILDABLE)
+def test_a_potential_that_cannot_be_built_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command, case
+):
+    """A missing family parameter, or one that breaks its rule, exits 2 with a
+    config error naming the family and the parameter on every subcommand
+    that builds a potential, before any node is sampled; not 1 (a failed
+    identity) with a traceback."""
+    family, key, value, *named = UNBUILDABLE[case]
+    named = named[0] if named else f"{family}: {key}"
+    path = _potential_config(tmp_path, family, {**POTENTIALS[family], key: value})
+    sampled = []
+    monkeypatch.setattr(model, "_sample", lambda *args: sampled.append(args))
+    where = ["--out", str(tmp_path)] if command == "run" else ["--level", "-0.5"]
+    assert cli.main([command, str(path), *where]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert f"potential family {named}" in captured.err
+    assert sampled == []
+
+
+def test_a_misspelt_key_exits_2(tmp_path, capsys):
+    """A misspelt [sweeps] key exits 2 naming it; it does not run on the
+    default shift grid."""
+    path = tmp_path / "typo.cfg"
+    text = SMALL_2D.replace("points = 3", "points = 3\n    lamda_max = 2.0")
+    path.write_text(textwrap.dedent(text))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "lamda_max" in captured.err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", POTENTIALS)
+def test_each_unbroken_potential_block_builds(tmp_path, family):
+    """The blocks UNBUILDABLE breaks one key of build as they are."""
+    cfg = load_config(_potential_config(tmp_path, family, POTENTIALS[family]))
+    assert model.build_potential(cfg.family, cfg.grid).values.min() < 0
 
 
 BALL_2D = """\

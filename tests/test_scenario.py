@@ -225,6 +225,94 @@ def test_load_config_errors(tmp_path):
     assert (sweep.t_min, sweep.t_max) == (5.0, 0.1)
 
 
+#: a misspelt or foreign key in each section of SMALL_3D (as the line after
+#: which it is added, and the key), and the section its error names
+UNKNOWN_KEYS = {
+    "grid": ("resolution = 9, 9, 9", "node_kap = 1000"),
+    "potential": ("depth = 12.0", "raduis = 1.0"),
+    "potential-other-family": ("depth = 12.0", "width = 0.5"),
+    "levels": ("values = -0.5", "valeus = -0.5"),
+    "sweeps": ("points = 2", "lamda_max = 2.0"),
+    "constants": ("p = 3.0", "L_m = 0.1"),
+    "output": ("prefix = small3d", "prefx = other"),
+    "seed": ("value = 7", "vaule = 3"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_KEYS)
+def test_an_unknown_key_is_a_config_error(tmp_path, case):
+    """A key that its section does not read, compared lowercase as
+    configparser reads it, is a ConfigError naming the key and the section;
+    [potential] reads its family's parameters only."""
+    after, line = UNKNOWN_KEYS[case]
+    key, section = line.split(" =")[0].lower(), case.split("-")[0]
+    path = _write(tmp_path, SMALL_3D.replace(after, f"{after}\n    {line}"))
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\]"):
+        load_config(path)
+
+
+def test_an_unknown_section_is_a_config_error(tmp_path):
+    """A section the reader does not know is a ConfigError naming it; so is
+    a key in [DEFAULT], which configparser would lend to every section."""
+    path = _write(tmp_path, SMALL_3D + "\n[sweep]\npoints = 4\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[sweep\]"):
+        load_config(path)
+    path = _write(tmp_path, "[DEFAULT]\npoints = 4\n" + textwrap.dedent(SMALL_3D))
+    with pytest.raises(ConfigError, match=r"unknown key 'points' in \[DEFAULT\]"):
+        load_config(path)
+
+
+def _typed(value):
+    """``value`` with every dict as its items in order and every leaf with
+    its type, so that equality also compares key order and types."""
+    if isinstance(value, dict):
+        return [(key, _typed(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+_GAUSSIAN_2D = "family = gaussian_well\n    center = 0, 0\n    width = 0.6\n    depth = 4.0"
+_WELLS = (
+    '[{"name": "gaussian_well", "center": [-1.0, 0.0], "width": 0.4, "depth": 3.0}, '
+    '{"name": "ball_well", "depth": 2.0, "radius": 0.5, "center": [1.0, 0.5]}]'
+)
+#: one [potential] block per family (keys in any order), and the family
+#: dict it reads as: its parameters in model.FAMILIES order, centres as
+#: lists of floats, seed and cutoff as ints and wells as given
+FAMILY_BLOCKS = {
+    "ball_well": (
+        "family = ball_well\n    radius = 1.0\n    depth = 4\n    center = 0, 0",
+        {"name": "ball_well", "center": [0.0, 0.0], "depth": 4.0, "radius": 1.0},
+    ),
+    "gaussian_well": (
+        _GAUSSIAN_2D,
+        {"name": "gaussian_well", "center": [0.0, 0.0], "depth": 4.0, "width": 0.6},
+    ),
+    "multi_well": (
+        f"family = multi_well\n    wells = {_WELLS}",
+        {"name": "multi_well", "wells": json.loads(_WELLS)},
+    ),
+    "band_limited_random": (
+        "family = band_limited_random\n    amplitude = 8\n    seed = 5\n    cutoff = 3",
+        {"name": "band_limited_random", "seed": 5, "cutoff": 3, "amplitude": 8.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_BLOCKS)
+def test_each_family_reads_and_reports_its_parameters_in_table_order(tmp_path, family):
+    """``load_config``'s family dict has the expected keys, in the expected
+    order, with the expected types; the JSON report's ``family`` block is
+    that dict.  The goldens pin no multi_well or band_limited_random bytes."""
+    block, expected = FAMILY_BLOCKS[family]
+    assert _GAUSSIAN_2D in SMALL_2D
+    path = _write(tmp_path, SMALL_2D.replace(_GAUSSIAN_2D, block))
+    assert _typed(load_config(path).family) == _typed(expected)
+    result = run_scenario(path, out_dir=tmp_path / "out")
+    assert _typed(json.loads(result.json_path.read_text())["family"]) == _typed(expected)
+
+
 def test_fmt_is_deterministic_text():
     assert _fmt(None) == ""
     assert _fmt(True) == "true"
