@@ -188,8 +188,7 @@ def _cmd_bounds(args) -> int:
     _check_level(args.level)
     cfg = load_config(args.config)
     if cfg.grid.dimension < 3:
-        print("bound suite needs dimension >= 3", file=sys.stderr)
-        return 2
+        raise ConfigError("bound suite needs dimension >= 3")
     V = model.build_potential(cfg.family, cfg.grid)
     level = _LevelRun(cfg, V, 0, args.level).run()
     doc = {

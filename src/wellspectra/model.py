@@ -309,10 +309,15 @@ def build_potential(family: dict, grid: GridSpec) -> PotentialField:
     node is sampled: a name that is not in FAMILIES is UnknownFamily, and a
     missing parameter or one that breaks its rule (``PARAMETERS``; every
     part of a multi_well is checked the same way) is a ConfigError naming
-    the family and the parameter.
+    the family and the parameter.  So is a sample that is not finite at
+    every node (a multi_well whose parts' sum overflows, say).
     """
     _check_family(family, grid)
-    return PotentialField(grid=grid, values=_sample(family, grid), family=dict(family))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _sample(family, grid)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"potential family {family['name']}: a sampled value is not finite")
+    return PotentialField(grid=grid, values=values, family=dict(family))
 
 
 @dataclass

@@ -9,6 +9,12 @@ sweeps a shift grid and a time grid of equal length, and emits
   pinned order of ``CSV_COLUMNS``; and
 * a JSON document of BoundReports (``schema_version`` 1).
 
+A level states each bound once, as a ``_Bound`` of its table: the bounds
+of each sweep point (``_LevelRun._point_bounds``), then its own
+(``_LevelRun._level_bounds``).  A bound that has CSV columns names its
+bound_*/verdict_* pair, which the row reads off its report; a bound not
+made leaves the pair empty and not applicable (``_LevelRun._row``).
+
 Both outputs are byte-deterministic given the config: floats are printed
 with ``repr``, rows are produced in sweep order, and every random draw is
 seeded from the config.  Sweep points run serially, in order.
@@ -230,7 +236,8 @@ _KEYS = {
 def check_shift_range(lo: float | None, hi: float | None) -> None:
     """A given end of a shift range (None: the default end) that is not
     finite and > 0, or lo > hi, is a ConfigError.  A single given end can
-    still cross a default one; ``lambda_grid`` checks that."""
+    still cross a default one; ``lambda_grid`` checks the range again with
+    its default ends filled in."""
     given = [x for x in (lo, hi) if x is not None]
     if not all(0 < x < np.inf for x in given) or given != sorted(given):
         raise ConfigError(f"bad shift range [{lo}, {hi}]")
@@ -329,13 +336,13 @@ def _nudged(fn, x0: float, what: str):
 def lambda_grid(mus, lo: float | None, hi: float | None, points: int) -> np.ndarray:
     """Geometric shift grid of ``points`` values from lo to hi; by default
     from 0.5*mu_1 to 1.02*mu_min(10, N) of the ascending pinned spectrum
-    ``mus``.  A range that is not 0 < lo <= hi < inf is a ConfigError."""
+    ``mus``.  A range that is not 0 < lo <= hi < inf is a ConfigError
+    (``check_shift_range``)."""
     if lo is None:
         lo = 0.5 * mus[0]
     if hi is None:
         hi = 1.02 * mus[min(10, len(mus)) - 1]
-    if not (0 < lo <= hi < np.inf):
-        raise ConfigError(f"bad shift range [{lo}, {hi}]")
+    check_shift_range(lo, hi)
     return np.geomspace(lo, hi, points)
 
 
@@ -349,16 +356,6 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-def _empty_level_row(scenario_id: str, e: float) -> dict:
-    """The row of a level with no sublevel nodes: every count 0, every
-    verdict not applicable, no sweep point."""
-    row = dict.fromkeys(CSV_COLUMNS)
-    row.update(scenario_id=scenario_id, e=e, identity_holds=True)
-    row.update(dict.fromkeys(("N_full", "N_dir", "N_a2r_nonpos", "N_a2r_gamma"), 0))
-    row.update({col: NOT_APPLICABLE for col in CSV_COLUMNS if col.startswith("verdict_")})
-    return row
 
 
 def _plateau_runs(V: PotentialField, levels) -> list:
@@ -399,6 +396,20 @@ class _Point(NamedTuple):
         """The point of a pencil whose mass is this one's over r: the shift,
         the norm and gamma times r, every count as it is."""
         return self._replace(lam=self.lam * r, norm=self.norm * r, gamma=self.gamma * r)
+
+
+class _Bound(NamedTuple):
+    """One bound of a level's table: the fields of its BoundReport (the
+    level's e leads its point) and the bound_*/verdict_* CSV columns that
+    the report's rhs and verdict fill, if any."""
+
+    name: str
+    constants: dict
+    point: dict
+    rhs: float | None = None
+    lhs: float | int | None = None
+    notes: str = ""
+    columns: tuple = ()
 
 
 class _Run:
@@ -553,15 +564,16 @@ class _LevelRun:
         self.violations = []
         self.meta = {}
         self.pencil = None
-        self.consts = None
+        self.consts = self.constants = None
 
     def run(self):
         try:
             dec = classify_nodes(self.V, self.e)
         except EmptySublevel:
-            self.rows.append(_empty_level_row(self.scenario_id, self.e))
+            counts = dict.fromkeys(("N_full", "N_dir", "N_a2r_nonpos", "N_a2r_gamma"), 0)
+            self.rows.append(self._row({"identity_holds": True, **counts}))
             self.meta = {"empty": True, "n_interior": 0, "n_boundary": 0}
-            self._reduction_report()
+            self._report(self._level_bounds())
             return self
         pencil = assemble_pencil(dec, self.V, self.e)
         self.pencil = pencil
@@ -585,17 +597,17 @@ class _LevelRun:
         # (15.6k to 31.4k), and the run took about 12 % longer
         P0, self.S0, kernel = self.shared.poisson_zero(pencil)
         self.bm = a2r.boundary_measures(pencil, P0)
-        kernel_report = self._kernel_constant_report(kernel)
         self.consts = self._derive_constants()
+        if self.consts is not None:
+            self.constants = self.consts.to_dict()
 
         points = self.shared.sweep(pencil, self._sweep)
         two_inf = self.spectrum.two_infinity
         if two_inf is None:
             two_inf = [None] * len(t_grid)
         for point, t, two in zip(points, t_grid, two_inf):
-            row, reports = self._sweep_point(point, t, two)
+            row = self._sweep_point(point, t, two)
             self.rows.append(row)
-            self.reports.extend(reports)
             if row["identity_holds"] is not True:
                 self.violations.append(
                     f"{self.scenario_id}: splitting identity failed at "
@@ -606,9 +618,7 @@ class _LevelRun:
                     f"{self.scenario_id}: counting inequality failed at "
                     f"lambda={row['lambda']!r}"
                 )
-        self._reduction_report()
-        if kernel_report is not None:
-            self.reports.append(kernel_report)
+        self._report(self._level_bounds(kernel))
         return self
 
     # -- constants ---------------------------------------------------------
@@ -678,165 +688,116 @@ class _LevelRun:
         gamma, n_gamma = _nudged(boundary_count, gamma0, "gamma")
         return _Point(lam, n_full, n_dir, n_bnd, bool(identity), gamma0, gamma, n_gamma)
 
-    def _sweep_point(self, point: _Point, t: float, two_inf: float | None):
-        lam, n_dir, gamma, n_gamma = point.lam, point.n_dir, point.gamma, point.n_gamma
-        counting_ok = point.n_full <= n_dir + n_gamma
-
-        reports = []
-        consts = self.consts
-        base_point = {"e": self.e, "lambda": lam}
-
-        bound54 = bound59 = trace_rhs = None
-        if consts is not None:
-            bound54 = bounds.dirichlet_count_bound(
-                consts.n, consts.p, consts.normW1, consts.normWp, lam
-            )
-            reports.append(
-                BoundReport(
-                    name="pinned-count-bound",
-                    constants=consts.to_dict(),
-                    point=dict(base_point),
-                    rhs=bound54,
-                    lhs=n_dir,
-                )
-            )
-            if consts.m is not None:
-                bound59 = bounds.a2r_count_bound(
-                    consts.m, consts.c1, consts.c2, consts.normW1, gamma
-                )
-                reports.append(
-                    BoundReport(
-                        name="boundary-count-bound",
-                        constants=consts.to_dict(),
-                        point={"e": self.e, "gamma": gamma},
-                        rhs=bound59,
-                        lhs=n_gamma,
-                        notes=consts.extras.get("b_provenance", ""),
-                    )
-                )
-
-        trace_val = heat_trace(self.spectrum.summary, t)
-        if consts is not None:
-            two_inf_rhs, trace_rhs = bounds.ultracontractivity_and_trace_bounds(
-                consts.d, consts.S_r, consts.normW1, t
-            )
-            reports.append(
-                BoundReport(
-                    name="heat-trace-bound",
-                    constants=consts.to_dict(),
-                    point={"e": self.e, "t": t},
-                    rhs=trace_rhs,
-                    lhs=trace_val,
-                )
-            )
-            if two_inf is not None:
-                reports.append(
-                    BoundReport(
-                        name="semigroup-2inf-bound",
-                        constants=consts.to_dict(),
-                        point={"e": self.e, "t": t},
-                        rhs=two_inf_rhs,
-                        lhs=float(two_inf),
-                    )
-                )
-
-        def verdict_of(name):
-            for rep in reports:
-                if rep.name == name:
-                    return rep.verdict
-            return NOT_APPLICABLE
-
-        row = {
-            "scenario_id": self.scenario_id,
-            "e": self.e,
-            "lambda": lam,
+    def _sweep_point(self, point: _Point, t: float, two_inf: float | None) -> dict:
+        """The CSV row of one sweep point, after its bounds' reports; each
+        bound that fills a bound_*/verdict_* pair fills it off its report."""
+        trace = heat_trace(self.spectrum.summary, t)
+        counting_ok = point.n_full <= point.n_dir + point.n_gamma
+        row = self._row({
+            "lambda": point.lam,
             "N_full": point.n_full,
-            "N_dir": n_dir,
+            "N_dir": point.n_dir,
             "N_a2r_nonpos": point.n_bnd,
             "identity_holds": point.identity,
-            "gamma": gamma,
-            "N_a2r_gamma": n_gamma,
+            "gamma": point.gamma,
+            "N_a2r_gamma": point.n_gamma,
             "a_lambda_norm": point.norm,
-            "bound_thm54": bound54,
-            "bound_thm59": bound59,
-            "heat_trace_t": trace_val,
-            "trace_bound": trace_rhs,
+            "heat_trace_t": trace,
             "t": t,
             "verdict_counting": HOLDS if counting_ok else VIOLATED,
-            "verdict_thm54": verdict_of("pinned-count-bound"),
-            "verdict_thm59": verdict_of("boundary-count-bound"),
-            "verdict_trace": verdict_of("heat-trace-bound"),
-        }
-        return row, reports
+        })
+        table = self._point_bounds(point, t, two_inf, trace)
+        for bound, report in zip(table, self._report(table)):
+            row.update(zip(bound.columns, (report.rhs, report.verdict)))
+        return row
+
+    def _point_bounds(self, point: _Point, t: float, two_inf: float, trace: float) -> list:
+        """The bounds judged at one sweep point, in report order; none on a
+        level without constants, and the boundary count's only where the
+        boundary chain gave m.  Constants exist only in n >= 3, where the
+        level has its 2->infinity norms."""
+        c = self.consts
+        if c is None:
+            return []
+        two_inf_rhs, trace_rhs = bounds.ultracontractivity_and_trace_bounds(
+            c.d, c.S_r, c.normW1, t
+        )
+        table = [
+            _Bound(
+                "pinned-count-bound", self.constants, {"lambda": point.lam},
+                bounds.dirichlet_count_bound(c.n, c.p, c.normW1, c.normWp, point.lam),
+                point.n_dir, columns=("bound_thm54", "verdict_thm54"),
+            ),
+            _Bound(
+                "boundary-count-bound", self.constants, {"gamma": point.gamma},
+                bounds.a2r_count_bound(c.m, c.c1, c.c2, c.normW1, point.gamma),
+                point.n_gamma, c.extras["b_provenance"], ("bound_thm59", "verdict_thm59"),
+            ) if c.m is not None else None,
+            _Bound(
+                "heat-trace-bound", self.constants, {"t": t}, trace_rhs, trace,
+                columns=("trace_bound", "verdict_trace"),
+            ),
+            _Bound("semigroup-2inf-bound", self.constants, {"t": t}, two_inf_rhs, float(two_inf)),
+        ]
+        return [bound for bound in table if bound is not None]
 
     # -- per-level reports ---------------------------------------------------
 
-    def _reduction_report(self):
+    def _level_bounds(self, kernel=None) -> list:
+        """The level's own bounds, in report order after its sweep points':
+        the operator reduction at lambda = 1, nudged, or skipped with the
+        error that the box factor or the check raised (a level on the box
+        operator spectrum stays there for every lambda, so its OnEigenvalue
+        is not nudged); where it ran and L_n is given in n >= 3, the Lieb
+        bound on the operator count; and the kernel constant ``kernel`` =
+        (c_P, pairs) from ``_Run.poisson_zero``, if any."""
         def check(lam):
             return reduction_check(self.V, self.e, lam, pencil=self.pencil, box=self.box)
 
         try:
-            # a level on the box operator spectrum stays there for every
-            # lambda: its OnEigenvalue skips the report, unnudged
             self.box.count_below(self.e)
             lam, (n_op, n_weighted, holds) = _nudged(check, 1.0, "lambda")
+            reduction = dict(constants={"lambda": lam}, rhs=float(n_weighted), lhs=n_op)
         except Exception as exc:
-            self.reports.append(
-                BoundReport(
-                    name="operator-reduction",
-                    constants={},
-                    point={"e": self.e},
-                    rhs=None,
-                    lhs=None,
-                    verdict=NOT_APPLICABLE,
-                    notes=f"skipped: {exc}",
-                )
-            )
-            return
-        self.reports.append(
-            BoundReport(
-                name="operator-reduction",
-                constants={"lambda": lam},
-                point={"e": self.e},
-                rhs=float(n_weighted),
-                lhs=n_op,
-            )
-        )
+            reduction, n_op, holds = dict(constants={}, notes=f"skipped: {exc}"), None, True
         if not holds:
             self.violations.append(
                 f"{self.scenario_id}: operator reduction inequality failed at e={self.e!r}"
             )
         L_n = self.cfg.constants.L_n
-        n = self.cfg.grid.dimension
-        if L_n is not None and n >= 3:
-            rhs = bounds.lieb_bound(self.V, self.e, L_n)
-            self.reports.append(
-                BoundReport(
-                    name="operator-count-bound",
-                    constants={"L_n": L_n},
-                    point={"e": self.e},
-                    rhs=rhs,
-                    lhs=n_op,
-                    notes="L_n supplied by configuration",
-                )
-            )
+        lieb = n_op is not None and L_n is not None and self.cfg.grid.dimension >= 3
+        table = [
+            _Bound("operator-reduction", point={}, **reduction),
+            _Bound(
+                "operator-count-bound", {"L_n": L_n}, {}, bounds.lieb_bound(self.V, self.e, L_n),
+                n_op, "L_n supplied by configuration",
+            ) if lieb else None,
+            _Bound(
+                "poisson-kernel-constant", {"c_P": kernel[0]}, {}, notes=(
+                    f"c_P exact: maximum over all {kernel[1]} interior/boundary pairs "
+                    "with P0 > 0"
+                ),
+            ) if kernel is not None else None,
+        ]
+        return [bound for bound in table if bound is not None]
 
-    def _kernel_constant_report(self, kernel) -> BoundReport | None:
-        """The report of the kernel constant ``kernel`` = (c_P, pairs) from
-        ``_Run.poisson_zero``, or None; the level lists it last."""
-        if kernel is None:
-            return None
-        value, pairs = kernel
-        note = f"c_P exact: maximum over all {pairs} interior/boundary pairs with P0 > 0"
-        return BoundReport(
-            name="poisson-kernel-constant",
-            constants={"c_P": value},
-            point={"e": self.e},
-            rhs=None,
-            lhs=None,
-            verdict=NOT_APPLICABLE,
-            notes=note,
-        )
+    def _report(self, table: list) -> list:
+        """Append the BoundReport of each _Bound of ``table``, and return them."""
+        reports = [
+            BoundReport(b.name, b.constants, {"e": self.e, **b.point}, b.rhs, b.lhs, notes=b.notes)
+            for b in table
+        ]
+        self.reports.extend(reports)
+        return reports
+
+    def _row(self, values: dict) -> dict:
+        """A CSV row of the level: ``values``, every other verdict not
+        applicable and every other column empty."""
+        row = dict.fromkeys(CSV_COLUMNS)
+        row.update({col: NOT_APPLICABLE for col in CSV_COLUMNS if col.startswith("verdict_")})
+        row.update(scenario_id=self.scenario_id, e=self.e)
+        row.update(values)
+        return row
 
 
 def run_scenario(config_path, out_dir=None) -> ScenarioResult:
@@ -868,7 +829,7 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
                 "scenario_id": level.scenario_id,
                 "level": float(e),
                 **level.meta,
-                "constants": level.consts.to_dict() if level.consts is not None else None,
+                "constants": level.constants,
                 "reports": [rep.to_dict() for rep in level.reports],
             }
             scenario_docs.append(doc)

@@ -259,6 +259,25 @@ def test_a_potential_that_cannot_be_built_is_a_config_error(
     assert sampled == []
 
 
+@pytest.mark.parametrize("command", ["run", "assemble", "splitting", "bounds"])
+def test_a_potential_that_samples_to_a_non_finite_value_is_a_config_error(
+    tmp_path, capsys, command
+):
+    """Two coincident wells of depth 1e308 each pass every parameter rule,
+    but their sum overflows to -inf: every subcommand that builds the
+    potential exits 2 with a config error naming the family; not 1 (a failed
+    identity) with a traceback."""
+    part = {"name": "ball_well", "center": [0, 0, 0], "radius": 1, "depth": 1e308}
+    path = _potential_config(tmp_path, "multi_well", {"wells": json.dumps([part, part])})
+    where = ["--out", str(tmp_path / "out")] if command == "run" else ["--level", "-0.5"]
+    assert cli.main([command, str(path), *where]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert "potential family multi_well" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_misspelt_key_exits_2(tmp_path, capsys):
     """A misspelt [sweeps] key exits 2 naming it; it does not run on the
     default shift grid."""
@@ -334,8 +353,11 @@ def test_splitting_subcommand_rejects_a_reversed_shift_range(cfg2d, capsys):
 
 
 def test_bounds_subcommand_needs_3d(cfg2d, capsys):
+    """Below 3D the bound suite refuses like every other exit-2 error."""
     assert cli.main(["bounds", str(cfg2d), "--level", "-0.8"]) == 2
-    assert "dimension >= 3" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "dimension >= 3" in captured.err
 
 
 def test_bounds_subcommand_3d(cfg3d, capsys):

@@ -1,3 +1,4 @@
+import csv
 import gc
 import tracemalloc
 import json
@@ -23,6 +24,7 @@ from wellspectra.scenario import (
     _fmt,
     _LevelRun,
     _nudged,
+    lambda_grid,
     load_config,
     run_scenario,
     write_csv,
@@ -402,6 +404,42 @@ def test_a_supplied_b_below_the_boundary_exponent_keeps_the_interior_chain(tmp_p
     assert sc["constants"]["s"] is None and sc["constants"]["m"] is None
 
 
+def test_a_subcritical_exponent_leaves_a_3d_level_without_constants(tmp_path):
+    """With p <= n/2 the constants raise SubcriticalExponent: the level has
+    no constants and makes no sweep-point bound report, its bound columns
+    stay empty and their verdicts not applicable, and the counting
+    inequality is still judged."""
+    text = SMALL_3D.replace("resolution = 9, 9, 9", "resolution = 11, 11, 11").replace(
+        "p = 3.0", "p = 1.4"
+    )
+    result = run_scenario(_write(tmp_path, text), out_dir=tmp_path / "out")
+    assert result.exit_code == 0
+    (sc,) = result.document["scenarios"]
+    assert sc["constants"] is None
+    assert [rep["name"] for rep in sc["reports"]] == [
+        "operator-reduction", "operator-count-bound", "poisson-kernel-constant"
+    ]
+    with result.csv_path.open() as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == len(result.rows) == 2
+    for row in rows:
+        assert row["bound_thm54"] == row["bound_thm59"] == row["trace_bound"] == ""
+        for column in ("verdict_thm54", "verdict_thm59", "verdict_trace"):
+            assert row[column] == NOT_APPLICABLE
+        assert row["verdict_counting"] == HOLDS
+
+
+def test_lambda_grid_checks_its_range_with_the_default_ends_filled_in():
+    """A given end that crosses a default end, or a default end that is not
+    finite, is the ConfigError of ``check_shift_range``."""
+    mus = np.array([1.0, 2.0, 4.0])
+    assert list(lambda_grid(mus, None, None, 2)) == [0.5, 1.02 * 4.0]
+    with pytest.raises(ConfigError, match=r"bad shift range \[10.0, 4.08\]"):
+        lambda_grid(mus, 10.0, None, 2)
+    with pytest.raises(ConfigError, match=r"bad shift range \[nan, "):
+        lambda_grid(np.array([np.nan, 1.0]), None, None, 2)
+
+
 def test_no_b_below_the_boundary_exponent_is_recorded_as_none_used(tmp_path):
     """With p <= n - 1 and b left empty, no b is supplied or estimated, and
     the constants say so beside their empty b."""
@@ -693,7 +731,7 @@ def test_a_weighted_pencil_singular_at_lambda_one_nudges_the_reduction_once(
         return factor
 
     family.factor = singular_at_one
-    level._reduction_report()
+    level._report(level._level_bounds())
     (rep,) = level.reports
     assert rep.name == "operator-reduction"
     assert rep.constants == {"lambda": 1.0 * (1 + scenario.NUDGE)}
