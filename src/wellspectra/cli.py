@@ -35,9 +35,11 @@ finite), ``report`` files that cannot be read or are not scenario
 reports, a scenario config that ``scenario.load_config`` refuses (an
 unknown section or key among them) and a potential that
 ``model.build_potential`` cannot build (a missing family parameter or one
-that breaks its rule); each is refused before any work.  Scenario CSV columns are
-documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON report document
-carries ``schema_version`` 1.
+that breaks its rule); each is refused before any work.  So are a ``run``
+output directory that cannot be made, refused before any level is counted,
+and an ``assemble --save`` path that cannot be written.  Scenario CSV
+columns are documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON
+report document carries ``schema_version`` 1.
 """
 
 from __future__ import annotations
@@ -111,7 +113,10 @@ def _cmd_assemble(args) -> int:
         f"surface total = {float(pencil.sigma.sum())!r}"
     )
     if args.save:
-        Path(args.save).write_text(json.dumps(pencil.to_dict(), indent=1) + "\n")
+        try:
+            Path(args.save).write_text(json.dumps(pencil.to_dict(), indent=1) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the pencil to {args.save}: {exc}") from exc
         print(f"wrote {args.save}")
     return 0
 

@@ -26,11 +26,12 @@ semigroup 2->infinity norm and every sweep point's boundary form S(lambda)
 read the eigenvectors, the norms over the time grid (whose computation
 checks the eigenvectors w-orthonormal, once per run of levels) and, on a
 level that sweeps, W = K_BI X; the level lets go of its eigenvector arrays
-before its first sweep point.  A 3D level solves its pinned pencil in the
-sectors of the group of grid reflections and axis transpositions that fix
-its sampled values (``symmetry``; G = {id} is one sector), one eigenproblem
-each, and every sweep point counts S(lambda) as the sum of its sector
-blocks' counts; 1D and 2D levels compute eigenvalues alone, in no sectors.
+before its first sweep point.  The scenario reads the group G of grid
+reflections and axis transpositions that fix V's sampled values once
+(``symmetry.symmetry_group``; G = {id} is one sector).  A 3D level solves
+its pinned pencil in the sectors of G, one eigenproblem each, and every
+sweep point counts S(lambda) as the sum of its sector blocks' counts; 1D
+and 2D levels compute eigenvalues alone, in no sectors.
 The boundary measures, S(0) and c_P are read off the lam = 0 Poisson matrix
 P0.  The box operator's bound-state counts for all levels come from one
 ``BoxOperator``, which counts them when it is built, before the first
@@ -39,31 +40,33 @@ route that the well W = {V < 0} alone picks (the schrodinger module
 docstring has the rule).  A level whose box factor raised skips its
 reduction report with that error.
 
-Every level takes P0 (with S(0) and c_P), its pinned spectrum and b from its
-run: a run of consecutive levels whose sets {V < e} are equal and on which V
-takes one value V0 (a plateau), or else a run of one.  On a plateau the
-weight (V - e)_- is the constant e - V0, so K, P0 and the pinned
-eigenvectors do not depend on the level.  The run computes P0, S(0), c_P and
-the pinned spectrum (mu, X) from its first level's pencil, exactly as that
-level would alone; each level, whose interior mass is m_e = (e - V0) h^n,
-takes mu r and X sqrt(r) with r = m_1/m_e (1.0 on the first), read off X
-without a copy.  The
-run checks X once, at its first level, and estimates b once, from its first
-level: b does not change with the mass.  When the shift grid follows the
-spectrum (neither lambda_min nor lambda_max is configured), a plateau also
-sweeps once, at its first level.  A later level's pencils are the first
-level's with the masses over r, and its default grid is the first one
-times r, so it reports the first level's sweep points with lambda,
-a_lambda_norm and gamma times r and every count as it is.  Each count stays
-the inertia of the matrix it names, by congruence: K - (r lam)(M_1/r) =
-K - lam M_1, and S(0) - (r gamma)(mu_B/r) = S(0) - gamma mu_B (see
-``_Run.sweep``).  A run of one, a plateau whose grid is configured and a
-standalone ``_LevelRun`` sweep level by level.  Every level still
-classifies its nodes and assembles its own pencil (the same nodes in the
-same order, so the shared P0 fits it), and computes its own boundary
-measures off P0, 2->infinity norms, heat traces, bound columns, verdicts,
-box count and reduction check.  The run lets go of X once its last level
-has built its spectrum.
+Every level takes P0 (with S(0) and c_P), its pinned spectrum, b and the
+time grid from its run (``_Run``, built from the config, G and its number
+of levels): a run of consecutive levels whose sets {V < e} are equal and on
+which V takes one value V0 (a plateau), or else a run of one.  On a plateau
+the weight (V - e)_- is the constant e - V0, so K, P0 and the pinned
+eigenvectors do not depend on the level.  The run computes P0, S(0), c_P
+and the pinned spectrum (mu, X) from its first level's pencil, exactly as
+that level would alone; each level, whose interior mass is
+m_e = (e - V0) h^n, takes mu r and X sqrt(r) with r = m_1/m_e (1.0 on the
+first), read off X without a copy.  The run checks X once, at its first
+level, and estimates b once, from its first level: b does not change with
+the mass.  When the shift grid follows the spectrum (neither lambda_min nor
+lambda_max is configured), a plateau also sweeps once, at its first level.
+A later level's pencils are the first level's with the masses over r, and
+its default grid is the first one times r, so it reports the first level's
+sweep points, each the row's counting columns by name, with the
+``_SCALED`` columns lambda, a_lambda_norm and gamma times r and every
+count as it is.  Each count stays the inertia of the matrix it names, by
+congruence: K - (r lam)(M_1/r) = K - lam M_1, and
+S(0) - (r gamma)(mu_B/r) = S(0) - gamma mu_B (see ``_Run.sweep``).  A run
+of one, a plateau whose grid is configured and a standalone ``_LevelRun``
+(a run of one of its own, with G read off its V) sweep level by level.
+Every level still classifies its nodes and assembles its own pencil (the
+same nodes in the same order, so the shared P0 fits it), and computes its
+own boundary measures off P0, 2->infinity norms, heat traces, bound
+columns, verdicts, box count and reduction check.  The run lets go of X
+once its last level has built its spectrum.
 
 Config schema (a section or key not listed is a ConfigError)::
 
@@ -115,7 +118,7 @@ from .model import (
     build_potential,
 )
 from .schrodinger import BoxOperator, reduction_check
-from .symmetry import Sectors, symmetry_group
+from .symmetry import Group, Sectors, symmetry_group
 
 #: pinned CSV column order (stable external interface)
 CSV_COLUMNS = [
@@ -141,6 +144,10 @@ CSV_COLUMNS = [
 ]
 
 SCHEMA_VERSION = 1
+
+#: the sweep-point columns that scale with the mass: a later level of a run
+#: that shares its sweep reports the first level's times r (``_Run.sweep``)
+_SCALED = ("lambda", "a_lambda_norm", "gamma")
 
 #: relative shift applied when a sweep point lands on a spectrum
 NUDGE = 1e-9
@@ -378,26 +385,6 @@ def _plateau_runs(V: PotentialField, levels) -> list:
     return runs
 
 
-class _Point(NamedTuple):
-    """The counts of one sweep point: the shift ``lam`` used (after any
-    nudge), N_full, N_dir, N_a2r_nonpos, the identity flag, a_lambda_norm
-    at ``lam``, the gamma used and N_a2r_gamma."""
-
-    lam: float
-    n_full: int
-    n_dir: int
-    n_bnd: int
-    identity: bool
-    norm: float
-    gamma: float
-    n_gamma: int
-
-    def scaled(self, r: float) -> _Point:
-        """The point of a pencil whose mass is this one's over r: the shift,
-        the norm and gamma times r, every count as it is."""
-        return self._replace(lam=self.lam * r, norm=self.norm * r, gamma=self.gamma * r)
-
-
 class _Bound(NamedTuple):
     """One bound of a level's table: the fields of its BoundReport (the
     level's e leads its point) and the bound_*/verdict_* CSV columns that
@@ -417,16 +404,22 @@ class _Run:
     ``_plateau_runs``), computed from the run's first level; a level that
     shares its set with no neighbour is a run of one.
 
-    It keeps P0 with S(0) and c_P (value and pair count), the first level's
+    It is built from the config, the scenario's symmetry group G of V and
+    its number of levels, and makes the [sweeps] time grid ``t`` once.  It
+    keeps P0 with S(0) and c_P (value and pair count), the first level's
     pinned spectrum, with its eigenvectors until the run's last level has
-    read them, and b.  A run of more than one level whose shift grid
-    follows the spectrum (``shares_sweep``: neither end of it configured)
-    also keeps its first level's sweep points (see ``sweep``).
+    read them, and b.  A run of more than one level whose shift grid follows
+    the spectrum (``shares_sweep``: neither end of it configured) also keeps
+    its first level's sweep points (see ``sweep``).
     """
 
-    def __init__(self, levels: int = 1, shares_sweep: bool = False):
+    def __init__(self, cfg: ScenarioConfig, group: Group, levels: int = 1):
+        sweep = cfg.sweep
+        self.cfg = cfg
+        self.group = group
         self.levels_left = levels
-        self.shares_sweep = shares_sweep and levels > 1
+        self.shares_sweep = levels > 1 and sweep.lambda_min is None and sweep.lambda_max is None
+        self.t = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
         self.zero = self.spectrum = self.sectors = self.mass = self.b = self.points = None
 
     def _ratio(self, pencil: AssembledPencil) -> float:
@@ -449,17 +442,16 @@ class _Run:
             self.zero = P0, S0, kernel
         return self.zero
 
-    def pinned_spectrum(
-        self, pencil: AssembledPencil, want_vectors: bool, t, V: PotentialField
-    ) -> a2r.PinnedSpectrum:
-        """The PinnedSpectrum of ``pencil`` over the time grid ``t``, with
-        the eigenvectors when asked for.  The first call computes the
-        spectrum (mu_1, X_1) of the run's first pencil: with eigenvectors,
-        one ``pencil_eigs`` per sector of the group G of the potential
-        ``V`` (read off V alone: ``symmetry.symmetry_group``; G = {id} is
-        one sector whose orbit bases are identity matrices), and the run
-        keeps the sectors for its later levels, whose sets I and B are the
-        first level's; without, the values alone, and no sectors.  Level e,
+    def pinned_spectrum(self, pencil: AssembledPencil) -> a2r.PinnedSpectrum:
+        """The PinnedSpectrum of ``pencil`` over the run's time grid ``t``,
+        with the eigenvectors in dimension >= 3, where the 2->infinity norm
+        and the sweep points' S(lambda) read them.  The first call computes
+        the spectrum (mu_1, X_1) of the run's first pencil: with
+        eigenvectors, one ``pencil_eigs`` per sector of the run's group G
+        (G = {id} is one sector whose orbit bases are identity matrices),
+        and the run keeps the sectors for its later levels, whose sets I and
+        B are the first level's; below dimension 3, the values alone, and
+        no sectors.  Level e,
         whose interior mass is the constant m_e, reads it rescaled by
         r = m_1/m_e: mu_1 r, with X_e = X_1 sqrt(r), which its
         PinnedSpectrum reads off X_1 without a copy.  On the first level
@@ -469,11 +461,13 @@ class _Run:
         X_1' M_1 X_1, up to the rounding of the scaling by sqrt(r) and of
         r itself (a few ulps, far below ORTHONORMALITY_TOL = 1e-8); so a run
         makes one Gram check.  A later level of a run that shares its sweep
-        makes no sweep point, so its PinnedSpectrum forms no W."""
+        makes no sweep point, so its PinnedSpectrum forms no W.  The
+        spectrum lets go of the eigenvectors, and the run does once its last
+        level has read them."""
         later = self.spectrum is not None
         if not later:
-            if want_vectors:
-                self.sectors = Sectors(pencil, symmetry_group(V))
+            if self.cfg.grid.dimension >= 3:
+                self.sectors = Sectors(pencil, self.group)
                 self.spectrum = [
                     pencil_eigs(K, m, want_vectors=True) for K, m in self.sectors.pencils(pencil)
                 ]
@@ -489,14 +483,16 @@ class _Run:
         if not self.levels_left:
             self.spectrum = None
         return a2r.PinnedSpectrum(
-            pencil, scaled, t, scale=np.sqrt(r), checked=later,
+            pencil, scaled, self.t, scale=np.sqrt(r), checked=later,
             schur=not (later and self.shares_sweep), sectors=self.sectors,
         )
 
     def sweep(self, pencil: AssembledPencil, compute) -> list:
-        """The sweep points of ``pencil``'s level: ``compute()``, the level's
-        own sweep, or on a later level of a run that shares its sweep, the
-        first level's points scaled by r = m_1/m_e (``_Point.scaled``).
+        """The sweep points of ``pencil``'s level, each its counting columns
+        by CSV name: ``compute()``, the level's own sweep, or on a later
+        level of a run that shares its sweep, the first level's points with
+        the ``_SCALED`` columns (lambda, a_lambda_norm, gamma) times
+        r = m_1/m_e and every count as it is.
 
         The later level's pencils are the first level's with the masses
         over r, so N_e(lam) = N_1(lam/r), and its default grid, read off
@@ -510,25 +506,25 @@ class _Run:
         S(lam)."""
         if self.points is not None:
             r = self._ratio(pencil)
-            return [point.scaled(r) for point in self.points]
+            return [{**point, **{col: point[col] * r for col in _SCALED}} for point in self.points]
         points = compute()
         if self.shares_sweep:
             self.points = points
         return points
 
-    def estimate_b(self, cfg: ScenarioConfig, bm: a2r.BoundaryMeasures, sigma) -> float:
+    def estimate_b(self, bm: a2r.BoundaryMeasures, sigma) -> float:
         """The EMPIRICAL trace offset b of ``bounds.estimate_b`` from S(0) and
         the first caller's boundary measures ``bm`` and surface weights
         ``sigma``, computed on the first call.  It is every level's b: mu_B =
         m_e P0' 1 only rescales, the ratio that estimate_b maximizes is
         homogeneous of degree 0 in phi, and its draws share the seed."""
         if self.b is None:
-            consts = cfg.constants
+            cfg = self.cfg
             q, S_trace = bounds.trace_sobolev_constants(
-                cfg.grid.dimension, consts.omega_convention
+                cfg.grid.dimension, cfg.constants.omega_convention
             )
             self.b = bounds.estimate_b(
-                self.zero[1], bm, sigma, q, S_trace, consts.b_samples, seed=cfg.seed
+                self.zero[1], bm, sigma, q, S_trace, cfg.constants.b_samples, seed=cfg.seed
             )
         return self.b
 
@@ -557,7 +553,7 @@ class _LevelRun:
         self.V = V
         self.e = float(e)
         self.box = box if box is not None else BoxOperator(V, [e])
-        self.shared = shared if shared is not None else _Run()
+        self.shared = shared if shared is not None else _Run(cfg, symmetry_group(V))
         self.scenario_id = f"{cfg.prefix}-L{index:02d}"
         self.rows = []
         self.reports = []
@@ -584,14 +580,7 @@ class _LevelRun:
             "diameter": float(dec.diameter),
         }
 
-        # eigenvectors only for n >= 3, where the 2->infinity norm and the
-        # sweep points' S(lambda) read them; the spectrum lets go of them,
-        # and the run does once its last level has read them
-        sweep = self.cfg.sweep
-        t_grid = np.geomspace(sweep.t_min, sweep.t_max, sweep.points)
-        self.spectrum = self.shared.pinned_spectrum(
-            pencil, self.cfg.grid.dimension >= 3, t_grid, self.V
-        )
+        self.spectrum = self.shared.pinned_spectrum(pencil)
         # P0 lives as long as the run: dropped before the sweep, it doubled
         # the minor page faults of a levels-2d run under glibc's malloc
         # (15.6k to 31.4k), and the run took about 12 % longer
@@ -604,8 +593,8 @@ class _LevelRun:
         points = self.shared.sweep(pencil, self._sweep)
         two_inf = self.spectrum.two_infinity
         if two_inf is None:
-            two_inf = [None] * len(t_grid)
-        for point, t, two in zip(points, t_grid, two_inf):
+            two_inf = [None] * len(self.shared.t)
+        for point, t, two in zip(points, self.shared.t, two_inf):
             row = self._sweep_point(point, t, two)
             self.rows.append(row)
             if row["identity_holds"] is not True:
@@ -638,7 +627,7 @@ class _LevelRun:
         # interior chain stands alone
         boundary = p > n - 1
         if b is None and boundary:
-            b = self.shared.estimate_b(cfg, self.bm, self.pencil.sigma)
+            b = self.shared.estimate_b(self.bm, self.pencil.sigma)
             b_note = f"b estimated from {cfg.constants.b_samples} sampled traces (EMPIRICAL)"
         elif b is None:
             b_note = "no b used: the boundary chain needs p > n - 1"
@@ -663,78 +652,69 @@ class _LevelRun:
     # -- per sweep point ---------------------------------------------------
 
     def _sweep(self) -> list:
-        """The _Point of each shift of the level's own grid."""
+        """The counting columns of each shift of the level's own grid."""
         sweep = self.cfg.sweep
         lam_grid = lambda_grid(
             self.spectrum.summary.eigenvalues, sweep.lambda_min, sweep.lambda_max, sweep.points
         )
         return [self._counts(lam) for lam in lam_grid]
 
-    def _counts(self, lam0: float) -> _Point:
+    def _counts(self, lam0: float) -> dict:
+        """The counting columns of the shift ``lam0``, by CSV name; lambda
+        and gamma (a_lambda_norm at lambda) are the shifts used, after any
+        nudge."""
         def counting(lam):
-            n_full, n_dir, n_bnd, identity = a2r.splitting_counts(
-                self.pencil, lam, self.spectrum
-            )
-            gamma = a2r.a_lambda_norm(self.spectrum.summary, lam)
-            return n_full, n_dir, n_bnd, identity, gamma
+            n_full, n_dir, n_bnd, identity = a2r.splitting_counts(self.pencil, lam, self.spectrum)
+            return n_full, n_dir, n_bnd, identity, a2r.a_lambda_norm(self.spectrum.summary, lam)
 
-        lam, (n_full, n_dir, n_bnd, identity, gamma0) = _nudged(
-            counting, float(lam0), "lambda"
-        )
+        lam, (n_full, n_dir, n_bnd, identity, norm) = _nudged(counting, float(lam0), "lambda")
+        gamma, n_gamma = _nudged(lambda g: count_below(self.S0, self.bm.mu, g), norm, "gamma")
+        return {
+            "lambda": lam, "N_full": n_full, "N_dir": n_dir, "N_a2r_nonpos": n_bnd,
+            "identity_holds": bool(identity), "a_lambda_norm": norm,
+            "gamma": gamma, "N_a2r_gamma": n_gamma,
+        }
 
-        def boundary_count(g):
-            return count_below(self.S0, self.bm.mu, g)
-
-        gamma, n_gamma = _nudged(boundary_count, gamma0, "gamma")
-        return _Point(lam, n_full, n_dir, n_bnd, bool(identity), gamma0, gamma, n_gamma)
-
-    def _sweep_point(self, point: _Point, t: float, two_inf: float | None) -> dict:
-        """The CSV row of one sweep point, after its bounds' reports; each
-        bound that fills a bound_*/verdict_* pair fills it off its report."""
+    def _sweep_point(self, point: dict, t: float, two_inf: float | None) -> dict:
+        """The CSV row of one sweep point, its counting columns ``point``
+        merged in, after its bounds' reports; each bound that fills a
+        bound_*/verdict_* pair fills it off its report."""
         trace = heat_trace(self.spectrum.summary, t)
-        counting_ok = point.n_full <= point.n_dir + point.n_gamma
+        counting_ok = point["N_full"] <= point["N_dir"] + point["N_a2r_gamma"]
         row = self._row({
-            "lambda": point.lam,
-            "N_full": point.n_full,
-            "N_dir": point.n_dir,
-            "N_a2r_nonpos": point.n_bnd,
-            "identity_holds": point.identity,
-            "gamma": point.gamma,
-            "N_a2r_gamma": point.n_gamma,
-            "a_lambda_norm": point.norm,
-            "heat_trace_t": trace,
-            "t": t,
+            **point, "heat_trace_t": trace, "t": t,
             "verdict_counting": HOLDS if counting_ok else VIOLATED,
         })
-        table = self._point_bounds(point, t, two_inf, trace)
+        table = self._point_bounds(row, two_inf)
         for bound, report in zip(table, self._report(table)):
             row.update(zip(bound.columns, (report.rhs, report.verdict)))
         return row
 
-    def _point_bounds(self, point: _Point, t: float, two_inf: float, trace: float) -> list:
-        """The bounds judged at one sweep point, in report order; none on a
-        level without constants, and the boundary count's only where the
-        boundary chain gave m.  Constants exist only in n >= 3, where the
-        level has its 2->infinity norms."""
+    def _point_bounds(self, row: dict, two_inf: float) -> list:
+        """The bounds judged at one sweep point, read off its ``row``, in
+        report order; none on a level without constants, and the boundary
+        count's only where the boundary chain gave m.  Constants exist only
+        in n >= 3, where the level has its 2->infinity norms."""
         c = self.consts
         if c is None:
             return []
+        lam, gamma, t = row["lambda"], row["gamma"], row["t"]
         two_inf_rhs, trace_rhs = bounds.ultracontractivity_and_trace_bounds(
             c.d, c.S_r, c.normW1, t
         )
         table = [
             _Bound(
-                "pinned-count-bound", self.constants, {"lambda": point.lam},
-                bounds.dirichlet_count_bound(c.n, c.p, c.normW1, c.normWp, point.lam),
-                point.n_dir, columns=("bound_thm54", "verdict_thm54"),
+                "pinned-count-bound", self.constants, {"lambda": lam},
+                bounds.dirichlet_count_bound(c.n, c.p, c.normW1, c.normWp, lam),
+                row["N_dir"], columns=("bound_thm54", "verdict_thm54"),
             ),
             _Bound(
-                "boundary-count-bound", self.constants, {"gamma": point.gamma},
-                bounds.a2r_count_bound(c.m, c.c1, c.c2, c.normW1, point.gamma),
-                point.n_gamma, c.extras["b_provenance"], ("bound_thm59", "verdict_thm59"),
+                "boundary-count-bound", self.constants, {"gamma": gamma},
+                bounds.a2r_count_bound(c.m, c.c1, c.c2, c.normW1, gamma),
+                row["N_a2r_gamma"], c.extras["b_provenance"], ("bound_thm59", "verdict_thm59"),
             ) if c.m is not None else None,
             _Bound(
-                "heat-trace-bound", self.constants, {"t": t}, trace_rhs, trace,
+                "heat-trace-bound", self.constants, {"t": t}, trace_rhs, row["heat_trace_t"],
                 columns=("trace_bound", "verdict_trace"),
             ),
             _Bound("semigroup-2inf-bound", self.constants, {"t": t}, two_inf_rhs, float(two_inf)),
@@ -805,21 +785,26 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
 
     Returns a ScenarioResult whose exit_code is 1 when a must-hold identity
     (splitting identity, counting inequality, operator reduction) failed,
-    else 0.  Config errors raise ConfigError.
+    else 0.  Config errors raise ConfigError; so does an output directory
+    that cannot be made, before any level is counted.
     """
     cfg = load_config(config_path)
     if out_dir is not None:
         cfg.out_dir = str(out_dir)
     V = build_potential(cfg.family, cfg.grid)
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
 
-    runs = _plateau_runs(V, cfg.levels)
-    follows_spectrum = cfg.sweep.lambda_min is None and cfg.sweep.lambda_max is None
+    group = symmetry_group(V)
     box = BoxOperator(V, cfg.levels)
     rows = []
     violations = []
     scenario_docs = []
-    for run in runs:
-        shared = _Run(len(run), shares_sweep=follows_spectrum)
+    for run in _plateau_runs(V, cfg.levels):
+        shared = _Run(cfg, group, len(run))
         for index in run:
             e = cfg.levels[index]
             level = _LevelRun(cfg, V, index, e, box=box, shared=shared).run()
@@ -846,8 +831,6 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
         "scenarios": scenario_docs,
     }
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{cfg.prefix}_counts.csv"
     json_path = out / f"{cfg.prefix}_bounds.json"
     write_csv(csv_path, rows)

@@ -1,13 +1,14 @@
+import csv
 import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from wellspectra import cli, eigcount, model
+from wellspectra import a2r, cli, eigcount, model, scenario, schrodinger
 from wellspectra.scenario import CSV_COLUMNS, load_config
 
-from test_scenario import SMALL_2D, SMALL_3D
+from test_scenario import CONFIG_DIR, SMALL_2D, SMALL_3D
 
 
 @pytest.fixture()
@@ -440,3 +441,135 @@ def test_bad_config_exits_2(tmp_path, monkeypatch, capsys):
         assert "config error" in capsys.readouterr().err
     assert factored == []
 
+
+
+# -- must-hold checks, each forced to fail ------------------------------------
+
+
+def _violations(err: str) -> list:
+    """The VIOLATION lines of a command's stderr, without their prefix."""
+    prefix = "VIOLATION: "
+    return [line[len(prefix):] for line in err.splitlines() if line.startswith(prefix)]
+
+
+def test_a_failed_counting_inequality_exits_1(tmp_path, monkeypatch, capsys):
+    """With every boundary count N_a2r_gamma forced to 0, N_full <= N_dir +
+    N_a2r_gamma fails wherever N_full > N_dir: those rows read violated, the
+    JSON lists them, and ``run`` prints each and exits 1, without a
+    traceback."""
+    monkeypatch.setattr(scenario, "count_below", lambda *args: 0)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(CONFIG_DIR / "gaussian_well_2d.cfg"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    with (out / "gauss2d_counts.csv").open() as f:
+        rows = list(csv.DictReader(f))
+    violated = [r for r in rows if r["verdict_counting"] == "violated"]
+    assert violated == [r for r in rows if int(r["N_full"]) > int(r["N_dir"])]
+    assert {r["N_a2r_gamma"] for r in rows} == {"0"}
+    assert {r["identity_holds"] for r in rows} == {"true"}
+    doc = json.loads((out / "gauss2d_bounds.json").read_text())
+    assert doc["violations"] == [
+        f"{r['scenario_id']}: counting inequality failed at lambda={r['lambda']}" for r in violated
+    ]
+    assert doc["violations"][0] == (
+        "gauss2d-L00: counting inequality failed at lambda=3.5925755141226063"
+    )
+    assert _violations(captured.err) == doc["violations"]
+    assert "Traceback" not in captured.err and "all must-hold" not in captured.out
+
+
+def test_a_failed_operator_reduction_exits_1(tmp_path, monkeypatch, capsys):
+    """With the box operator's count forced to 10^6, the operator reduction
+    fails at every level: its report reads violated, the JSON lists each
+    level, and ``run`` prints each and exits 1, without a traceback; the
+    counting columns still hold."""
+    monkeypatch.setattr(schrodinger.BoxOperator, "count_below", lambda self, e: 10**6)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(CONFIG_DIR / "ball_well_3d.cfg"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads((out / "ball3d_bounds.json").read_text())
+    assert doc["violations"] == [
+        f"ball3d-L{k:02d}: operator reduction inequality failed at e={e!r}"
+        for k, e in enumerate((-0.5, -2.0, -6.0))
+    ]
+    reductions = [
+        rep for level in doc["scenarios"] for rep in level["reports"]
+        if rep["name"] == "operator-reduction"
+    ]
+    assert [(rep["lhs"], rep["verdict"]) for rep in reductions] == [(10**6, "violated")] * 3
+    with (out / "ball3d_counts.csv").open() as f:
+        assert {r["verdict_counting"] for r in csv.DictReader(f)} == {"holds"}
+    assert _violations(captured.err) == doc["violations"]
+    assert "Traceback" not in captured.err
+
+
+def test_a_failed_splitting_identity_exits_1(monkeypatch, capsys):
+    """With N_a2r_nonpos moved by one, the identity N_full = N_dir +
+    N_a2r_nonpos fails at every shift: ``splitting`` prints false on each
+    row, then the count of failures, and exits 1, without a traceback."""
+    real = a2r.splitting_counts
+
+    def broken(*args, **kwargs):
+        n_full, n_dir, n_bnd, _ = real(*args, **kwargs)
+        return n_full, n_dir, n_bnd + 1, False
+
+    monkeypatch.setattr(a2r, "splitting_counts", broken)
+    argv = ["splitting", str(CONFIG_DIR / "gaussian_well_2d.cfg"), "--level", "-1.0"]
+    assert cli.main([*argv, "--lambda-grid", "3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 4 and all(line.endswith(",false") for line in lines[1:])
+    assert _violations(captured.err) == ["identity failed on 3 shifts"]
+    assert "Traceback" not in captured.err
+
+
+def test_a_solver_error_that_is_not_a_config_error_exits_2(tmp_path, monkeypatch, capsys):
+    """A dense eigensolver capped at order 50 refuses the 17^3 ball's order
+    51 sector: ``run`` prints the error and exits 2, without a traceback,
+    and writes no report."""
+    monkeypatch.setattr(eigcount, "DENSE_CAP", 50)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(CONFIG_DIR / "ball_well_3d.cfg"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: dense eigensolver capped at order 50, got 51"]
+    assert not any(out.glob("*"))
+
+
+# -- output paths that cannot be written ----------------------------------------
+
+
+@pytest.mark.parametrize("where", ["--out", "directory"])
+def test_an_output_directory_that_cannot_be_made_exits_2_before_counting(
+    tmp_path, monkeypatch, capsys, where
+):
+    """An output directory that is an existing file, given by --out or by
+    [output] directory, exits 2 with a config error naming it, without a
+    traceback and before anything is factored."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    config = CONFIG_DIR / "empty_level_1d.cfg"
+    argv = ["run", str(config), "--out", str(taken)]
+    if where == "directory":
+        config = tmp_path / "empty.cfg"
+        text = (CONFIG_DIR / "empty_level_1d.cfg").read_text()
+        config.write_text(text.replace("directory = out", f"directory = {taken}"))
+        argv = ["run", str(config)]
+    factored = []
+    monkeypatch.setattr(eigcount.Factorization, "__init__", lambda *args: factored.append(args))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and str(taken) in captured.err
+    assert "Traceback" not in captured.err
+    assert factored == []
+
+
+def test_a_pencil_that_cannot_be_saved_exits_2(cfg2d, tmp_path, capsys):
+    """``assemble --save`` under a path that is a file exits 2 with a config
+    error naming the path, without a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    save = taken / "p.json"
+    assert cli.main(["assemble", str(cfg2d), "--level", "-0.8", "--save", str(save)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and str(save) in captured.err
+    assert "Traceback" not in captured.err

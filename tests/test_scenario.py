@@ -1199,31 +1199,26 @@ def test_a_plateaus_first_level_is_the_level_run_alone(tmp_path, text):
     assert result.document["scenarios"][0]["reports"] == [rep.to_dict() for rep in alone.reports]
 
 
-def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(
-    tmp_path, monkeypatch
-):
+def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(tmp_path):
     """A later level of the 13^3 ball's plateau, which shares its run's
     sweep, builds its PinnedSpectrum off the run's first eigenvectors X_1
     and sqrt(r): it forms no W and keeps no K_BB, it allocates less than
     half an |I|^2 array at its peak, and its 2->infinity norms equal, bit
     for bit, those of a PinnedSpectrum of the copy X_1 sqrt(r) with
-    mu_1 r.  The run is held to one sector: its group is taken as {id},
-    not the ball's <x<->y>."""
+    mu_1 r.  The run is held to one sector: it is built with the group
+    {id}, not the ball's <x<->y>."""
     cfg = load_config(_write(tmp_path, BALL_PLATEAU_3D))
     V = build_potential(cfg.family, cfg.grid)
-    monkeypatch.setattr(
-        scenario, "symmetry_group", lambda V: symmetry.Group.trivial(cfg.grid.num_nodes)
-    )
     pencils = [assemble_pencil(classify_nodes(V, e), V, e) for e in cfg.levels]
-    t = np.geomspace(cfg.sweep.t_min, cfg.sweep.t_max, cfg.sweep.points)
-    run = scenario._Run(len(pencils), shares_sweep=True)
-    run.pinned_spectrum(pencils[0], True, t, V)
+    run = scenario._Run(cfg, symmetry.Group.trivial(cfg.grid.num_nodes), len(pencils))
+    assert run.shares_sweep
+    run.pinned_spectrum(pencils[0])
     (first,) = run.spectrum
     n = first.eigenvectors.shape[0]
     for p in pencils[1:]:
         tracemalloc.start()
         try:
-            spectrum = run.pinned_spectrum(p, True, t, V)
+            spectrum = run.pinned_spectrum(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1234,10 +1229,27 @@ def test_a_later_plateau_level_reads_the_runs_eigenvectors_without_a_copy(
         copy = SpectralSummary(
             eigenvalues=first.eigenvalues * r, eigenvectors=first.eigenvectors * np.sqrt(r)
         )
-        reference = a2r.PinnedSpectrum(p, [copy], t)
+        reference = a2r.PinnedSpectrum(p, [copy], run.t)
         assert np.array_equal(spectrum.summary.eigenvalues, reference.summary.eigenvalues)
         assert np.array_equal(spectrum.two_infinity, reference.two_infinity)
     assert run.spectrum is None
+
+
+def test_a_scenario_reads_its_symmetry_group_once(tmp_path, monkeypatch):
+    """The off-centre Gaussian's three levels are three runs of one, and
+    every run reads the scenario's one group: symmetry_group runs once,
+    on the scenario's V."""
+    seen = []
+    real = scenario.symmetry_group
+
+    def recording(V):
+        seen.append(V)
+        return real(V)
+
+    monkeypatch.setattr(scenario, "symmetry_group", recording)
+    result = run_scenario(CONFIG_DIR / "gaussian_offcentre_3d.cfg", out_dir=tmp_path / "out")
+    assert result.exit_code == 0 and len(result.document["scenarios"]) == 3
+    assert len(seen) == 1 and seen[0].grid.dimension == 3
 
 
 def _count_sweep_work(monkeypatch):

@@ -14,7 +14,7 @@ from wellspectra.eigcount import count_below, pencil_eigs
 from wellspectra.errors import OnEigenvalue, SizeCap
 from wellspectra.model import GridSpec, PotentialField, build_potential
 from wellspectra.scenario import (
-    ConstantsSpec, ScenarioConfig, SweepSpec, _LevelRun, lambda_grid, load_config,
+    ConstantsSpec, ScenarioConfig, SweepSpec, _LevelRun, lambda_grid, load_config, run_scenario,
 )
 from wellspectra.symmetry import Group, Sectors, symmetry_group
 
@@ -306,6 +306,66 @@ def test_a_symmetric_level_matches_its_node_basis_run(monkeypatch):
                 assert value == pytest.approx(b[key], rel=1e-10, abs=0.0), key
             else:
                 assert value == b[key], key
+
+
+TINY_BALL = """\
+[grid]
+dimension = 3
+box = -2:2, -2:2, -2:2
+resolution = 9, 9, 9
+
+[potential]
+family = ball_well
+center = 0, 0, 0
+radius = 0.1
+depth = 12.0
+
+[levels]
+values = -0.5, -2.0
+
+[sweeps]
+points = 3
+
+[output]
+prefix = tiny3d
+"""
+
+#: the CSV columns that are integers, flags or verdicts
+EXACT_COLUMNS = (
+    "scenario_id", "N_full", "N_dir", "N_a2r_nonpos", "identity_holds", "N_a2r_gamma",
+    "verdict_counting", "verdict_thm54", "verdict_thm59", "verdict_trace",
+)
+
+
+def test_a_sector_with_no_boundary_node_has_no_schur_block(tmp_path, monkeypatch):
+    """The 9^3 ball of radius 0.1 has one interior node, the centre, and
+    G = Z_2^3.  Its interior sector orders are (1, 0, 0, 0, 0, 0, 0, 0) and
+    its boundary orders (3, 1, 1, 0, 1, 0, 0, 0): each of the plateau's 3
+    sweep points forms S(lambda) blocks for the 4 sectors with boundary
+    nodes only, and solves order-0 sector pencils.  Its integer columns,
+    flags and verdicts equal those of the run that takes G as {id}."""
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_BALL)
+    shapes = []
+    real = PinnedSpectrum.schur_form
+
+    def schur_form(self, lam):
+        blocks = real(self, lam)
+        shapes.append(([W.shape for W in self._W], len(blocks)))
+        return blocks
+
+    monkeypatch.setattr(PinnedSpectrum, "schur_form", schur_form)
+    sectored = run_scenario(path, out_dir=tmp_path / "sectored")
+    sector_shapes = list(zip((3, 1, 1, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0)))
+    assert shapes == [(sector_shapes, 4)] * 3
+    monkeypatch.setattr(
+        scenario, "symmetry_group", lambda V: Group.trivial(V.grid.num_nodes)
+    )
+    node = run_scenario(path, out_dir=tmp_path / "node")
+    assert shapes[3:] == [([(6, 1)], 1)] * 3
+    assert sectored.exit_code == node.exit_code == 0 and len(sectored.rows) == 6
+    for a, b in zip(sectored.rows, node.rows, strict=True):
+        assert [a[col] for col in EXACT_COLUMNS] == [b[col] for col in EXACT_COLUMNS]
 
 
 def test_the_dense_cap_applies_to_each_sector(monkeypatch):
