@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import DetachedComponent, EmptySublevel
 from .model import AssembledPencil, GridSpec, PotentialField, SublevelDecomposition
@@ -51,8 +50,6 @@ def _lattice_edges(grid: GridSpec, keep_mask: np.ndarray) -> np.ndarray:
         keep = keep_mask.ravel()
         sel = keep[u] | keep[v]
         pieces.append(np.stack([u[sel], v[sel]], axis=1))
-    if not pieces:
-        return np.empty((0, 2), dtype=int)
     return np.concatenate(pieces, axis=0)
 
 
@@ -62,9 +59,11 @@ def classify_nodes(V: PotentialField, e: float) -> SublevelDecomposition:
 
     A positive level is a ValueError.  Raises EmptySublevel when no node
     lies below the level (a legal signal: every downstream count is zero),
-    and DetachedComponent when an interior component has no boundary
-    neighbor (the region fills the grid, so the pinned count problem would
-    be ill-posed).
+    and DetachedComponent when {V < e} fills the grid, so no node is left
+    for a boundary (any smaller set has a grid edge leaving it).  A set that
+    reaches a box face is assembled with that face free (a face node's row of
+    K lacks its neighbor off the grid), though ``schrodinger.BoxOperator``
+    pins the face.
     """
     if e > 0:
         raise ValueError(f"level must be nonpositive, got {e!r}")
@@ -72,43 +71,20 @@ def classify_nodes(V: PotentialField, e: float) -> SublevelDecomposition:
     mask = V.values < e
     if not mask.any():
         raise EmptySublevel(f"no nodes with V < {e}")
+    if mask.all():
+        n = grid.num_nodes
+        raise DetachedComponent(f"{{V < {e}}} fills all {n} grid nodes, so it has no boundary")
 
     edges = _lattice_edges(grid, mask)
     flat = mask.ravel()
     interior = np.flatnonzero(flat)
-
-    one_in = flat[edges[:, 0]] != flat[edges[:, 1]]
-    cross = edges[one_in]
+    cross = edges[flat[edges[:, 0]] != flat[edges[:, 1]]]
     boundary = np.unique(np.where(flat[cross[:, 0]], cross[:, 1], cross[:, 0]))
-    touched = np.unique(np.where(flat[cross[:, 0]], cross[:, 0], cross[:, 1]))
-
-    # connected components of the interior subgraph
-    local = np.full(grid.num_nodes, -1, dtype=int)
-    local[interior] = np.arange(interior.size)
-    both_in = flat[edges[:, 0]] & flat[edges[:, 1]]
-    ii = edges[both_in]
-    adj = sp.coo_matrix(
-        (np.ones(ii.shape[0]), (local[ii[:, 0]], local[ii[:, 1]])),
-        shape=(interior.size, interior.size),
-    )
-    ncomp, labels = csgraph.connected_components(adj.tocsr(), directed=False)
-    components = [interior[labels == c] for c in range(ncomp)]
-
-    touched_set = np.zeros(grid.num_nodes, dtype=bool)
-    touched_set[touched] = True
-    for comp in components:
-        if not touched_set[comp].any():
-            raise DetachedComponent(
-                f"an interior component of {comp.size} nodes has no boundary "
-                "neighbor; the sublevel region must sit strictly inside the box"
-            )
-
     return SublevelDecomposition(
         level=float(e),
         interior=interior,
         boundary=boundary,
         edges=edges,
-        components=components,
         diameter=_diameter(grid, interior, boundary),
     )
 

@@ -19,8 +19,9 @@ Pencil documents
 
 * ``assembled_pencil``, as ``assemble --save`` writes it: the grid, the
   decomposition (level, interior/boundary node indices, edges, components,
-  diameter), K in COO triplet form (shape/row/col/data), the mass diagonal
-  M and the surface weights sigma;
+  diameter; the components are written for the reader and derived again
+  from the interior and edges on load), K in COO triplet form
+  (shape/row/col/data), the mass diagonal M and the surface weights sigma;
 * ``raw_pencil``: ``{"kind": "raw_pencil", "K": [[...], ...], "M": [...]}``
   (dense symmetric K, mass diagonal M, no geometry).
 
@@ -36,9 +37,10 @@ reports, a scenario config that ``scenario.load_config`` refuses (an
 unknown section or key among them) and a potential that
 ``model.build_potential`` cannot build (a missing family parameter or one
 that breaks its rule); each is refused before any work.  So are a ``run``
-output directory that cannot be made, refused before any level is counted,
-and an ``assemble --save`` path that cannot be written.  Scenario CSV
-columns are documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON
+output directory that cannot be made or a report path in it that is a
+directory, refused before any level is counted, a report that cannot be
+written, and an ``assemble --save`` path that cannot be written.  Scenario
+CSV columns are documented in ``wellspectra.scenario.CSV_COLUMNS``; the JSON
 report document carries ``schema_version`` 1.
 """
 

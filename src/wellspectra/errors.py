@@ -18,10 +18,9 @@ class EmptySublevel(WellSpectraError):
 
 
 class DetachedComponent(WellSpectraError):
-    """A connected component of the sublevel set has no boundary neighbor.
-
-    On a connected grid this happens only when the sublevel set fills the
-    whole lattice; the region must sit compactly inside the box.
+    """The sublevel set {V < e} fills the whole grid, so it has no boundary
+    neighbor; every smaller set has a grid edge leaving it.  A set that only
+    reaches a box face is not refused (see ``assemble.classify_nodes``).
     """
 
 

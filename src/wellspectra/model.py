@@ -324,24 +324,23 @@ def build_potential(family: dict, grid: GridSpec) -> PotentialField:
 class SublevelDecomposition:
     """Node classification for one energy level.
 
-    ``interior`` holds linear indices with V < e, ``boundary`` the exterior
-    grid neighbors of the interior, ``edges`` every lattice edge with at
-    least one interior endpoint (as (u, v) index pairs, u < v),
-    ``components`` the connected components of the interior.
+    ``interior`` holds the linear indices with V < e in ascending order,
+    ``boundary`` the exterior grid neighbors of the interior, ``edges``
+    every lattice edge with at least one interior endpoint (as (u, v) index
+    pairs, u < v).  ``components``, the connected components of the
+    interior, is derived from those two on first read; no count reads it.
     """
 
     level: float
     interior: np.ndarray
     boundary: np.ndarray
     edges: np.ndarray
-    components: list
     diameter: float
 
     def __post_init__(self):
         self.interior = np.asarray(self.interior, dtype=int)
         self.boundary = np.asarray(self.boundary, dtype=int)
         self.edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
-        self.components = [np.asarray(c, dtype=int) for c in self.components]
         self.interior.setflags(write=False)
         self.boundary.setflags(write=False)
         self.edges.setflags(write=False)
@@ -349,6 +348,17 @@ class SublevelDecomposition:
     @property
     def num_interior(self) -> int:
         return self.interior.size
+
+    @cached_property
+    def components(self) -> list:
+        """Components of the interior subgraph, in the order of their first node."""
+        from scipy.sparse import csgraph
+
+        inside = np.isin(self.edges, self.interior).all(axis=1)
+        u, v = np.searchsorted(self.interior, self.edges[inside]).T
+        adj = sp.coo_matrix((np.ones(u.size), (u, v)), shape=(self.interior.size,) * 2)
+        count, labels = csgraph.connected_components(adj.tocsr(), directed=False)
+        return [self.interior[labels == c] for c in range(count)]
 
     @property
     def num_boundary(self) -> int:
@@ -372,7 +382,6 @@ class SublevelDecomposition:
             interior=np.array(d["interior"], dtype=int),
             boundary=np.array(d["boundary"], dtype=int),
             edges=np.array(d["edges"], dtype=int).reshape(-1, 2),
-            components=[np.array(c, dtype=int) for c in d["components"]],
             diameter=d["diameter"],
         )
 

@@ -785,8 +785,9 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
 
     Returns a ScenarioResult whose exit_code is 1 when a must-hold identity
     (splitting identity, counting inequality, operator reduction) failed,
-    else 0.  Config errors raise ConfigError; so does an output directory
-    that cannot be made, before any level is counted.
+    else 0.  Config errors raise ConfigError; so do an output directory
+    that cannot be made and a report path that is a directory, before any
+    level is counted, and a report that cannot be written.
     """
     cfg = load_config(config_path)
     if out_dir is not None:
@@ -797,6 +798,11 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+    csv_path = out / f"{cfg.prefix}_counts.csv"
+    json_path = out / f"{cfg.prefix}_bounds.json"
+    for path in (csv_path, json_path):
+        if path.is_dir():
+            raise ConfigError(f"cannot write report {path}: it is a directory")
 
     group = symmetry_group(V)
     box = BoxOperator(V, cfg.levels)
@@ -831,10 +837,13 @@ def run_scenario(config_path, out_dir=None) -> ScenarioResult:
         "scenarios": scenario_docs,
     }
 
-    csv_path = out / f"{cfg.prefix}_counts.csv"
-    json_path = out / f"{cfg.prefix}_bounds.json"
-    write_csv(csv_path, rows)
-    json_path.write_text(json.dumps(document, indent=1) + "\n")
+    path = csv_path
+    try:
+        write_csv(path, rows)
+        path = json_path
+        path.write_text(json.dumps(document, indent=1) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from exc
     return ScenarioResult(
         csv_path=csv_path,
         json_path=json_path,

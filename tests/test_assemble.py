@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse import csgraph
 from scipy.spatial.distance import cdist
 
 from wellspectra.assemble import assemble_pencil, classify_nodes
@@ -138,8 +142,49 @@ def test_empty_sublevel():
 def test_detached_component():
     grid = GridSpec(box=((0.0, 1.0),), resolution=(9,))
     V = PotentialField(grid=grid, values=np.full(9, -1.0))
-    with pytest.raises(DetachedComponent):
+    with pytest.raises(DetachedComponent, match="fills all 9 grid nodes"):
         classify_nodes(V, -0.5)
+
+
+#: boolean masks on 1D-3D grids of 3 to 8 nodes per axis
+MASKS = st.lists(st.integers(3, 8), min_size=1, max_size=3).flatmap(
+    lambda shape: arrays(bool, tuple(shape))
+)
+
+
+@settings(deadline=None)
+@given(mask=MASKS)
+@example(mask=np.ones((3, 4, 5), dtype=bool))
+@example(mask=np.eye(4, dtype=bool))
+def test_detached_exactly_when_the_set_fills_the_grid_and_components_match_csgraph(mask):
+    """On a random mask {V < e}, classify_nodes raises DetachedComponent
+    exactly when every node is below e, and otherwise its derived
+    components are, in order, the connected components that csgraph finds
+    on the interior subgraph built here from the grid."""
+    grid = GridSpec(box=tuple((0.0, r - 1.0) for r in mask.shape), resolution=mask.shape)
+    V = PotentialField(grid=grid, values=np.where(mask, -1.0, 0.0))
+    if not mask.any():
+        with pytest.raises(EmptySublevel):
+            classify_nodes(V, -0.5)
+        return
+    if mask.all():
+        with pytest.raises(DetachedComponent):
+            classify_nodes(V, -0.5)
+        return
+    dec = classify_nodes(V, -0.5)
+    lin = np.arange(mask.size).reshape(mask.shape)
+    u, v = [], []
+    for ax in range(mask.ndim):
+        lo = lin.take(range(mask.shape[ax] - 1), axis=ax).ravel()
+        hi = lin.take(range(1, mask.shape[ax]), axis=ax).ravel()
+        both = mask.ravel()[lo] & mask.ravel()[hi]
+        u.extend(lo[both])
+        v.extend(hi[both])
+    adj = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(mask.size,) * 2).tocsr()
+    interior = np.flatnonzero(mask)
+    count, labels = csgraph.connected_components(adj[interior][:, interior], directed=False)
+    expected = [interior[labels == c].tolist() for c in range(count)]
+    assert [c.tolist() for c in dec.components] == expected
 
 
 def test_positive_level_needs_flag():

@@ -563,6 +563,40 @@ def test_an_output_directory_that_cannot_be_made_exits_2_before_counting(
     assert factored == []
 
 
+@pytest.mark.parametrize("report", ["empty1d_counts.csv", "empty1d_bounds.json"])
+def test_a_report_path_that_is_a_directory_exits_2_before_any_level(
+    tmp_path, monkeypatch, capsys, report
+):
+    """A CSV or JSON report path that is an existing directory exits 2 with
+    a config error naming it, without a traceback and before any level is
+    classified."""
+    out = tmp_path / "out"
+    (out / report).mkdir(parents=True)
+    classified = []
+    monkeypatch.setattr(scenario, "classify_nodes", lambda *args: classified.append(args))
+    assert cli.main(["run", str(CONFIG_DIR / "empty_level_1d.cfg"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and str(out / report) in captured.err
+    assert "Traceback" not in captured.err
+    assert classified == []
+
+
+def test_a_report_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys):
+    """An OSError from the final report writes is a config error naming the
+    path, not a traceback."""
+    out = tmp_path / "out"
+
+    def full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(scenario.Path, "write_text", full)
+    assert cli.main(["run", str(CONFIG_DIR / "empty_level_1d.cfg"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert str(out / "empty1d_counts.csv") in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_a_pencil_that_cannot_be_saved_exits_2(cfg2d, tmp_path, capsys):
     """``assemble --save`` under a path that is a file exits 2 with a config
     error naming the path, without a traceback."""

@@ -1450,3 +1450,66 @@ def test_every_operand_of_a_scenarios_dense_products_is_read_in_place(tmp_path, 
         assert dtype == np.float64
         assert contiguous if ndim == 2 else (ndim == 1 and stride > 0)
     assert any(ndim == 1 and stride > 8 for _, ndim, _, stride in seen[0])
+
+
+#: three Gaussian wells on a 33^2 grid; at its three levels {V < e} has
+#: three, two and one connected components
+THREE_WELLS_2D = """\
+    [grid]
+    dimension = 2
+    box = -2:2, -2:2
+    resolution = 33, 33
+
+    [potential]
+    family = multi_well
+    wells = [{"name": "gaussian_well", "center": [-0.75, -0.7], "width": 0.3, "depth": 4.0},
+        {"name": "gaussian_well", "center": [0.75, -0.7], "width": 0.3, "depth": 3.0},
+        {"name": "gaussian_well", "center": [0.0, 0.75], "width": 0.3, "depth": 2.5}]
+
+    [levels]
+    values = -1.0, -0.3, -0.1
+
+    [sweeps]
+    points = 4
+
+    [constants]
+    p = 3.0
+
+    [output]
+    prefix = wells2d
+
+    [seed]
+    value = 2
+    """
+
+
+def test_the_scenario_path_makes_no_graph_pass(tmp_path, monkeypatch):
+    """No level of a scenario reads its sublevel components: with
+    csgraph.connected_components patched to raise, the four bundled configs
+    and a three-level 2D three-well scenario write the same report bytes as
+    an unpatched run."""
+    from scipy.sparse import csgraph
+
+    configs = sorted(CONFIG_DIR.glob("*.cfg")) + [_write(tmp_path, THREE_WELLS_2D)]
+    assert len(configs) == 5
+
+    def reports(tag):
+        out = []
+        for config in configs:
+            result = run_scenario(config, out_dir=tmp_path / tag / config.stem)
+            out.append((result.csv_path.read_bytes(), result.json_path.read_bytes()))
+        return out
+
+    plain = reports("plain")
+
+    def graph_pass(*args, **kwargs):
+        raise AssertionError("connected_components was called")
+
+    monkeypatch.setattr(csgraph, "connected_components", graph_pass)
+    assert reports("patched") == plain
+    cfg = load_config(configs[-1])
+    V = build_potential(cfg.family, cfg.grid)
+    with pytest.raises(AssertionError, match="connected_components"):
+        classify_nodes(V, -1.0).components
+    monkeypatch.undo()
+    assert [len(classify_nodes(V, e).components) for e in cfg.levels] == [3, 2, 1]
